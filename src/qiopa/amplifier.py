@@ -119,32 +119,42 @@ class MicroMacroState:
 # expansion coefficients
 # --------------------------------------------------------------------------
 
-def macro_qubit_amplitude(i: int, j: int, phi: float, gain: GainParams) -> complex:
+def macro_qubit_amplitude(
+    i: int | np.ndarray, j: int | np.ndarray, phi: float, gain: GainParams
+) -> complex | np.ndarray:
     """Coefficient of ``|(2i+1) phi, (2j) phi_perp>`` in the amplified seed.
 
-    Evaluated in the log domain so that the factorial ratio
-    ``sqrt((2i+1)!(2j)!) / (i! j!)`` never overflows.  The modulus is
-    independent of the seed phase ``phi``.
+    Evaluated in the log domain over a table of ``log(k!)`` so that the
+    factorial ratio ``sqrt((2i+1)!(2j)!) / (i! j!)`` never overflows.  The
+    modulus is independent of the seed phase ``phi``.  ``i`` and ``j`` may be
+    integer arrays of one shape; the result then has that shape.
     """
-    if i < 0 or j < 0:
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    if np.any(i < 0) or np.any(j < 0):
         raise ValueError("indices must be non-negative")
-    if gain.g == 0.0:
-        return 1.0 + 0.0j if (i, j) == (0, 0) else 0.0j
-    tanh_g = gain.tanh_g
-    log_mod = (i + j) * math.log(tanh_g / 2.0) + 0.5 * (
-        math.lgamma(2 * i + 2) + math.lgamma(2 * j + 1)
-    ) - math.lgamma(i + 1) - math.lgamma(j + 1)
-    sign = -1.0 if j % 2 else 1.0
-    return sign * math.exp(log_mod) * np.exp(-1j * (i + j) * phi)
+    top = 2 * int(max(i.max(initial=0), j.max(initial=0))) + 1
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+    x = gain.tanh_g / 2.0
+    # log(x^(i+j)), with 0^0 = 1 at zero gain
+    log_pow = (i + j) * math.log(x) if x > 0.0 else np.where(i + j == 0, 0.0, -np.inf)
+    log_mod = log_pow + 0.5 * (
+        log_fact[2 * i + 1] + log_fact[2 * j]
+    ) - log_fact[i] - log_fact[j]
+    sign = np.where(j % 2 == 1, -1.0, 1.0)
+    amp = sign * np.exp(log_mod) * np.exp(-1j * (i + j) * phi)
+    return amp[()]
 
 
-def seed_pair_amplitude(n: int, gain: GainParams) -> float:
-    """Coefficient of the n-pair term on top of an H or V seed photon."""
-    if n < 0:
+def seed_pair_amplitude(n: int | np.ndarray, gain: GainParams) -> float | np.ndarray:
+    """Coefficient of the n-pair term on top of an H or V seed photon.
+
+    ``n`` may be an integer array; the result then has its shape.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if np.any(n < 0):
         raise ValueError("n must be non-negative")
-    if gain.g == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return gain.tanh_g**n * math.sqrt(n + 1.0) / gain.cosh_g**2
+    return (gain.tanh_g**n * np.sqrt(n + 1.0) / gain.cosh_g**2)[()]
 
 
 def pair_ladder_tail(n_pairs: int, gain: GainParams) -> float:
@@ -152,7 +162,8 @@ def pair_ladder_tail(n_pairs: int, gain: GainParams) -> float:
 
     Closed form of ``1 - sum_{n <= n_pairs} (n+1) x^n / cosh^4 g`` with
     ``x = tanh^2 g``; this is also the total-photon tail of every
-    single-photon-seeded output, equatorial or linear.
+    single-photon-seeded output, equatorial or linear.  It decreases
+    monotonically in ``n_pairs``.
     """
     if gain.g == 0.0:
         return 0.0
@@ -163,35 +174,65 @@ def pair_ladder_tail(n_pairs: int, gain: GainParams) -> float:
 
 def required_cutoff(gain: GainParams, tail_tolerance: float, n_cap: int = 200_001) -> int:
     """Smallest odd ``n_max`` whose truncated seeded output loses less than
-    ``tail_tolerance`` of its probability mass."""
+    ``tail_tolerance`` of its probability mass.
+
+    Bisects the monotone :func:`pair_ladder_tail` over the pair counts below
+    ``n_cap // 2``.
+    """
     if gain.g == 0.0:
         return 1
-    for p in range(n_cap // 2):
-        if pair_ladder_tail(p, gain) < tail_tolerance:
-            return 2 * p + 1
-    raise CutoffError(
-        f"no cutoff below {n_cap} reaches tail {tail_tolerance} at g={gain.g}",
-        tail_mass=pair_ladder_tail(n_cap // 2 - 1, gain),
-    )
+    hi = n_cap // 2 - 1
+    if hi < 0 or pair_ladder_tail(hi, gain) >= tail_tolerance:
+        raise CutoffError(
+            f"no cutoff below {n_cap} reaches tail {tail_tolerance} at g={gain.g}",
+            tail_mass=pair_ladder_tail(hi, gain),
+        )
+    lo = 0
+    while lo < hi:  # invariant: the tail at hi is below the tolerance
+        mid = (lo + hi) // 2
+        if pair_ladder_tail(mid, gain) < tail_tolerance:
+            hi = mid
+        else:
+            lo = mid + 1
+    return 2 * hi + 1
 
 
 # --------------------------------------------------------------------------
 # amplified states
 # --------------------------------------------------------------------------
 
+def _ladder_vector(
+    n: np.ndarray, m: np.ndarray, amps: np.ndarray, n_max: int, basis: PolarizationBasis
+) -> TwoModeVector:
+    """Sparse vector from index and amplitude arrays; exact zeros (including
+    amplitudes that underflow) are left out."""
+    keep = amps != 0.0
+    keys = zip(n[keep].tolist(), m[keep].tolist())
+    return TwoModeVector(dict(zip(keys, amps[keep].astype(complex).tolist())), n_max, basis)
+
+
+def _checked_tail(state: TwoModeVector, gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
+    """Return ``state`` if the probability mass its truncation dropped stays
+    below ``cutoff.tail_tolerance``; raise :class:`CutoffError` otherwise."""
+    tail = max(0.0, 1.0 - state.norm() ** 2)
+    if tail >= cutoff.tail_tolerance:
+        raise CutoffError(
+            f"cutoff {cutoff.n_max} keeps tail mass {tail:.3e} at g={gain.g}, "
+            f"above the allowed {cutoff.tail_tolerance:.3e}",
+            tail_mass=tail,
+        )
+    return state
+
+
 def _macro_vector_unchecked(phi: float, gain: GainParams, n_max: int) -> TwoModeVector:
     """Truncated amplified equatorial seed without the tail-tolerance gate."""
-    basis = PolarizationBasis.equatorial(phi)
-    inv_c2 = 1.0 / gain.cosh_g**2
-    amps: dict[tuple[int, int], complex] = {}
     k_max = (n_max - 1) // 2
-    for i in range(k_max + 1):
-        for j in range(k_max - i + 1):
-            amp = macro_qubit_amplitude(i, j, phi, gain) * inv_c2
-            if abs(amp) == 0.0:
-                continue
-            amps[(2 * i + 1, 2 * j)] = amp
-    return TwoModeVector(amps, n_max, basis)
+    # every (i, j) with i + j <= k_max, i major: the upper triangle's column
+    # index runs from i to k_max
+    i, col = np.triu_indices(k_max + 1)
+    j = col - i
+    amps = macro_qubit_amplitude(i, j, phi, gain) * (1.0 / gain.cosh_g**2)
+    return _ladder_vector(2 * i + 1, 2 * j, amps, n_max, PolarizationBasis.equatorial(phi))
 
 
 def macro_qubit(phi: float, gain: GainParams, cutoff: Cutoff) -> MacroQubit:
@@ -203,27 +244,16 @@ def macro_qubit(phi: float, gain: GainParams, cutoff: Cutoff) -> MacroQubit:
     below ``cutoff.tail_tolerance``.
     """
     state = _macro_vector_unchecked(phi, gain, cutoff.n_max)
-    tail = max(0.0, 1.0 - state.norm() ** 2)
-    if tail >= cutoff.tail_tolerance:
-        raise CutoffError(
-            f"cutoff {cutoff.n_max} keeps tail mass {tail:.3e} at g={gain.g}, "
-            f"above the allowed {cutoff.tail_tolerance:.3e}",
-            tail_mass=tail,
-        )
-    return MacroQubit(phi, gain, state)
+    return MacroQubit(phi, gain, _checked_tail(state, gain, cutoff))
 
 
 def _hv_macro_vector_unchecked(seed: str, gain: GainParams, n_max: int) -> TwoModeVector:
     if seed not in ("H", "V"):
         raise ValueError(f"seed must be 'H' or 'V', got {seed!r}")
-    amps: dict[tuple[int, int], complex] = {}
-    for n in range((n_max - 1) // 2 + 1):
-        c = seed_pair_amplitude(n, gain)
-        if c == 0.0:
-            continue
-        key = (n + 1, n) if seed == "H" else (n, n + 1)
-        amps[key] = complex(c)
-    return TwoModeVector(amps, n_max, PolarizationBasis.hv())
+    n = np.arange((n_max - 1) // 2 + 1)
+    amps = seed_pair_amplitude(n, gain)
+    pair = (n + 1, n) if seed == "H" else (n, n + 1)
+    return _ladder_vector(*pair, amps, n_max, PolarizationBasis.hv())
 
 
 def hv_macro_state(seed: str, gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
@@ -233,32 +263,15 @@ def hv_macro_state(seed: str, gain: GainParams, cutoff: Cutoff) -> TwoModeVector
     ``sum_n c_n |n+1, n>`` for H and ``sum_n c_n |n, n+1>`` for V, with
     ``c_n`` from :func:`seed_pair_amplitude`.
     """
-    state = _hv_macro_vector_unchecked(seed, gain, cutoff.n_max)
-    tail = max(0.0, 1.0 - state.norm() ** 2)
-    if tail >= cutoff.tail_tolerance:
-        raise CutoffError(
-            f"cutoff {cutoff.n_max} keeps tail mass {tail:.3e} at g={gain.g}",
-            tail_mass=tail,
-        )
-    return state
+    return _checked_tail(_hv_macro_vector_unchecked(seed, gain, cutoff.n_max), gain, cutoff)
 
 
 def amplified_vacuum(gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
     """Unseeded output: a two-mode squeezed vacuum ``sum_n (tanh g)^n |n, n> / cosh g``."""
-    amps: dict[tuple[int, int], complex] = {}
-    mass = 0.0
-    inv_c = 1.0 / gain.cosh_g
-    for n in range(cutoff.n_max // 2 + 1):
-        c = inv_c * gain.tanh_g**n
-        amps[(n, n)] = complex(c)
-        mass += c * c
-    tail = max(0.0, 1.0 - mass)
-    if tail >= cutoff.tail_tolerance:
-        raise CutoffError(
-            f"cutoff {cutoff.n_max} keeps tail mass {tail:.3e} at g={gain.g}",
-            tail_mass=tail,
-        )
-    return TwoModeVector(amps, cutoff.n_max, PolarizationBasis.hv())
+    n = np.arange(cutoff.n_max // 2 + 1)
+    amps = (1.0 / gain.cosh_g) * gain.tanh_g**n
+    state = _ladder_vector(n, n, amps, cutoff.n_max, PolarizationBasis.hv())
+    return _checked_tail(state, gain, cutoff)
 
 
 def micro_macro_state(phi: float, gain: GainParams, cutoff: Cutoff) -> MicroMacroState:

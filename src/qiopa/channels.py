@@ -16,7 +16,6 @@ seed with a vacuum seed before amplification.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -244,30 +243,38 @@ def _conditioned_block(
     exactly one photon surviving on the amplified arm.
 
     Each ensemble member is a pure joint state given by its two micro
-    components in the (H, V) representation.  Kraus terms that leave a single
-    photon are grouped by the lost photon pattern; terms within a group add
-    coherently, groups add incoherently.
+    components in the (H, V) representation.  A Kraus term that leaves one
+    photon in mode ``q`` of ``|n, m>`` has amplitude
+    ``c sqrt(n_q) R^((n+m-1)/2) sqrt(eta)`` and lost-photon pattern
+    ``(n-1, m)`` or ``(n, m-1)``.  Every pattern of a member gets an integer
+    key and one row of a ``(patterns, 4)`` matrix ``V``, whose column is
+    ``2 s + q`` for micro component ``s``; the amplitudes are scattered into
+    it.  Terms within a row add coherently and rows add incoherently, so the
+    member contributes ``weight V^T V^*``.
     """
-    eta, r = loss.eta, loss.R
-    sqrt_eta = math.sqrt(eta)
+    sqrt_eta = math.sqrt(loss.eta)
     rho = np.zeros((4, 4), dtype=complex)
     for weight, comps in ensemble:
-        bucket: dict[tuple[int, int], np.ndarray] = defaultdict(
-            lambda: np.zeros((2, 2), dtype=complex)
-        )
+        stride = max(comp.cutoff for comp in comps) + 1
+        keys, cols, amps = [], [], []
         for s, comp in enumerate(comps):
-            for (n, m), c in comp.amplitudes.items():
-                if n >= 1:
-                    amp = c * math.sqrt(n) * r ** (0.5 * (n - 1 + m)) * sqrt_eta
-                    if amp != 0.0:
-                        bucket[(n - 1, m)][s, 0] += amp
-                if m >= 1:
-                    amp = c * math.sqrt(m) * r ** (0.5 * (n + m - 1)) * sqrt_eta
-                    if amp != 0.0:
-                        bucket[(n, m - 1)][s, 1] += amp
-        for block in bucket.values():
-            v = block.reshape(4)
-            rho += weight * np.outer(v, v.conj())
+            nm = np.array(list(comp.amplitudes), dtype=np.int64).reshape(-1, 2)
+            c = np.fromiter(comp.amplitudes.values(), dtype=complex, count=len(nm))
+            for q in (0, 1):
+                hit = nm[:, q] >= 1
+                lost = nm[hit]
+                lost[:, q] -= 1
+                # numpy power keeps 0^0 = 1, covering the eta = 1 edge
+                decay = np.power(loss.R, 0.5 * lost.sum(axis=1))
+                amps.append(c[hit] * np.sqrt(nm[hit, q]) * decay * sqrt_eta)
+                keys.append(lost[:, 0] * stride + lost[:, 1])
+                cols.append(np.full(len(lost), 2 * s + q))
+        patterns, rows = np.unique(np.concatenate(keys), return_inverse=True)
+        v = np.zeros((patterns.size, 4), dtype=complex)
+        # a component's keys are distinct, so each (row, column) slot is
+        # written at most once
+        v[rows, np.concatenate(cols)] = np.concatenate(amps)
+        rho += weight * (v.T @ v.conj())
     prob = float(np.trace(rho).real)
     return rho, prob
 

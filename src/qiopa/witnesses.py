@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .amplifier import GainParams, MicroMacroState
 from .channels import LossParams, loss_kraus_images
@@ -284,6 +283,9 @@ def generalized_dichotomic_bound(grid: int = 241) -> DichotomicBound:
     maximum is ``sqrt(3)``, attained at Bloch vectors ``(+-1, +-1, +-1) /
     sqrt(3)``.  By convexity no mixed state exceeds the pure-state maximum.
     """
+    # scipy.optimize takes longer to import than the rest of the package
+    from scipy.optimize import minimize
+
     thetas = np.linspace(0.0, math.pi, grid)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -288,3 +291,13 @@ class TestExperiments:
         for i, j, re, im in rows:
             got[i, j] = re + 1j * im
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_import_defers_scipy_optimize():
+    # scipy.optimize takes about as long to import as the rest of the CLI, and
+    # only generalized_dichotomic_bound needs it
+    import qiopa
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qiopa.__file__))}
+    code = "import sys, qiopa.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

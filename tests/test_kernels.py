@@ -1,0 +1,276 @@
+"""Array kernels of the amplitude layer against their per-element loops.
+
+The loops below are the straightforward per-amplitude and per-pattern
+versions of the amplifier ladders, of ``required_cutoff`` and of the
+single-survivor conditioning.  They are kept here only as reference
+oracles: the package builds the same objects from index arrays, and these
+tests require the two to agree.
+"""
+
+import math
+from collections import defaultdict
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qiopa import (
+    Cutoff,
+    CutoffError,
+    GainParams,
+    LossParams,
+    PolarizationBasis,
+    TwoModeVector,
+    amplified_vacuum,
+    micro_macro_state_hv,
+    required_cutoff,
+)
+from qiopa.amplifier import (
+    _hv_macro_vector_unchecked,
+    _macro_vector_unchecked,
+    pair_ladder_tail,
+)
+from qiopa.channels import _conditioned_block
+
+HV = PolarizationBasis.hv()
+# a budget loose enough that any cutoff passes the tail gate
+ANY_TAIL = 1.0 - 1e-12
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# Gains from 0.05 up keep every ladder amplitude up to 200 photons a normal
+# float, so the comparison never meets underflow residue; g = 0 is exact.
+gains = st.one_of(st.just(0.0), st.floats(0.05, 4.0))
+
+
+# --------------------------------------------------------------------------
+# reference loops
+# --------------------------------------------------------------------------
+
+def macro_vector_loop(phi, gain, n_max):
+    inv_c2 = 1.0 / gain.cosh_g**2
+    amps = {}
+    k_max = (n_max - 1) // 2
+    for i in range(k_max + 1):
+        for j in range(k_max - i + 1):
+            if gain.g == 0.0:
+                amp = 1.0 + 0.0j if (i, j) == (0, 0) else 0.0j
+            else:
+                log_mod = (i + j) * math.log(gain.tanh_g / 2.0) + 0.5 * (
+                    math.lgamma(2 * i + 2) + math.lgamma(2 * j + 1)
+                ) - math.lgamma(i + 1) - math.lgamma(j + 1)
+                sign = -1.0 if j % 2 else 1.0
+                amp = sign * math.exp(log_mod) * np.exp(-1j * (i + j) * phi)
+            amp *= inv_c2
+            if abs(amp) == 0.0:
+                continue
+            amps[(2 * i + 1, 2 * j)] = amp
+    return amps
+
+
+def seed_ladder_loop(seed, gain, n_max):
+    amps = {}
+    for n in range((n_max - 1) // 2 + 1):
+        c = 1.0 if n == 0 else 0.0
+        if gain.g != 0.0:
+            c = gain.tanh_g**n * math.sqrt(n + 1.0) / gain.cosh_g**2
+        if c == 0.0:
+            continue
+        key = (n + 1, n) if seed == "H" else (n, n + 1)
+        amps[key] = complex(c)
+    return amps
+
+
+def vacuum_ladder_loop(gain, n_max):
+    inv_c = 1.0 / gain.cosh_g
+    return {(n, n): complex(inv_c * gain.tanh_g**n) for n in range(n_max // 2 + 1)}
+
+
+def required_cutoff_scan(gain, tail_tolerance, n_cap=200_001):
+    if gain.g == 0.0:
+        return 1
+    for p in range(n_cap // 2):
+        if pair_ladder_tail(p, gain) < tail_tolerance:
+            return 2 * p + 1
+    raise CutoffError("scan exhausted", tail_mass=pair_ladder_tail(n_cap // 2 - 1, gain))
+
+
+def conditioned_block_loop(ensemble, loss):
+    eta, r = loss.eta, loss.R
+    sqrt_eta = math.sqrt(eta)
+    rho = np.zeros((4, 4), dtype=complex)
+    for weight, comps in ensemble:
+        bucket = defaultdict(lambda: np.zeros((2, 2), dtype=complex))
+        for s, comp in enumerate(comps):
+            for (n, m), c in comp.amplitudes.items():
+                if n >= 1:
+                    amp = c * math.sqrt(n) * r ** (0.5 * (n - 1 + m)) * sqrt_eta
+                    if amp != 0.0:
+                        bucket[(n - 1, m)][s, 0] += amp
+                if m >= 1:
+                    amp = c * math.sqrt(m) * r ** (0.5 * (n + m - 1)) * sqrt_eta
+                    if amp != 0.0:
+                        bucket[(n, m - 1)][s, 1] += amp
+        for block in bucket.values():
+            v = block.reshape(4)
+            rho += weight * np.outer(v, v.conj())
+    return rho, float(np.trace(rho).real)
+
+
+# --------------------------------------------------------------------------
+# ladders
+# --------------------------------------------------------------------------
+
+def assert_same_ladder(new, reference, rtol=1e-14):
+    """Same keys as the reference's nonzero entries, values to ``rtol``."""
+    nonzero = {k: v for k, v in reference.items() if v != 0.0}
+    assert set(new) == set(nonzero)
+    for key, want in nonzero.items():
+        assert abs(new[key] - want) <= rtol * abs(want), key
+
+
+@PROPERTY
+@given(gains, st.floats(0.0, 2.0 * math.pi), st.integers(1, 200))
+def test_macro_ladder_matches_loop(g, phi, n_max):
+    gain = GainParams(g)
+    state = _macro_vector_unchecked(phi, gain, n_max)
+    assert_same_ladder(state.amplitudes, macro_vector_loop(phi, gain, n_max))
+
+
+@PROPERTY
+@given(gains, st.sampled_from("HV"), st.integers(1, 200))
+def test_seed_ladder_matches_loop(g, seed, n_max):
+    gain = GainParams(g)
+    state = _hv_macro_vector_unchecked(seed, gain, n_max)
+    assert_same_ladder(state.amplitudes, seed_ladder_loop(seed, gain, n_max))
+
+
+@PROPERTY
+@given(gains, st.integers(1, 200))
+def test_vacuum_ladder_matches_loop(g, n_max):
+    gain = GainParams(g)
+    state = amplified_vacuum(gain, Cutoff(n_max, ANY_TAIL))
+    assert_same_ladder(state.amplitudes, vacuum_ladder_loop(gain, n_max))
+
+
+def test_vacuum_ladder_leaves_out_exact_zeros():
+    # the loop stores (n, n): 0 for every n >= 1 at g = 0; the kernel keeps
+    # the map sparse, as TwoModeVector documents
+    state = amplified_vacuum(GainParams(0.0), Cutoff(8, 0.5))
+    assert state.amplitudes == {(0, 0): 1.0}
+
+
+@pytest.mark.parametrize(
+    "build, loop",
+    [
+        (lambda: _macro_vector_unchecked(0.3, GainParams(1.8), 481),
+         lambda: macro_vector_loop(0.3, GainParams(1.8), 481)),
+        (lambda: _hv_macro_vector_unchecked("V", GainParams(4.0), 37809),
+         lambda: seed_ladder_loop("V", GainParams(4.0), 37809)),
+        (lambda: amplified_vacuum(GainParams(4.0), Cutoff(37809, 1e-8)),
+         lambda: vacuum_ladder_loop(GainParams(4.0), 37809)),
+    ],
+    ids=["macro-g1.8-n481", "seed-g4-n37809", "vacuum-g4-n37809"],
+)
+def test_ladders_match_loops_at_benchmark_cutoffs(build, loop):
+    assert_same_ladder(build().amplitudes, loop())
+
+
+# --------------------------------------------------------------------------
+# required_cutoff
+# --------------------------------------------------------------------------
+
+def assert_same_cutoff(gain, tol, n_cap):
+    try:
+        want = required_cutoff_scan(gain, tol, n_cap)
+    except CutoffError as err:
+        with pytest.raises(CutoffError) as got:
+            required_cutoff(gain, tol, n_cap)
+        assert got.value.tail_mass == err.tail_mass
+    else:
+        assert required_cutoff(gain, tol, n_cap) == want
+
+
+@pytest.mark.parametrize("g", [0.0, 0.01, 0.3, 1.0, 1.8, 2.0, 3.0, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("tol", [0.5, 1e-2, 1e-6, 1e-9, 1e-12, 1e-15])
+def test_required_cutoff_matches_scan_on_grid(g, tol):
+    assert_same_cutoff(GainParams(g), tol, 200_001)
+
+
+@pytest.mark.parametrize("n_cap", [0, 1, 2, 3, 101, 2000])
+def test_required_cutoff_raises_at_the_cap_like_the_scan(n_cap):
+    assert_same_cutoff(GainParams(4.0), 1e-9, n_cap)
+
+
+@PROPERTY
+@given(st.floats(0.0, 8.0), st.floats(1e-16, 0.5), st.integers(0, 40_001))
+def test_required_cutoff_matches_scan(g, tol, n_cap):
+    assert_same_cutoff(GainParams(g), tol, n_cap)
+
+
+# --------------------------------------------------------------------------
+# single-survivor conditioning
+# --------------------------------------------------------------------------
+
+def injection_ensemble(p, gain, n_max):
+    """The ensemble that ``attenuated_injection_pipeline`` conditions."""
+    cutoff = Cutoff(n_max, ANY_TAIL)
+    singlet = micro_macro_state_hv(gain, cutoff)
+    vac = amplified_vacuum(gain, cutoff).normalized()
+    zero = TwoModeVector({}, n_max, HV)
+    return [
+        (p, singlet.components),
+        ((1.0 - p) / 2.0, (vac, zero)),
+        ((1.0 - p) / 2.0, (zero, vac)),
+    ]
+
+
+def assert_same_block(ensemble, loss, rtol=1e-12):
+    rho, prob = _conditioned_block(ensemble, loss)
+    want_rho, want_prob = conditioned_block_loop(ensemble, loss)
+    assert np.linalg.norm(rho - want_rho) <= rtol * np.linalg.norm(want_rho)
+    assert abs(prob - want_prob) <= rtol * want_prob
+
+
+@PROPERTY
+@given(
+    gains,
+    st.floats(1e-9, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(1, 400),
+)
+@example(g=4.0, eta=1.0, p=1.0, n_max=41)  # R = 0: only 0^0 terms survive
+@example(g=0.0, eta=0.5, p=0.3, n_max=3)
+@example(g=0.0, eta=1.0, p=0.0, n_max=1)
+def test_conditioning_matches_loop(g, eta, p, n_max):
+    assert_same_block(injection_ensemble(p, GainParams(g), n_max), LossParams(eta))
+
+
+amplitude_maps = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda nm: sum(nm) <= 12),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    max_size=24,
+)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.floats(0.0, 1.0), amplitude_maps, amplitude_maps), min_size=1, max_size=3),
+    st.floats(1e-9, 1.0),
+)
+@example(members=[(1.0, {(1, 0): 1.0}, {})], eta=0.5)  # micro H, one macro photon
+def test_conditioning_matches_loop_on_arbitrary_members(members, eta):
+    # arbitrary components reach one lost-photon pattern from several Fock
+    # states of both components, and need not be symmetric under the
+    # exchange of the two qubits
+    ensemble = []
+    for weight, first, second in members:
+        norm = math.sqrt(sum(abs(a) ** 2 for a in [*first.values(), *second.values()])) or 1.0
+        comps = tuple(TwoModeVector({k: a / norm for k, a in c.items()}, 12, HV) for c in (first, second))
+        ensemble.append((weight, comps))
+    assert_same_block(ensemble, LossParams(eta))
+
+
+def test_conditioning_matches_loop_at_the_largest_benchmark_cutoff():
+    gain, loss = GainParams(4.0), LossParams(1e-3)
+    assert_same_block(injection_ensemble(0.9995, gain, 35681), loss)
