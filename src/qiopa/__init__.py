@@ -42,7 +42,6 @@ from .channels import (
     mixed_injection_state,
 )
 from .measurement import (
-    MultiDetectorScheme,
     PseudoPauliOperator,
     StokesOperators,
     ThresholdPOVM,
@@ -51,8 +50,6 @@ from .measurement import (
     ofilter_probabilities,
     pauli_matrix,
     sigma_operator,
-    stokes_correlation,
-    stokes_correlation_lossy,
     stokes_operators,
     stokes_terms,
     threshold_povm,

@@ -211,28 +211,34 @@ def _ladder_vector(
     return TwoModeVector(dict(zip(keys, amps[keep].astype(complex).tolist())), n_max, basis)
 
 
-def _checked_tail(state: TwoModeVector, gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
-    """Return ``state`` if the probability mass its truncation dropped stays
-    below ``cutoff.tail_tolerance``; raise :class:`CutoffError` otherwise."""
-    tail = max(0.0, 1.0 - state.norm() ** 2)
+def _checked_tail(mass: float, gain: GainParams, cutoff: Cutoff) -> None:
+    """Raise :class:`CutoffError` if a truncated state of squared norm
+    ``mass`` dropped ``cutoff.tail_tolerance`` or more of its probability."""
+    tail = max(0.0, 1.0 - mass)
     if tail >= cutoff.tail_tolerance:
         raise CutoffError(
             f"cutoff {cutoff.n_max} keeps tail mass {tail:.3e} at g={gain.g}, "
             f"above the allowed {cutoff.tail_tolerance:.3e}",
             tail_mass=tail,
         )
-    return state
+
+
+def _macro_ladder(
+    phi: float, gain: GainParams, n_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays ``(2i+1, 2j)`` and amplitudes of the truncated amplified
+    equatorial seed, over every ``(i, j)`` with ``2(i+j) + 1 <= n_max``."""
+    k_max = (n_max - 1) // 2
+    # i major: the upper triangle's column index runs from i to k_max
+    i, col = np.triu_indices(k_max + 1)
+    j = col - i
+    amps = macro_qubit_amplitude(i, j, phi, gain) * (1.0 / gain.cosh_g**2)
+    return 2 * i + 1, 2 * j, amps
 
 
 def _macro_vector_unchecked(phi: float, gain: GainParams, n_max: int) -> TwoModeVector:
     """Truncated amplified equatorial seed without the tail-tolerance gate."""
-    k_max = (n_max - 1) // 2
-    # every (i, j) with i + j <= k_max, i major: the upper triangle's column
-    # index runs from i to k_max
-    i, col = np.triu_indices(k_max + 1)
-    j = col - i
-    amps = macro_qubit_amplitude(i, j, phi, gain) * (1.0 / gain.cosh_g**2)
-    return _ladder_vector(2 * i + 1, 2 * j, amps, n_max, PolarizationBasis.equatorial(phi))
+    return _ladder_vector(*_macro_ladder(phi, gain, n_max), n_max, PolarizationBasis.equatorial(phi))
 
 
 def macro_qubit(phi: float, gain: GainParams, cutoff: Cutoff) -> MacroQubit:
@@ -244,7 +250,8 @@ def macro_qubit(phi: float, gain: GainParams, cutoff: Cutoff) -> MacroQubit:
     below ``cutoff.tail_tolerance``.
     """
     state = _macro_vector_unchecked(phi, gain, cutoff.n_max)
-    return MacroQubit(phi, gain, _checked_tail(state, gain, cutoff))
+    _checked_tail(state.norm() ** 2, gain, cutoff)
+    return MacroQubit(phi, gain, state)
 
 
 def _hv_macro_vector_unchecked(seed: str, gain: GainParams, n_max: int) -> TwoModeVector:
@@ -263,7 +270,9 @@ def hv_macro_state(seed: str, gain: GainParams, cutoff: Cutoff) -> TwoModeVector
     ``sum_n c_n |n+1, n>`` for H and ``sum_n c_n |n, n+1>`` for V, with
     ``c_n`` from :func:`seed_pair_amplitude`.
     """
-    return _checked_tail(_hv_macro_vector_unchecked(seed, gain, cutoff.n_max), gain, cutoff)
+    state = _hv_macro_vector_unchecked(seed, gain, cutoff.n_max)
+    _checked_tail(state.norm() ** 2, gain, cutoff)
+    return state
 
 
 def amplified_vacuum(gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
@@ -271,7 +280,8 @@ def amplified_vacuum(gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
     n = np.arange(cutoff.n_max // 2 + 1)
     amps = (1.0 / gain.cosh_g) * gain.tanh_g**n
     state = _ladder_vector(n, n, amps, cutoff.n_max, PolarizationBasis.hv())
-    return _checked_tail(state, gain, cutoff)
+    _checked_tail(state.norm() ** 2, gain, cutoff)
+    return state
 
 
 def micro_macro_state(phi: float, gain: GainParams, cutoff: Cutoff) -> MicroMacroState:
@@ -279,15 +289,22 @@ def micro_macro_state(phi: float, gain: GainParams, cutoff: Cutoff) -> MicroMacr
 
     The qubit state along mode ``phi`` multiplies the amplified orthogonal
     seed and vice versa, with a relative minus sign; at ``g = 0`` this is the
-    two-photon singlet restricted to one photon on each arm.  The truncated
-    vector is normalized globally, which preserves the equal weight of the
-    two components exactly.
+    two-photon singlet restricted to one photon on each arm.  The seed at
+    ``phi + pi`` is the seed at ``phi`` with its two modes swapped, so both
+    components share one index set and one norm.  The truncated vector is
+    normalized globally, which preserves the equal weight of the two
+    components exactly.
     """
     basis = PolarizationBasis.equatorial(phi)
-    plus = macro_qubit(phi, gain, cutoff).state
-    minus = rotate_basis(macro_qubit(phi + math.pi, gain, cutoff).state, basis)
-    norm = math.sqrt(plus.norm() ** 2 + minus.norm() ** 2)
-    components = (minus.scaled(1.0 / norm), plus.scaled(-1.0 / norm))
+    n, m, plus = _macro_ladder(phi, gain, cutoff.n_max)
+    mass = float(np.sum(np.abs(plus) ** 2))
+    _checked_tail(mass, gain, cutoff)
+    _, _, minus = _macro_ladder(phi + math.pi, gain, cutoff.n_max)
+    scale = 1.0 / math.sqrt(2.0 * mass)
+    components = (
+        _ladder_vector(m, n, minus * scale, cutoff.n_max, basis),
+        _ladder_vector(n, m, plus * -scale, cutoff.n_max, basis),
+    )
     return MicroMacroState(components, gain, basis)
 
 
@@ -298,10 +315,14 @@ def micro_macro_state_hv(gain: GainParams, cutoff: Cutoff) -> MicroMacroState:
     global phase; this construction avoids basis rotations entirely, which
     keeps large-cutoff pipelines cheap.
     """
-    phi_v = hv_macro_state("V", gain, cutoff)
-    phi_h = hv_macro_state("H", gain, cutoff)
-    norm = math.sqrt(phi_v.norm() ** 2 + phi_h.norm() ** 2)
-    components = (phi_v.scaled(1.0 / norm), phi_h.scaled(-1.0 / norm))
-    return MicroMacroState(components, gain, PolarizationBasis.hv())
-
-
+    n = np.arange((cutoff.n_max - 1) // 2 + 1)
+    amps = seed_pair_amplitude(n, gain)
+    mass = float(np.sum(amps**2))
+    _checked_tail(mass, gain, cutoff)
+    scale = 1.0 / math.sqrt(2.0 * mass)
+    hv = PolarizationBasis.hv()
+    components = (
+        _ladder_vector(n, n + 1, amps * scale, cutoff.n_max, hv),
+        _ladder_vector(n + 1, n, amps * -scale, cutoff.n_max, hv),
+    )
+    return MicroMacroState(components, gain, hv)

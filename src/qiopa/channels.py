@@ -22,7 +22,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .amplifier import GainParams, MicroMacroState, amplified_vacuum
+from .amplifier import (
+    GainParams,
+    MicroMacroState,
+    amplified_vacuum,
+    micro_macro_state_hv,
+    required_cutoff,
+)
 from .fock import (
     ConditioningError,
     Cutoff,
@@ -80,8 +86,6 @@ def conditioning_cutoff(
     series directly until its remaining fraction is two orders below ``tol``.
     The result also keeps the truncated state mass itself below ``tol``.
     """
-    from .amplifier import required_cutoff
-
     x = coherence_parameter(gain, loss) ** 2
     n_max = 3
     if x > 0.0:
@@ -144,10 +148,19 @@ def _loss_structure(n_max: int):
     )
 
 
+def _kraus_coefficients(n_max: int, eta: float):
+    """Stacked row index, source column, coefficient and dimension of every
+    (source state, Kraus operator) pair at transmittivity ``eta``; rows are
+    grouped by Kraus operator in index order."""
+    rows, cols, binsq, lost, kept, d = _loss_structure(n_max)
+    # numpy power keeps 0^0 = 1, covering the eta = 0 and eta = 1 edges
+    data = binsq * np.power(1.0 - eta, 0.5 * lost) * np.power(eta, 0.5 * kept)
+    return rows, cols, data, d
+
+
 def _kraus_matrix(n_max: int, eta: float) -> sp.csr_matrix:
     """Stacked Kraus action: maps a vector to all ``K_{pq} |psi>`` images."""
-    rows, cols, binsq, lost, kept, d = _loss_structure(n_max)
-    data = binsq * np.power(1.0 - eta, 0.5 * lost) * np.power(eta, 0.5 * kept)
+    rows, cols, data, d = _kraus_coefficients(n_max, eta)
     return sp.csr_matrix((data, (rows, cols)), shape=(d * d, d))
 
 
@@ -160,13 +173,11 @@ def loss_kraus_images(
     a joint state (loss on the amplified arm only).  The lossy density
     operator is the sum over rows of their outer products.
     """
-    if isinstance(state, MicroMacroState):
-        space = fock_space(state.cutoff)
-        kr = _kraus_matrix(space.n_max, loss.eta)
-        images = kr @ state.dense(space).T  # (n_kraus * dim, 2)
-        return images.reshape(space.dim, space.dim, 2).transpose(0, 2, 1)
     space = fock_space(state.cutoff)
     kr = _kraus_matrix(space.n_max, loss.eta)
+    if isinstance(state, MicroMacroState):
+        images = kr @ state.dense(space).T  # (n_kraus * dim, 2)
+        return images.reshape(space.dim, space.dim, 2).transpose(0, 2, 1)
     return np.asarray((kr @ state.dense(space)).reshape(space.dim, space.dim))
 
 
@@ -179,49 +190,35 @@ def lossy_channel(
     the binomial kernel ``P(n -> k) = C(n, k) eta^k (1 - eta)^(n - k)`` on
     each mode, and composing channels multiplies their transmittivities.
     """
-    if isinstance(state, TwoModeVector):
-        v = loss_kraus_images(state, loss)
-        return DensityOperator(v.T @ v.conj(), state.cutoff, state.basis)
-    if isinstance(state, MicroMacroState):
+    if isinstance(state, (TwoModeVector, MicroMacroState)):
         v = loss_kraus_images(state, loss)
         flat = v.reshape(v.shape[0], -1)
-        return DensityOperator(
-            flat.T @ flat.conj(), state.cutoff, state.basis, micro_dim=2
-        )
+        micro_dim = 2 if isinstance(state, MicroMacroState) else 1
+        return DensityOperator(flat.T @ flat.conj(), state.cutoff, state.basis, micro_dim)
     if isinstance(state, DensityOperator):
         return _lossy_density(state, loss)
     raise TypeError(f"cannot apply a loss channel to {type(state).__name__}")
 
 
 def _lossy_density(rho: DensityOperator, loss: LossParams) -> DensityOperator:
-    """Kraus sum on a density operator, one monomial operator at a time."""
-    space = fock_space(rho.cutoff)
-    d = space.dim
+    """Kraus sum on a density operator, one Kraus operator at a time.
+
+    Each ``K_{pq}`` maps its sources one to one onto destinations, so its
+    term is a scatter of the selected block scaled by the coefficients.
+    """
+    rows, cols, data, d = _kraus_coefficients(rho.cutoff, loss.eta)
     md = rho.micro_dim
-    n_arr, m_arr = space.n, space.m
-    log_fact = np.array([math.lgamma(k + 1) for k in range(rho.cutoff + 1)])
     src_mat = rho.matrix.reshape(md, d, md, d)
     out = np.zeros_like(src_mat)
     micro_ix = np.arange(md)
+    bounds = np.searchsorted(rows, d * np.arange(d + 1))
     for k in range(d):
-        p = int(n_arr[k])
-        q = int(m_arr[k])
-        sel = np.flatnonzero((n_arr >= p) & (m_arr >= q))
-        ns, ms = n_arr[sel], m_arr[sel]
-        left = ns - p + ms - q
-        dst = left * (left + 1) // 2 + (ns - p)
-        log_bin = 0.5 * (
-            log_fact[ns] - log_fact[p] - log_fact[ns - p]
-            + log_fact[ms] - log_fact[q] - log_fact[ms - q]
-        )
-        # numpy power keeps 0^0 = 1, covering the eta = 0 and eta = 1 edges
-        c = (
-            np.exp(log_bin)
-            * loss.R ** (0.5 * (p + q))
-            * np.power(loss.eta, 0.5 * left.astype(float))
-        )
+        seg = slice(bounds[k], bounds[k + 1])
+        c = data[seg]
         if not np.any(c):
             continue
+        sel = cols[seg]
+        dst = rows[seg] - k * d
         sub = src_mat[np.ix_(micro_ix, sel, micro_ix, sel)]
         out[np.ix_(micro_ix, dst, micro_ix, dst)] += (
             sub * c[None, :, None, None] * c[None, None, None, :]
@@ -366,8 +363,6 @@ def attenuated_injection_pipeline(
     photon.  Converges to :func:`attenuated_state_with_injection` as the
     cutoff grows.
     """
-    from .amplifier import micro_macro_state_hv
-
     singlet = micro_macro_state_hv(gain, cutoff)
     vac = amplified_vacuum(gain, cutoff).normalized()
     zero = TwoModeVector({}, cutoff.n_max, PolarizationBasis.hv())

@@ -30,10 +30,12 @@ from .fock import (
     PolarizationBasis,
     TwoModeVector,
     UndefinedVisibilityError,
+    fock_space,
     photon_distribution,
 )
-from .measurement import lossy_fringe_probabilities, threshold_povm
+from .measurement import lossy_fringe_probabilities, threshold_povm, visibility_ratio
 from .metrics import (
+    concurrence_of_t,
     concurrence_with_injection,
     critical_injection_probability,
     critical_injection_scan,
@@ -168,21 +170,28 @@ def _basis_from_label(label: str) -> PolarizationBasis:
     raise ConfigError(f"unknown basis {label!r} (use hv, pm, rl or eq:PHI)")
 
 
-def _resolve_cutoff(values: dict, gain: GainParams, default_tail: float) -> Cutoff:
+def _explicit_cutoff(values: dict, default_tail: float) -> tuple[float, int | None]:
+    """Tail tolerance and, if one was given, the positive cutoff of a run."""
     tail = float(_scalar(values, "tail_tol", float)) if "tail_tol" in values else default_tail
-    if "cutoff" in values:
-        n_max = int(_scalar(values, "cutoff", int))
-        if n_max < 1:
-            raise ConfigError("cutoff must be a positive photon number")
-        return Cutoff(n_max, tail)
-    return Cutoff(required_cutoff(gain, min(tail, 1e-9)), tail)
+    if "cutoff" not in values:
+        return tail, None
+    n_max = int(_scalar(values, "cutoff", int))
+    if n_max < 1:
+        raise ConfigError("cutoff must be a positive photon number")
+    return tail, n_max
+
+
+def _resolve_cutoff(values: dict, gain: GainParams, default_tail: float) -> Cutoff:
+    tail, n_max = _explicit_cutoff(values, default_tail)
+    if n_max is None:
+        n_max = required_cutoff(gain, min(tail, 1e-9))
+    return Cutoff(n_max, tail)
 
 
 def _witness_cutoff(values: dict, default_n: int, default_tail: float) -> Cutoff:
-    tail = float(_scalar(values, "tail_tol", float)) if "tail_tol" in values else default_tail
-    n_max = int(_scalar(values, "cutoff", int)) if "cutoff" in values else default_n
-    if n_max < 1:
-        raise ConfigError("cutoff must be a positive photon number")
+    tail, n_max = _explicit_cutoff(values, default_tail)
+    if n_max is None:
+        n_max = default_n
     if n_max > _WITNESS_CUTOFF_LIMIT:
         raise ConfigError(
             f"witness sweeps support cutoff <= {_WITNESS_CUTOFF_LIMIT}; "
@@ -208,11 +217,7 @@ def _run_visibility(cfg: RunConfig):
                 p_plus, p_minus, p_zero = lossy_fringe_probabilities(
                     0.0, gain, loss, k, cutoff
                 )
-                if p_plus + p_minus <= 0.0:
-                    raise UndefinedVisibilityError(
-                        f"all outcomes inconclusive at eta={eta}, k={k}"
-                    )
-                v = (p_plus - p_minus) / (p_plus + p_minus)
+                v = visibility_ratio(p_plus, p_minus, loss, k)
                 rows.append(
                     (loss.R, eta, g, k, cutoff.n_max, p_plus, p_minus, p_zero, v)
                 )
@@ -297,8 +302,7 @@ def _run_concurrence(cfg: RunConfig):
         for t in _floats(values, "t"):
             if not 0.0 <= t < 1.0:
                 raise ConfigError(f"t={t} outside [0, 1)")
-            t2 = t * t
-            rows.append((t, (1.0 - t2) / (1.0 + 3.0 * t2)))
+            rows.append((t, concurrence_of_t(t)))
         return {}, ["t", "C"], rows
     etas = _eta_grid(values)
     rows = []
@@ -345,8 +349,6 @@ def _run_ofilter_dist(cfg: RunConfig):
     state = TwoModeVector({(n, m): 1.0}, total, prep)
     dist = photon_distribution(state, target)
     povm = threshold_povm(target, k, total)
-    from .fock import fock_space
-
     space = fock_space(total)
     rows = []
     # rotations conserve the total photon number, so only this sector carries weight
@@ -385,11 +387,6 @@ def _run_density(cfg: RunConfig):
         "p": p,
     }
     return meta, ["row", "col", "re", "im"], rows
-
-
-def emit_density_matrix(cfg: RunConfig):
-    """Density-matrix dump of the attenuated joint state (basis HH, HV, VH, VV)."""
-    return _run_density(cfg)
 
 
 _EXPERIMENTS = {
@@ -615,12 +612,11 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, list[str], list[tuple]]:
 
 
 def _emit(cfg: RunConfig, meta: dict, columns, rows) -> None:
+    writer = _write_csv if cfg.fmt == "csv" else _write_records
     if cfg.out is None:
-        writer = _write_csv if cfg.fmt == "csv" else _write_records
         writer(sys.stdout, cfg, meta, columns, rows)
         return
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
-        writer = _write_csv if cfg.fmt == "csv" else _write_records
         writer(handle, cfg, meta, columns, rows)
 
 

@@ -3,9 +3,11 @@
 States live on the basis ``{|n, m> : n + m <= n_max}`` where ``n`` counts
 photons in the first polarization mode of a :class:`PolarizationBasis` and
 ``m`` photons in the second.  Basis changes between polarization-mode pairs
-are passive SU(2) transformations; they are computed exactly, sector by
-sector in the total photon number, by binomial expansion of the transformed
-creation-operator monomials.  Sector matrices are cached per basis pair.
+are passive SU(2) transformations; they are computed sector by sector in the
+total photon number, by binomial expansion of the transformed
+creation-operator monomials.  The expansion is exact in exact arithmetic but
+cancels in floating point: a block's unitarity defect is 2.8e-8 at 60
+photons and 2e-2 at 100.  Sector matrices are cached per basis pair.
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; the rotation cache is write-once-read-many.
@@ -192,7 +194,7 @@ def transfer_matrix(src: PolarizationBasis, dst: PolarizationBasis) -> np.ndarra
 
 
 def _sector_matrix(total: int, transfer: np.ndarray) -> np.ndarray:
-    """Exact rotation block on the sector of ``total`` photons.
+    """Rotation block on the sector of ``total`` photons.
 
     ``R[p, n]`` is the amplitude ``<p, total - p|n, total - n>`` between
     destination and source basis states, obtained by expanding

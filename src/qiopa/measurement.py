@@ -7,10 +7,14 @@ Four measurement families are implemented:
   amplified seeds of a basis;
 * the threshold filter POVM assigning +1 / -1 when the photon-number
   imbalance between the two modes of a basis exceeds a threshold ``k`` and an
-  inconclusive 0 otherwise;
+  inconclusive 0 otherwise, and the fringe visibility it gives on the lossy
+  macro-qubit (loss acts there as binomial thinning of the populations);
 * a multi-detector coincidence scheme with non-number-resolving clicks;
 * quantum Stokes operators (per-basis photon-number differences) and the
-  total photon number.
+  total photon number.  Each Stokes block is built in closed form as the
+  Schwinger map ``J = sum_jk P[j,k] b_j^dag b_k`` of the axis's Pauli matrix
+  ``P`` in the representation basis, so no basis rotation enters it.  The
+  spin witness built on them lives in :mod:`qiopa.witnesses`.
 
 The measurement-basis convention is 1 -> {H,V}, 2 -> {R,L}, 3 -> {+,-}.
 """
@@ -26,9 +30,10 @@ import numpy as np
 from .amplifier import (
     GainParams,
     MicroMacroState,
+    _checked_tail,
     _hv_macro_vector_unchecked,
+    _macro_ladder,
     _macro_vector_unchecked,
-    macro_qubit,
     required_cutoff,
 )
 from .channels import LossParams
@@ -38,6 +43,7 @@ from .fock import (
     PolarizationBasis,
     TwoModeVector,
     UndefinedVisibilityError,
+    _sector_rotations,
     fock_space,
     rotate_dense,
     transfer_matrix,
@@ -183,8 +189,6 @@ def _fock_populations(
     d = space.dim
     md = state.micro_dim
     mat = state.matrix.reshape(md, d, md, d)
-    from .fock import _sector_rotations
-
     pops = np.zeros(d)
     if basis == state.basis:
         for s in range(md):
@@ -255,12 +259,13 @@ def lossy_fringe_probabilities(
         raise ValueError(f"threshold must be non-negative, got {k}")
     if cutoff is None:
         cutoff = Cutoff(required_cutoff(gain, 1e-10), 1e-9)
-    state = macro_qubit(phi, gain, cutoff).state
     n_max = cutoff.n_max
+    n, m, amps = _macro_ladder(phi, gain, n_max)
     q = np.zeros((n_max + 1, n_max + 1))
-    for (n, m), amp in state.amplitudes.items():
-        q[n, m] = abs(amp) ** 2
-    q /= q.sum()
+    q[n, m] = np.abs(amps) ** 2
+    mass = q.sum()
+    _checked_tail(mass, gain, cutoff)
+    q /= mass
     kernel = _binomial_thinning_kernel(n_max, loss.eta)
     q = kernel @ q @ kernel.T
     a = np.arange(n_max + 1)
@@ -270,6 +275,20 @@ def lossy_fringe_probabilities(
     return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
 
 
+def visibility_ratio(p_plus: float, p_minus: float, loss: LossParams, k: int) -> float:
+    """Fringe visibility ``(P+ - P-) / (P+ + P-)`` from the two conclusive
+    outcome probabilities of threshold ``k`` after loss ``loss``.
+
+    Raises :class:`UndefinedVisibilityError` when every outcome is
+    inconclusive (for example ``eta = 0`` with ``k >= 1``).
+    """
+    if p_plus + p_minus <= 0.0:
+        raise UndefinedVisibilityError(
+            f"all outcomes inconclusive at eta={loss.eta}, k={k}"
+        )
+    return (p_plus - p_minus) / (p_plus + p_minus)
+
+
 def visibility(
     phi: float,
     gain: GainParams,
@@ -277,18 +296,10 @@ def visibility(
     k: int,
     cutoff: Cutoff | None = None,
 ) -> float:
-    """Fringe visibility ``(P+ - P-) / (P+ + P-)`` of the amplified seed
-    after loss, measured with threshold ``k`` in its own equatorial basis.
-
-    Raises :class:`UndefinedVisibilityError` when every outcome is
-    inconclusive (for example ``eta = 0`` with ``k >= 1``).
-    """
+    """Fringe visibility of the amplified seed after loss, measured with
+    threshold ``k`` in its own equatorial basis (see :func:`visibility_ratio`)."""
     p_plus, p_minus, _ = lossy_fringe_probabilities(phi, gain, loss, k, cutoff)
-    if p_plus + p_minus <= 0.0:
-        raise UndefinedVisibilityError(
-            f"all outcomes inconclusive at eta={loss.eta}, k={k}"
-        )
-    return (p_plus - p_minus) / (p_plus + p_minus)
+    return visibility_ratio(p_plus, p_minus, loss, k)
 
 
 # --------------------------------------------------------------------------
@@ -304,31 +315,6 @@ def all_detectors_click_probability(photons: np.ndarray, detectors: int) -> np.n
     for j in range(detectors + 1):
         out += (-1.0) ** j * math.comb(detectors, j) * ((detectors - j) / detectors) ** photons
     return np.clip(out, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class MultiDetectorScheme:
-    """Coincidence detection with ``detectors`` non-number-resolving
-    detectors per polarization branch, each branch split into equal parts.
-
-    The outcome is +1 when every detector of the first branch fires while
-    the second branch misses at least one, -1 symmetrically, and 0 otherwise
-    (no full coincidence, or full coincidences on both branches at once).
-    """
-
-    detectors: int
-
-    def __post_init__(self) -> None:
-        if self.detectors < 1:
-            raise ValueError("at least one detector per branch is required")
-
-    def all_click_probability(self, photons: np.ndarray) -> np.ndarray:
-        return all_detectors_click_probability(photons, self.detectors)
-
-    def outcome_probabilities(
-        self, state: TwoModeVector | DensityOperator, basis: PolarizationBasis
-    ) -> tuple[float, float, float]:
-        return multi_detector_probabilities(state, basis, self.detectors)
 
 
 def multi_detector_probabilities(
@@ -377,27 +363,33 @@ class StokesOperators:
         return out
 
 
+def _stokes_block(pauli: np.ndarray, total: int) -> np.ndarray:
+    """Schwinger map ``sum_jk P[j,k] b_j^dag b_k`` of a 2x2 matrix ``P`` on
+    the sector of ``total`` photons, indexed by the count ``n`` in the first
+    mode: diagonal ``P00 n + P11 (N - n)``, entry ``(n+1, n)`` equal to
+    ``P01 sqrt((n+1)(N-n))`` and entry ``(n, n+1)`` equal to
+    ``P10 sqrt((n+1)(N-n))``."""
+    n = np.arange(total + 1)
+    hop = np.sqrt((n[:-1] + 1.0) * (total - n[:-1]))
+    block = np.diag(pauli[0, 0] * n + pauli[1, 1] * (total - n))
+    block += np.diag(pauli[0, 1] * hop, -1) + np.diag(pauli[1, 0] * hop, 1)
+    block.setflags(write=False)
+    return block
+
+
 @lru_cache(maxsize=16)
 def stokes_operators(
     cutoff: int, basis: PolarizationBasis = PolarizationBasis.hv()
 ) -> StokesOperators:
-    space = fock_space(cutoff)
-    from .fock import _sector_rotations
-
-    all_blocks = []
-    for axis in (1, 2, 3):
-        rot = _sector_rotations(cutoff, basis, PolarizationBasis.canonical(axis))
-        blocks = []
-        for total, sl in enumerate(space.sector_slices):
-            diff = (space.n[sl] - space.m[sl]).astype(float)
-            r = rot[total]
-            block = r.conj().T @ (diff[:, None] * r)
-            block.setflags(write=False)
-            blocks.append(block)
-        all_blocks.append(tuple(blocks))
-    number_diag = space.total.astype(float)
+    """Stokes operators in the photon-number basis of ``basis``: each axis's
+    sector blocks are the Schwinger map of ``pauli_matrix(axis, basis)``."""
+    paulis = [pauli_matrix(axis, basis) for axis in (1, 2, 3)]
+    all_blocks = tuple(
+        tuple(_stokes_block(p, total) for total in range(cutoff + 1)) for p in paulis
+    )
+    number_diag = fock_space(cutoff).total.astype(float)
     number_diag.setflags(write=False)
-    return StokesOperators(cutoff, basis, tuple(all_blocks), number_diag)
+    return StokesOperators(cutoff, basis, all_blocks, number_diag)
 
 
 def _stokes_terms_pure(joint: MicroMacroState) -> tuple[np.ndarray, float]:
@@ -441,26 +433,3 @@ def stokes_terms(
     for s in range(2):
         mean_n += float((mat[s, :, s, :].diagonal().real * ops.number_diagonal).sum())
     return terms, mean_n
-
-
-def stokes_correlation(joint: DensityOperator | MicroMacroState) -> float:
-    """The spin-criterion combination ``|<sigma . J>| - <N>`` on arm B.
-
-    Non-positive for every separable state; equals ``2 eta`` for the
-    amplified singlet after loss ``eta`` on the macro arm.
-    """
-    terms, mean_n = stokes_terms(joint)
-    return float(abs(terms.sum()) - mean_n)
-
-
-def stokes_correlation_lossy(joint: MicroMacroState, loss: LossParams) -> float:
-    """``|<sigma . J>| - <N>`` after loss on the macro arm of a pure state.
-
-    Equal-transmittivity loss rescales every photon-number-linear observable
-    by ``eta`` exactly (the channel adjoint maps ``J -> eta J`` and
-    ``N -> eta N`` at any cutoff), so the lossy value is ``eta`` times the
-    lossless one; the identity is verified against the explicit Kraus sum in
-    the test suite.
-    """
-    terms, mean_n = _stokes_terms_pure(joint)
-    return float(loss.eta * (abs(terms.sum()) - mean_n))

@@ -86,12 +86,18 @@ def concurrence_2x2(rho: np.ndarray, params: dict | None = None, tol: float = 1e
     return ConcurrenceReport(float(value), dict(params or {}), surviving)
 
 
-def analytic_concurrence(gain: GainParams, loss: LossParams) -> float:
-    """Concurrence of the attenuated amplified singlet, ``(1-t^2)/(1+3t^2)``
-    with ``t = (1-eta) tanh g``; strictly positive for every finite gain and
-    any nonzero transmittivity."""
-    t2 = coherence_parameter(gain, loss) ** 2
+def concurrence_of_t(t: float) -> float:
+    """Concurrence ``(1-t^2)/(1+3t^2)`` of the attenuated amplified singlet
+    at coherence parameter ``t``."""
+    t2 = t * t
     return (1.0 - t2) / (1.0 + 3.0 * t2)
+
+
+def analytic_concurrence(gain: GainParams, loss: LossParams) -> float:
+    """Concurrence of the attenuated amplified singlet at
+    ``t = (1-eta) tanh g``; strictly positive for every finite gain and any
+    nonzero transmittivity."""
+    return concurrence_of_t(coherence_parameter(gain, loss))
 
 
 def concurrence_with_injection(

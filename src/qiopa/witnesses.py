@@ -372,7 +372,14 @@ def simon_spin_witness_lossy(
     state: MicroMacroState, loss: LossParams
 ) -> WitnessReport:
     """Spin-criterion test after loss ``eta`` on the macro arm of a pure
-    state; photon-number-linear observables rescale by ``eta`` exactly."""
+    state.
+
+    Equal-transmittivity loss rescales every photon-number-linear observable
+    by ``eta`` exactly (the channel adjoint maps ``J -> eta J`` and
+    ``N -> eta N`` at any cutoff), so every term and the value are ``eta``
+    times the lossless ones; the test suite checks this against the explicit
+    Kraus sum.
+    """
     terms, mean_n = stokes_terms(state)
     value = float(loss.eta * (abs(terms.sum()) - mean_n))
     return WitnessReport(

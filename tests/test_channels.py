@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qiopa import (
     Cutoff,
@@ -9,6 +11,7 @@ from qiopa import (
     GainParams,
     InjectionParams,
     LossParams,
+    MicroMacroState,
     PolarizationBasis,
     TwoModeVector,
     attenuate_to_single_photon,
@@ -147,6 +150,77 @@ class TestLossyChannel:
     def test_rejects_unknown_input(self):
         with pytest.raises(TypeError):
             lossy_channel(np.eye(3), LossParams(0.5))
+
+
+# Properties of the density-operator route of the loss channel on random
+# states.  Cutoffs stay at 8 or below, where basis rotations are exact to
+# round-off.
+CHANNEL_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
+small_cutoffs = st.integers(1, 8)
+micro_dims = st.sampled_from((1, 2))
+transmittivities = st.floats(0.0, 1.0)
+
+
+def random_joint_density(seed, cutoff, micro_dim) -> DensityOperator:
+    rng = np.random.default_rng(seed)
+    dim = micro_dim * fock_space(cutoff).dim
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = a @ a.conj().T
+    return DensityOperator(mat / np.trace(mat).real, cutoff, HV, micro_dim)
+
+
+class TestLossChannelProperties:
+    @CHANNEL_PROPERTY
+    @given(seed=seeds, cutoff=small_cutoffs, micro_dim=micro_dims, eta=transmittivities)
+    @example(seed=0, cutoff=8, micro_dim=2, eta=0.0)
+    @example(seed=1, cutoff=8, micro_dim=2, eta=1.0)
+    def test_trace_preserving_and_hermitian(self, seed, cutoff, micro_dim, eta):
+        out = lossy_channel(random_joint_density(seed, cutoff, micro_dim), LossParams(eta))
+        assert abs(out.trace() - 1.0) < 1e-12
+        assert out.hermiticity_defect() < 1e-12
+
+    @CHANNEL_PROPERTY
+    @given(seed=seeds, cutoff=small_cutoffs, micro_dim=micro_dims,
+           a=transmittivities, b=transmittivities)
+    @example(seed=2, cutoff=8, micro_dim=1, a=0.3, b=0.0)
+    def test_composition_multiplies_transmittivities(self, seed, cutoff, micro_dim, a, b):
+        rho = random_joint_density(seed, cutoff, micro_dim)
+        twice = lossy_channel(lossy_channel(rho, LossParams(b)), LossParams(a))
+        once = lossy_channel(rho, LossParams(a * b))
+        assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-12
+
+    @CHANNEL_PROPERTY
+    @given(seed=seeds, cutoff=small_cutoffs, micro_dim=micro_dims,
+           eta=transmittivities, phi=st.floats(0.0, 2.0 * math.pi))
+    @example(seed=3, cutoff=8, micro_dim=2, eta=0.5, phi=3.0 * math.pi / 2.0)
+    def test_commutes_with_passive_rotations(self, seed, cutoff, micro_dim, eta, phi):
+        rho = random_joint_density(seed, cutoff, micro_dim)
+        basis = PolarizationBasis.equatorial(phi)
+        loss = LossParams(eta)
+        before = lossy_channel(rho.rotated(basis), loss)
+        after = lossy_channel(rho, loss).rotated(basis)
+        assert np.max(np.abs(before.matrix - after.matrix)) < 1e-12
+
+    @CHANNEL_PROPERTY
+    @given(seed=seeds, cutoff=small_cutoffs, eta=transmittivities)
+    def test_matches_the_pure_state_kraus_images(self, seed, cutoff, eta):
+        rng = np.random.default_rng(seed)
+        space = fock_space(cutoff)
+        vec = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
+        vec /= np.linalg.norm(vec)
+        comps = tuple(TwoModeVector.from_dense(v, cutoff, HV) for v in vec)
+        loss = LossParams(eta)
+        single = comps[0].normalized()
+        pure = lossy_channel(single, loss)
+        dense = lossy_channel(DensityOperator.from_pure(single), loss)
+        assert np.max(np.abs(pure.matrix - dense.matrix)) < 1e-12
+        joint = MicroMacroState(comps, GainParams(0.0), HV)
+        pure = lossy_channel(joint, loss)
+        dense = lossy_channel(
+            DensityOperator(joint.density_matrix(), cutoff, HV, micro_dim=2), loss
+        )
+        assert np.max(np.abs(pure.matrix - dense.matrix)) < 1e-12
 
 
 class TestAttenuateToSinglePhoton:

@@ -13,8 +13,8 @@ from qiopa.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     RunConfig,
-    emit_density_matrix,
     main,
+    run_experiment,
 )
 
 
@@ -277,11 +277,11 @@ class TestExperiments:
         v = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
         assert np.max(np.abs(got - np.outer(v, v))) < 1e-12
 
-    def test_emit_density_matrix_entry_point(self):
+    def test_density_experiment_entry_point(self):
         cfg = RunConfig(
             "density", {"g": ["1.5"], "eta": ["0.01"], "p": ["0.8"]}, None, "csv"
         )
-        meta, columns, rows = emit_density_matrix(cfg)
+        meta, columns, rows = run_experiment(cfg)
         assert meta["basis_order"] == "HH,HV,VH,VV"
         assert columns == ["row", "col", "re", "im"]
         want = attenuated_state_with_injection(

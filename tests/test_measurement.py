@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qiopa import (
     Cutoff,
     DensityOperator,
     GainParams,
     LossParams,
-    MultiDetectorScheme,
     PolarizationBasis,
     TwoModeVector,
     UndefinedVisibilityError,
@@ -23,14 +24,16 @@ from qiopa import (
     pauli_matrix,
     required_cutoff,
     rotate_basis,
+    photon_distribution,
     sigma_operator,
-    stokes_correlation,
-    stokes_correlation_lossy,
+    simon_spin_witness,
+    simon_spin_witness_lossy,
     stokes_operators,
     threshold_povm,
     visibility,
 )
-from qiopa.measurement import all_detectors_click_probability
+from qiopa.fock import _sector_rotations
+from qiopa.measurement import _stokes_block, all_detectors_click_probability
 
 HV = PolarizationBasis.hv()
 PM = PolarizationBasis.plus_minus()
@@ -304,18 +307,22 @@ class TestMultiDetector:
         state = TwoModeVector({(1, 0): 1.0}, 2, PM)
         with pytest.raises(ValueError):
             multi_detector_probabilities(state, PM, 0)
-        with pytest.raises(ValueError):
-            MultiDetectorScheme(0)
 
-    def test_scheme_wraps_the_functional_interface(self):
-        scheme = MultiDetectorScheme(4)
-        state = TwoModeVector({(4, 0): 1.0}, 4, PM)
-        assert scheme.outcome_probabilities(state, PM) == multi_detector_probabilities(
-            state, PM, 4
-        )
-        assert scheme.all_click_probability(np.array([4]))[0] == pytest.approx(
-            math.factorial(4) / 4**4
-        )
+    def test_outcomes_weight_populations_by_click_probabilities(self):
+        # +1 needs every detector of the first branch and not every one of the
+        # second, so each measured |n, m> contributes s(n) (1 - s(m))
+        rng = np.random.default_rng(8)
+        space = fock_space(9)
+        vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        state = TwoModeVector.from_dense(vec / np.linalg.norm(vec), 9, HV)
+        dist = photon_distribution(state, PM)
+        click = {n: all_detectors_click_probability(np.array([n]), 3)[0] for n in range(10)}
+        want_plus = sum(p * click[n] * (1.0 - click[m]) for (n, m), p in dist.items())
+        want_minus = sum(p * click[m] * (1.0 - click[n]) for (n, m), p in dist.items())
+        p_plus, p_minus, p_zero = multi_detector_probabilities(state, PM, 3)
+        assert p_plus == pytest.approx(want_plus, abs=1e-12)
+        assert p_minus == pytest.approx(want_minus, abs=1e-12)
+        assert p_plus + p_minus + p_zero == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStokes:
@@ -338,15 +345,17 @@ class TestStokes:
             cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
             state = micro_macro_state_hv(gain, cut)
             for eta in (0.0, 0.5, 1.0):
-                value = stokes_correlation_lossy(state, LossParams(eta))
+                value = simon_spin_witness_lossy(state, LossParams(eta)).value
                 assert value == pytest.approx(2 * eta, abs=1e-9)
 
     def test_lossy_shortcut_matches_explicit_kraus(self):
         gain = GainParams(0.6)
         state = micro_macro_state_hv(gain, Cutoff(16, 0.5))
         for eta in (0.3, 0.7, 1.0):
-            fast = stokes_correlation_lossy(state, LossParams(eta))
-            slow = stokes_correlation(lossy_channel(state, LossParams(eta)))
+            fast = simon_spin_witness_lossy(state, LossParams(eta))
+            slow = simon_spin_witness(lossy_channel(state, LossParams(eta)))
+            assert fast.terms == pytest.approx(slow.terms, abs=1e-12)
+            fast, slow = fast.value, slow.value
             assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_separable_product_states_stay_non_positive(self):
@@ -359,16 +368,62 @@ class TestStokes:
             macro /= np.linalg.norm(macro)
             vec = np.kron(micro, macro)
             rho = DensityOperator(np.outer(vec, vec.conj()), 6, HV, micro_dim=2)
-            assert stokes_correlation(rho) <= 1e-10
+            assert simon_spin_witness(rho).value <= 1e-10
 
     def test_punctured_state_product_with_macro_qubit(self):
         gain = GainParams(0.9)
         macro = macro_qubit(0.0, gain, Cutoff(16, 0.5)).state.normalized()
         vec = np.kron(np.array([1.0, 0.0]), macro.dense())
         rho = DensityOperator(np.outer(vec, vec.conj()), 16, PM, micro_dim=2)
-        assert stokes_correlation(rho) <= 1e-10
+        assert simon_spin_witness(rho).value <= 1e-10
 
     def test_requires_joint_state(self):
         rho = DensityOperator(np.eye(fock_space(3).dim) / fock_space(3).dim, 3, HV)
         with pytest.raises(ValueError):
-            stokes_correlation(rho)
+            simon_spin_witness(rho)
+
+
+# Stokes blocks are Schwinger maps; the rotation route conjugates the
+# photon-number difference of the measurement basis into the representation.
+STOKES_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+phases = st.floats(0.0, 2.0 * math.pi)
+axes = st.sampled_from((1, 2, 3))
+
+
+class TestStokesBlocks:
+    @STOKES_PROPERTY
+    @given(phi=phases, axis=axes)
+    @example(phi=0.0, axis=2)
+    @example(phi=3.0 * math.pi / 2.0, axis=3)
+    def test_schwinger_blocks_match_rotated_number_difference(self, phi, axis):
+        rep = PolarizationBasis.equatorial(phi)
+        rotations = _sector_rotations(20, rep, PolarizationBasis.canonical(axis))
+        pauli = pauli_matrix(axis, rep)
+        for total in range(21):
+            r = rotations[total]
+            diff = 2.0 * np.arange(total + 1) - total
+            want = r.conj().T @ (diff[:, None] * r)
+            assert np.max(np.abs(_stokes_block(pauli, total) - want)) < 1e-12
+
+    @STOKES_PROPERTY
+    @given(phi=phases, total=st.integers(0, 500))
+    @example(phi=0.3, total=500)
+    @example(phi=0.0, total=0)
+    def test_schwinger_blocks_form_a_spin_algebra(self, phi, total):
+        rep = PolarizationBasis.equatorial(phi)
+        j = [_stokes_block(pauli_matrix(axis, rep), total) for axis in (1, 2, 3)]
+        scale = max(total, 1)
+        for block in j:
+            assert np.max(np.abs(block - block.conj().T)) <= 1e-14 * scale
+        # [J2, J3] = 2i J1 and cyclically, as for the Pauli triplet
+        for a, b, c in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+            comm = j[a] @ j[b] - j[b] @ j[a]
+            assert np.max(np.abs(comm - 2j * j[c])) <= 1e-14 * scale**2
+
+    def test_operators_are_the_sector_blocks(self):
+        ops = stokes_operators(5, RL)
+        for axis in (1, 2, 3):
+            pauli = pauli_matrix(axis, RL)
+            for total in range(6):
+                assert np.array_equal(ops.blocks[axis - 1][total], _stokes_block(pauli, total))
+

@@ -242,6 +242,17 @@ class TestSimonSpinWitness:
             assert rep.value == pytest.approx(1.0, abs=1e-6)
             assert rep.bound == 0.0
 
+    @pytest.mark.parametrize("g_val", [1.2, 1.5])
+    def test_two_eta_at_high_gain_at_resolved_cutoff(self, g_val):
+        # the cutoffs (131 and 239) reach sectors where rotated blocks drift,
+        # so this holds only with rotation-free Stokes operators
+        gain = GainParams(g_val)
+        cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
+        state = micro_macro_state_hv(gain, cut)
+        for eta in (0.5, 1.0):
+            rep = simon_spin_witness_lossy(state, LossParams(eta))
+            assert rep.value == pytest.approx(2.0 * eta, abs=1e-9)
+
     def test_zero_transmission_saturates_bound(self):
         gain = GainParams(0.6)
         state = micro_macro_state_hv(gain, Cutoff(21, 1e-4))
