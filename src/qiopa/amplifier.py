@@ -289,31 +289,30 @@ def micro_macro_state(phi: float, gain: GainParams, cutoff: Cutoff) -> MicroMacr
 
     The qubit state along mode ``phi`` multiplies the amplified orthogonal
     seed and vice versa, with a relative minus sign; at ``g = 0`` this is the
-    two-photon singlet restricted to one photon on each arm.  The seed at
-    ``phi + pi`` is the seed at ``phi`` with its two modes swapped, so both
-    components share one index set and one norm.  The truncated vector is
-    normalized globally, which preserves the equal weight of the two
-    components exactly.
+    two-photon singlet restricted to one photon on each arm.  It is the
+    (H, V) construction :func:`micro_macro_state_hv` rotated into
+    ``equatorial(phi)``.  A passive rotation ``U`` on both photons maps the
+    singlet to ``det(U)`` times itself, so the rotated state is multiplied by
+    ``det(transfer_matrix(basis, hv))``: the g = 0 singlet then reads
+    ``(|0>|0,1> - |1>|1,0>)/sqrt(2)`` in every basis, the same convention as
+    the (H, V) state.
     """
     basis = PolarizationBasis.equatorial(phi)
-    n, m, plus = _macro_ladder(phi, gain, cutoff.n_max)
-    mass = float(np.sum(np.abs(plus) ** 2))
-    _checked_tail(mass, gain, cutoff)
-    _, _, minus = _macro_ladder(phi + math.pi, gain, cutoff.n_max)
-    scale = 1.0 / math.sqrt(2.0 * mass)
-    components = (
-        _ladder_vector(m, n, minus * scale, cutoff.n_max, basis),
-        _ladder_vector(n, m, plus * -scale, cutoff.n_max, basis),
+    phase = np.linalg.det(transfer_matrix(basis, PolarizationBasis.hv()))
+    rotated = micro_macro_state_hv(gain, cutoff).rotated(basis)
+    return MicroMacroState(
+        tuple(c.scaled(phase) for c in rotated.components), gain, basis
     )
-    return MicroMacroState(components, gain, basis)
 
 
 def micro_macro_state_hv(gain: GainParams, cutoff: Cutoff) -> MicroMacroState:
-    """The same amplified singlet built directly in the (H, V) representation.
-
-    Agrees with :func:`micro_macro_state` at any equatorial phase up to a
-    global phase; this construction avoids basis rotations entirely, which
-    keeps large-cutoff pipelines cheap.
+    """The amplified singlet in the (H, V) representation, the one direct
+    construction of it: the H micro state multiplies the amplified V seed
+    (pair ladder ``|n, n+1>``) and the V micro state minus the amplified H
+    seed (``|n+1, n>``).  Both ladders share one norm, so the truncated
+    vector is normalized globally, which keeps the two components' equal
+    weight exactly.  It needs no basis rotation, which keeps large-cutoff
+    pipelines cheap.
     """
     n = np.arange((cutoff.n_max - 1) // 2 + 1)
     amps = seed_pair_amplitude(n, gain)

@@ -11,10 +11,11 @@ Four measurement families are implemented:
   macro-qubit (loss acts there as binomial thinning of the populations);
 * a multi-detector coincidence scheme with non-number-resolving clicks;
 * quantum Stokes operators (per-basis photon-number differences) and the
-  total photon number.  Each Stokes block is built in closed form as the
-  Schwinger map ``J = sum_jk P[j,k] b_j^dag b_k`` of the axis's Pauli matrix
-  ``P`` in the representation basis, so no basis rotation enters it.  The
-  spin witness built on them lives in :mod:`qiopa.witnesses`.
+  total photon number.  Each Stokes operator is the sparse Schwinger map
+  ``J = sum_jk P[j,k] b_j^dag b_k`` of the axis's Pauli matrix ``P`` in the
+  representation basis (:func:`qiopa.fock.schwinger_operator`), so no basis
+  rotation enters it.  The spin witness built on them lives in
+  :mod:`qiopa.witnesses`.
 
 The measurement-basis convention is 1 -> {H,V}, 2 -> {R,L}, 3 -> {+,-}.
 """
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .amplifier import (
     GainParams,
@@ -46,6 +48,7 @@ from .fock import (
     _sector_rotations,
     fock_space,
     rotate_dense,
+    schwinger_operator,
     transfer_matrix,
 )
 
@@ -347,34 +350,17 @@ def multi_detector_probabilities(
 
 @dataclass(frozen=True)
 class StokesOperators:
-    """Photon-number-difference operators of the three canonical bases plus
-    the total photon number, stored as blocks over total-photon sectors."""
+    """Photon-number-difference operators of the three canonical bases, as
+    sparse Schwinger maps over the truncated space, plus the diagonal of the
+    total photon number."""
 
     cutoff: int
     basis: PolarizationBasis
-    blocks: tuple[tuple[np.ndarray, ...], ...]
+    operators: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
     number_diagonal: np.ndarray
 
     def dense(self, axis: int) -> np.ndarray:
-        space = fock_space(self.cutoff)
-        out = np.zeros((space.dim, space.dim), dtype=complex)
-        for total, sl in enumerate(space.sector_slices):
-            out[sl, sl] = self.blocks[axis - 1][total]
-        return out
-
-
-def _stokes_block(pauli: np.ndarray, total: int) -> np.ndarray:
-    """Schwinger map ``sum_jk P[j,k] b_j^dag b_k`` of a 2x2 matrix ``P`` on
-    the sector of ``total`` photons, indexed by the count ``n`` in the first
-    mode: diagonal ``P00 n + P11 (N - n)``, entry ``(n+1, n)`` equal to
-    ``P01 sqrt((n+1)(N-n))`` and entry ``(n, n+1)`` equal to
-    ``P10 sqrt((n+1)(N-n))``."""
-    n = np.arange(total + 1)
-    hop = np.sqrt((n[:-1] + 1.0) * (total - n[:-1]))
-    block = np.diag(pauli[0, 0] * n + pauli[1, 1] * (total - n))
-    block += np.diag(pauli[0, 1] * hop, -1) + np.diag(pauli[1, 0] * hop, 1)
-    block.setflags(write=False)
-    return block
+        return self.operators[axis - 1].toarray()
 
 
 @lru_cache(maxsize=16)
@@ -382,29 +368,24 @@ def stokes_operators(
     cutoff: int, basis: PolarizationBasis = PolarizationBasis.hv()
 ) -> StokesOperators:
     """Stokes operators in the photon-number basis of ``basis``: each axis's
-    sector blocks are the Schwinger map of ``pauli_matrix(axis, basis)``."""
-    paulis = [pauli_matrix(axis, basis) for axis in (1, 2, 3)]
-    all_blocks = tuple(
-        tuple(_stokes_block(p, total) for total in range(cutoff + 1)) for p in paulis
-    )
+    operator is the Schwinger map of ``pauli_matrix(axis, basis)``."""
+    operators = tuple(schwinger_operator(pauli_matrix(axis, basis), cutoff) for axis in (1, 2, 3))
+    for op in operators:
+        op.data.setflags(write=False)
     number_diag = fock_space(cutoff).total.astype(float)
     number_diag.setflags(write=False)
-    return StokesOperators(cutoff, basis, all_blocks, number_diag)
+    return StokesOperators(cutoff, basis, operators, number_diag)
 
 
 def _stokes_terms_pure(joint: MicroMacroState) -> tuple[np.ndarray, float]:
     """Per-axis ``<sigma_i x J_i>`` and ``<N>`` of a pure joint state."""
-    space = fock_space(joint.cutoff)
     ops = stokes_operators(joint.cutoff, joint.basis)
-    vec = joint.dense(space)
+    vec = joint.dense()
     terms = np.zeros(3)
-    for axis in (1, 2, 3):
-        sig = pauli_matrix(axis, joint.basis)
-        total = 0.0j
-        for t, sl in enumerate(space.sector_slices):
-            sub = vec[:, sl]
-            total += np.einsum("se,st,ef,tf->", sub.conj(), sig, ops.blocks[axis - 1][t], sub)
-        terms[axis - 1] = total.real
+    for axis, op in zip((1, 2, 3), ops.operators):
+        # braket[s, t] = <v_s| J |v_t> over the two micro components
+        braket = vec.conj() @ (op @ vec.T)
+        terms[axis - 1] = np.sum(pauli_matrix(axis, joint.basis) * braket).real
     mean_n = float(np.einsum("se,e,se->", vec.conj(), ops.number_diagonal, vec).real)
     return terms, mean_n
 
@@ -418,17 +399,15 @@ def stokes_terms(
         return _stokes_terms_pure(joint)
     if joint.micro_dim != 2:
         raise ValueError("Stokes correlations require a joint micro-macro state")
-    space = fock_space(joint.cutoff)
     ops = stokes_operators(joint.cutoff, joint.basis)
-    d = space.dim
+    d = fock_space(joint.cutoff).dim
     mat = joint.matrix.reshape(2, d, 2, d)
     terms = np.zeros(3)
-    for axis in (1, 2, 3):
-        sig = pauli_matrix(axis, joint.basis)
-        x = np.zeros((2, 2), dtype=complex)
-        for t, sl in enumerate(space.sector_slices):
-            x += np.einsum("nm,smtn->st", ops.blocks[axis - 1][t], mat[:, sl, :, sl])
-        terms[axis - 1] = float(np.trace(x @ sig).real)
+    for axis, op in zip((1, 2, 3), ops.operators):
+        coo = op.tocoo()
+        # x[s, t] = Tr(J rho_st) with rho_st[e, f] = mat[s, e, t, f]
+        x = np.einsum("k,kst->st", coo.data, mat[:, coo.col, :, coo.row])
+        terms[axis - 1] = float(np.trace(x @ pauli_matrix(axis, joint.basis)).real)
     mean_n = 0.0
     for s in range(2):
         mean_n += float((mat[s, :, s, :].diagonal().real * ops.number_diagonal).sum())

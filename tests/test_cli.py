@@ -242,6 +242,14 @@ class TestExperiments:
         )
         assert code == EXIT_CONFIG
 
+    def test_ofilter_dist_unitary_in_a_120_photon_sector(self, capsys):
+        code, out, _ = run_cli(
+            ["ofilter-dist", "--n", "60", "--m", "60", "--prep-basis", "pm", "--basis", "rl", "--k", "5"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert sum(column(out, "probability")) == pytest.approx(1.0, abs=1e-10)
+
     def test_density_default_matches_closed_form(self, capsys):
         code, out, _ = run_cli(
             ["density", "--g", "3", "--eta", "0.0001", "--p", "1"], capsys

@@ -4,7 +4,10 @@ The loops below are the straightforward per-amplitude and per-pattern
 versions of the amplifier ladders, of ``required_cutoff`` and of the
 single-survivor conditioning.  They are kept here only as reference
 oracles: the package builds the same objects from index arrays, and these
-tests require the two to agree.
+tests require the two to agree.  Two more oracles stand beside them: the
+binomial expansion of a sector rotation, against the exponentiated
+Schwinger generator that the package uses, and the singlet built directly
+from its equatorial ladders, against the rotated (H, V) construction.
 """
 
 import math
@@ -23,6 +26,7 @@ from qiopa import (
     PolarizationBasis,
     TwoModeVector,
     amplified_vacuum,
+    micro_macro_state,
     micro_macro_state_hv,
     required_cutoff,
 )
@@ -32,11 +36,21 @@ from qiopa.amplifier import (
     pair_ladder_tail,
 )
 from qiopa.channels import _conditioned_block
+from qiopa.fock import (
+    _sector_matrix,
+    _sector_rotations,
+    _unitary_log,
+    fock_space,
+    schwinger_operator,
+    transfer_matrix,
+)
 
 HV = PolarizationBasis.hv()
 # a budget loose enough that any cutoff passes the tail gate
 ANY_TAIL = 1.0 - 1e-12
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# the properties that reach 500-photon sectors take one 501 x 501 eigh per example
+LARGE_SECTOR_PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
 # Gains from 0.05 up keep every ladder amplitude up to 200 photons a normal
 # float, so the comparison never meets underflow residue; g = 0 is exact.
@@ -115,6 +129,64 @@ def conditioned_block_loop(ensemble, loss):
             v = block.reshape(4)
             rho += weight * np.outer(v, v.conj())
     return rho, float(np.trace(rho).real)
+
+
+def binomial_sector_matrix(total, transfer):
+    """Rotation block on the sector of ``total`` photons by binomial expansion.
+
+    ``R[p, n]`` is the amplitude ``<p, total - p|n, total - n>`` between
+    destination and source basis states, obtained by expanding
+    ``(b1^dag)^n (b2^dag)^m |vac>`` in destination-mode creation operators.
+    Exact in exact arithmetic, it cancels catastrophically in floating point
+    (unitarity defect 2e-2 at 100 photons), so it serves only up to 20.
+    """
+    t00, t01 = transfer[0]
+    t10, t11 = transfer[1]
+    size = total + 1
+    mods = np.abs(transfer)
+
+    # Pure mode permutation or pure per-mode phase: exact closed forms.
+    off_diag = mods[0, 0] < 1e-15 and mods[1, 1] < 1e-15
+    diag = mods[0, 1] < 1e-15 and mods[1, 0] < 1e-15
+    ns = np.arange(size)
+    ms = total - ns
+    if diag:
+        return np.diag(t00 ** ns * t11 ** ms)
+    if off_diag:
+        r = np.zeros((size, size), dtype=complex)
+        r[total - ns, ns] = t01 ** ns * t10 ** ms
+        return r
+
+    logf = np.array([math.lgamma(k + 1) for k in range(size)])
+    r = np.empty((size, size), dtype=complex)
+    for n in range(size):
+        m = total - n
+        # Coefficient polynomial of (t00 z + t01)^n (t10 z + t11)^m in z.
+        a = np.array([math.comb(n, k) for k in range(n + 1)], dtype=complex)
+        a *= t00 ** np.arange(n + 1) * t01 ** (n - np.arange(n + 1))
+        b = np.array([math.comb(m, k) for k in range(m + 1)], dtype=complex)
+        b *= t10 ** np.arange(m + 1) * t11 ** (m - np.arange(m + 1))
+        conv = np.convolve(a, b)  # length total + 1, index p
+        pref = np.exp(0.5 * (logf + logf[::-1] - logf[n] - logf[m]))
+        r[:, n] = conv * pref
+    return r
+
+
+def equatorial_singlet_ladders(phi, gain, n_max):
+    """Dense ``(2, dim)`` amplified singlet in ``equatorial(phi)``, built
+    from the two equatorial seed ladders: the micro state along ``phi``
+    multiplies the seed at ``phi + pi`` (its modes swapped into this basis),
+    the orthogonal micro state minus the seed at ``phi``."""
+    space = fock_space(n_max)
+    plus = macro_vector_loop(phi, gain, n_max)
+    minus = macro_vector_loop(phi + math.pi, gain, n_max)
+    scale = 1.0 / math.sqrt(2.0 * sum(abs(a) ** 2 for a in plus.values()))
+    out = np.zeros((2, space.dim), dtype=complex)
+    for (n, m), amp in minus.items():
+        out[0, space.index(m, n)] = amp * scale
+    for (n, m), amp in plus.items():
+        out[1, space.index(n, m)] = -amp * scale
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -274,3 +346,82 @@ def test_conditioning_matches_loop_on_arbitrary_members(members, eta):
 def test_conditioning_matches_loop_at_the_largest_benchmark_cutoff():
     gain, loss = GainParams(4.0), LossParams(1e-3)
     assert_same_block(injection_ensemble(0.9995, gain, 35681), loss)
+
+
+# --------------------------------------------------------------------------
+# sector rotations
+# --------------------------------------------------------------------------
+
+def u2(alpha, theta, psi, chi):
+    """``e^{i alpha} [[e^{i psi} cos t, e^{i chi} sin t], [-e^{-i chi} sin t, e^{-i psi} cos t]]``."""
+    c, s = math.cos(theta), math.sin(theta)
+    su2 = np.array(
+        [[np.exp(1j * psi) * c, np.exp(1j * chi) * s], [-np.exp(-1j * chi) * s, np.exp(-1j * psi) * c]]
+    )
+    return np.exp(1j * alpha) * su2
+
+
+angles = st.floats(0.0, 2.0 * math.pi)
+transfers = st.builds(u2, angles, angles, angles, angles)
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PHASE = np.diag(np.exp([0.4j, -1.3j]))
+NEAR_IDENTITY = u2(0.0, 1e-9, 0.0, 0.0)
+
+
+def schwinger_sector_matrix(transfer, total):
+    """The package's rotation block of ``transfer`` on one sector, built as
+    ``_sector_rotations`` builds each of its blocks."""
+    generator = schwinger_operator(_unitary_log(transfer).T, total)
+    sl = fock_space(total).sector_slices[total]
+    return _sector_matrix(generator[sl, sl].toarray())
+
+
+@PROPERTY
+@given(transfers)
+@example(SWAP)
+@example(PHASE)
+@example(NEAR_IDENTITY)
+def test_rotation_blocks_match_binomial_expansion(transfer):
+    for total in range(21):
+        got = schwinger_sector_matrix(transfer, total)
+        assert np.max(np.abs(got - binomial_sector_matrix(total, transfer))) < 1e-12, total
+
+
+@pytest.mark.parametrize("src", [HV, PolarizationBasis.plus_minus(), PolarizationBasis.right_left()])
+@pytest.mark.parametrize(
+    "dst", [HV, PolarizationBasis.plus_minus(), PolarizationBasis.right_left(), PolarizationBasis.equatorial(0.77)]
+)
+def test_cached_basis_rotations_match_binomial_expansion(src, dst):
+    blocks = _sector_rotations(20, src, dst)
+    transfer = transfer_matrix(src, dst)
+    for total in range(21):
+        assert np.max(np.abs(blocks[total] - binomial_sector_matrix(total, transfer))) < 1e-12, total
+
+
+@LARGE_SECTOR_PROPERTY
+@given(transfers, st.integers(0, 500))
+@example(SWAP, 500)
+@example(PHASE, 500)
+@example(NEAR_IDENTITY, 500)
+@example(u2(0.3, 0.7, 1.1, -0.4), 500)
+def test_rotation_blocks_are_unitary_to_500_photons(transfer, total):
+    r = schwinger_sector_matrix(transfer, total)
+    assert np.max(np.abs(r.conj().T @ r - np.eye(total + 1))) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# amplified singlet
+# --------------------------------------------------------------------------
+
+@PROPERTY
+@given(st.floats(0.0, 2.0 * math.pi, exclude_max=True), gains, st.integers(1, 60))
+@example(phi=math.pi / 2.0, g=1.5, n_max=60)
+@example(phi=3.0 * math.pi / 2.0, g=1.5, n_max=60)
+@example(phi=0.0, g=0.0, n_max=2)
+def test_singlet_matches_equatorial_ladders(phi, g, n_max):
+    # entrywise, not up to a global phase: the constructor fixes the phase
+    # convention that the (H, V) state has
+    gain = GainParams(g)
+    state = micro_macro_state(phi, gain, Cutoff(n_max, ANY_TAIL))
+    want = equatorial_singlet_ladders(state.basis.phi, gain, n_max)
+    assert np.max(np.abs(state.dense() - want)) < 1e-13

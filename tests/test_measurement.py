@@ -32,8 +32,9 @@ from qiopa import (
     threshold_povm,
     visibility,
 )
-from qiopa.fock import _sector_rotations
-from qiopa.measurement import _stokes_block, all_detectors_click_probability
+from qiopa.fock import schwinger_operator, transfer_matrix
+from qiopa.measurement import all_detectors_click_probability
+from test_kernels import binomial_sector_matrix
 
 HV = PolarizationBasis.hv()
 PM = PolarizationBasis.plus_minus()
@@ -383,11 +384,19 @@ class TestStokes:
             simon_spin_witness(rho)
 
 
-# Stokes blocks are Schwinger maps; the rotation route conjugates the
-# photon-number difference of the measurement basis into the representation.
+# Stokes operators are Schwinger maps; the rotation route conjugates the
+# photon-number difference of the measurement basis into the representation,
+# with the binomial-expansion rotations so that the check stays independent
+# of the map it checks.
 STOKES_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 phases = st.floats(0.0, 2.0 * math.pi)
 axes = st.sampled_from((1, 2, 3))
+
+
+def sector_block(pauli, total):
+    """Block of the Schwinger map of ``pauli`` on the sector of ``total`` photons."""
+    sl = fock_space(total).sector_slices[total]
+    return schwinger_operator(pauli, total)[sl, sl].toarray()
 
 
 class TestStokesBlocks:
@@ -397,13 +406,13 @@ class TestStokesBlocks:
     @example(phi=3.0 * math.pi / 2.0, axis=3)
     def test_schwinger_blocks_match_rotated_number_difference(self, phi, axis):
         rep = PolarizationBasis.equatorial(phi)
-        rotations = _sector_rotations(20, rep, PolarizationBasis.canonical(axis))
+        transfer = transfer_matrix(rep, PolarizationBasis.canonical(axis))
         pauli = pauli_matrix(axis, rep)
         for total in range(21):
-            r = rotations[total]
+            r = binomial_sector_matrix(total, transfer)
             diff = 2.0 * np.arange(total + 1) - total
             want = r.conj().T @ (diff[:, None] * r)
-            assert np.max(np.abs(_stokes_block(pauli, total) - want)) < 1e-12
+            assert np.max(np.abs(sector_block(pauli, total) - want)) < 1e-12
 
     @STOKES_PROPERTY
     @given(phi=phases, total=st.integers(0, 500))
@@ -411,7 +420,7 @@ class TestStokesBlocks:
     @example(phi=0.0, total=0)
     def test_schwinger_blocks_form_a_spin_algebra(self, phi, total):
         rep = PolarizationBasis.equatorial(phi)
-        j = [_stokes_block(pauli_matrix(axis, rep), total) for axis in (1, 2, 3)]
+        j = [sector_block(pauli_matrix(axis, rep), total) for axis in (1, 2, 3)]
         scale = max(total, 1)
         for block in j:
             assert np.max(np.abs(block - block.conj().T)) <= 1e-14 * scale
@@ -421,9 +430,14 @@ class TestStokesBlocks:
             assert np.max(np.abs(comm - 2j * j[c])) <= 1e-14 * scale**2
 
     def test_operators_are_the_sector_blocks(self):
+        # each operator is block diagonal over the photon-number sectors,
+        # with the sector blocks of the Schwinger map of its axis
         ops = stokes_operators(5, RL)
+        space = fock_space(5)
+        same_sector = space.total[:, None] == space.total[None, :]
         for axis in (1, 2, 3):
-            pauli = pauli_matrix(axis, RL)
-            for total in range(6):
-                assert np.array_equal(ops.blocks[axis - 1][total], _stokes_block(pauli, total))
-
+            dense = ops.dense(axis)
+            assert not np.any(dense[~same_sector])
+            for total, sl in enumerate(space.sector_slices):
+                want = sector_block(pauli_matrix(axis, RL), total)
+                assert np.array_equal(dense[sl, sl], want)

@@ -244,8 +244,8 @@ class TestSimonSpinWitness:
 
     @pytest.mark.parametrize("g_val", [1.2, 1.5])
     def test_two_eta_at_high_gain_at_resolved_cutoff(self, g_val):
-        # the cutoffs (131 and 239) reach sectors where rotated blocks drift,
-        # so this holds only with rotation-free Stokes operators
+        # the resolved cutoffs (131 and 239) reach sectors of up to 239
+        # photons, where the Schwinger maps must hold without any rotation
         gain = GainParams(g_val)
         cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
         state = micro_macro_state_hv(gain, cut)
