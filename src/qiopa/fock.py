@@ -9,8 +9,8 @@ between polarization-mode pairs are passive U(2) transformations: with
 ``T = exp(iH)`` the transfer matrix, each sector block is the exponential
 ``exp(i G)`` of the sector block of ``G = schwinger_operator(H^T)``, taken
 through a Hermitian eigendecomposition, so it is unitary to rounding at any
-photon number (about 5e-15 at 500 photons).  Sector matrices are cached per
-basis pair.
+photon number (about 5e-15 at 500 photons).  Sector blocks are cached per
+photon number and basis pair, and built only for occupied sectors.
 
 Everything here is immutable after construction and safe to evaluate
 concurrently; the rotation cache is write-once-read-many.
@@ -208,8 +208,13 @@ def schwinger_operator(pauli: np.ndarray, n_max: int) -> sp.csr_matrix:
     diagonal over the total photon number.
     """
     space = fock_space(n_max)
-    hop = np.sqrt((space.n[:-1] + 1.0) * space.m[:-1])
-    diagonal = pauli[0, 0] * space.n + pauli[1, 1] * space.m
+    return _schwinger_tridiagonal(pauli, space.n, space.m)
+
+
+def _schwinger_tridiagonal(pauli: np.ndarray, n: np.ndarray, m: np.ndarray) -> sp.csr_matrix:
+    """The tridiagonal of :func:`schwinger_operator` over consecutive states ``(n, m)``."""
+    hop = np.sqrt((n[:-1] + 1.0) * m[:-1])
+    diagonal = pauli[0, 0] * n + pauli[1, 1] * m
     return sp.diags(
         [pauli[0, 1] * hop, diagonal, pauli[1, 0] * hop], [-1, 0, 1], format="csr", dtype=complex
     )
@@ -231,32 +236,30 @@ def _unitary_log(unitary: np.ndarray) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
-def _sector_matrix(generator: np.ndarray) -> np.ndarray:
-    """``exp(i G)`` of one Hermitian sector block ``G`` of a Schwinger map."""
+def _sector_matrix(transfer: np.ndarray, total: int) -> np.ndarray:
+    """Rotation block of a 2x2 transfer matrix on the sector of ``total``
+    photons.
+
+    ``R[p, n]`` is the amplitude ``<p, total - p|n, total - n>`` between
+    destination and source basis states.  On one photon ``R`` is ``T^t``, so
+    with ``T = exp(iH)`` the block is ``exp(i G)`` on the sector block of
+    ``G = schwinger_operator(H^t)``, taken through ``eigh``.  The Schwinger
+    map is a Lie-algebra homomorphism, so ``exp(i G)`` depends on ``H`` only
+    through ``T`` and the branch of the logarithm does not matter.
+    """
+    n = np.arange(total + 1)
+    generator = _schwinger_tridiagonal(_unitary_log(transfer).T, n, total - n).toarray()
     evals, vecs = np.linalg.eigh(generator)
     return (vecs * np.exp(1j * evals)) @ vecs.conj().T
 
 
-@lru_cache(maxsize=128)
-def _sector_rotations(
-    n_max: int, src: PolarizationBasis, dst: PolarizationBasis
-) -> tuple[np.ndarray, ...]:
-    """Rotation blocks of the src -> dst change on every sector up to ``n_max``.
-
-    ``R[p, n]`` is the amplitude ``<p, total - p|n, total - n>`` between
-    destination and source basis states.  On one photon ``R`` is ``T^t``, so
-    with ``T = exp(iH)`` each block is ``exp(i G)`` on the sector block of
-    ``G = schwinger_operator(H^t)``.  The Schwinger map is a Lie-algebra
-    homomorphism, so ``exp(i G)`` depends on ``H`` only through ``T`` and
-    the branch of the logarithm does not matter.
-    """
-    generator = schwinger_operator(_unitary_log(transfer_matrix(src, dst)).T, n_max)
-    blocks = tuple(
-        _sector_matrix(generator[sl, sl].toarray()) for sl in fock_space(n_max).sector_slices
-    )
-    for block in blocks:
-        block.setflags(write=False)
-    return blocks
+@lru_cache(maxsize=1024)
+def _sector_rotation(total: int, src: PolarizationBasis, dst: PolarizationBasis) -> np.ndarray:
+    """Read-only src -> dst rotation block on the sector of ``total``
+    photons; it is the same under every cutoff that holds the sector."""
+    block = _sector_matrix(transfer_matrix(src, dst), total)
+    block.setflags(write=False)
+    return block
 
 
 def rotate_dense(
@@ -266,14 +269,15 @@ def rotate_dense(
     dst: PolarizationBasis,
     axis: int = -1,
 ) -> np.ndarray:
-    """Apply the src -> dst rotation along one Fock axis of a dense array."""
+    """Apply the src -> dst rotation along one Fock axis of a dense array;
+    sectors where the array vanishes stay zero, and their blocks unbuilt."""
     if src == dst:
         return array
-    blocks = _sector_rotations(space.n_max, src, dst)
     moved = np.moveaxis(np.asarray(array, dtype=complex), axis, -1)
-    out = np.empty_like(moved)
+    out = np.zeros_like(moved)
     for total, sl in enumerate(space.sector_slices):
-        out[..., sl] = moved[..., sl] @ blocks[total].T
+        if np.any(moved[..., sl]):
+            out[..., sl] = moved[..., sl] @ _sector_rotation(total, src, dst).T
     return np.moveaxis(out, -1, axis)
 
 

@@ -45,7 +45,7 @@ from .fock import (
     PolarizationBasis,
     TwoModeVector,
     UndefinedVisibilityError,
-    _sector_rotations,
+    _sector_rotation,
     fock_space,
     rotate_dense,
     schwinger_operator,
@@ -184,11 +184,10 @@ def _fock_populations(
 ) -> np.ndarray:
     """Diagonal of a state in the photon-number basis of ``basis``, with the
     micro factor (if any) traced out.  Computed sector by sector."""
+    space = fock_space(state.cutoff)
     if isinstance(state, TwoModeVector):
-        space = fock_space(state.cutoff)
         dense = rotate_dense(space, state.dense(space), state.basis, basis)
         return np.abs(dense) ** 2
-    space = fock_space(state.cutoff)
     d = space.dim
     md = state.micro_dim
     mat = state.matrix.reshape(md, d, md, d)
@@ -197,9 +196,8 @@ def _fock_populations(
         for s in range(md):
             pops += mat[s, :, s, :].diagonal().real
         return pops
-    blocks = _sector_rotations(space.n_max, state.basis, basis)
     for total, sl in enumerate(space.sector_slices):
-        r = blocks[total]
+        r = _sector_rotation(total, state.basis, basis)
         for s in range(md):
             pops[sl] += np.einsum(
                 "pn,nm,pm->p", r, mat[s, sl, s, sl], r.conj()

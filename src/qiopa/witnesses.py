@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplifier import GainParams, MicroMacroState
-from .channels import LossParams, loss_kraus_images
+from .channels import LossParams, _kraus_images
 from .fock import (
     DensityOperator,
     PolarizationBasis,
@@ -30,6 +30,7 @@ from .fock import (
 )
 from .measurement import (
     PseudoPauliOperator,
+    _binomial_thinning_kernel,
     pauli_matrix,
     sigma_operator,
     stokes_terms,
@@ -168,25 +169,18 @@ def sigma_witness_lossy(
 ) -> WitnessReport:
     """Pseudo-Pauli test after loss on the macro arm of a pure joint state.
 
-    Evaluates ``Tr[(I x L)(|psi><psi|) (sigma_i x Sigma_i)]`` through the
-    Kraus images of the pure state, avoiding the full density matrix; agrees
-    with applying :func:`~qiopa.channels.lossy_channel` and then
-    :func:`micro_macro_sigma_witness`.
+    Evaluates ``Tr[(I x L)(|psi><psi|) (sigma_i x Sigma_i)]`` from the
+    overlaps ``<v|K_k|psi_s>`` of the sparse Kraus images of both micro
+    components with the six pseudo-Pauli vectors ``v``, forming no density
+    matrix and no dense image; agrees with applying
+    :func:`~qiopa.channels.lossy_channel`, then :func:`micro_macro_sigma_witness`.
     """
-    images = loss_kraus_images(state, loss)
-
-    def projected_correlation(vec: np.ndarray, sig: np.ndarray) -> float:
-        x = np.einsum("ksd,d->ks", images, vec.conj())
-        return float(np.einsum("ks,st,kt->", x.conj(), sig, x).real)
-
-    terms = []
-    for axis in (1, 2, 3):
-        op = sigma_operator(axis, state.gain, state.cutoff, basis=state.basis)
-        sig = pauli_matrix(axis, state.basis)
-        terms.append(
-            projected_correlation(op.plus_vector, sig)
-            - projected_correlation(op.minus_vector, sig)
-        )
+    ops = [sigma_operator(axis, state.gain, state.cutoff, basis=state.basis) for axis in (1, 2, 3)]
+    vectors = np.stack([v for op in ops for v in (op.plus_vector, op.minus_vector)], axis=1)
+    x = np.stack([q @ vectors.conj() for q in _kraus_images(state, loss)])
+    sigs = np.repeat([pauli_matrix(axis, state.basis) for axis in (1, 2, 3)], 2, axis=0)
+    corr = np.einsum("skj,jst,tkj->j", x.conj(), sigs, x).real
+    terms = [float(t) for t in corr[0::2] - corr[1::2]]
     value = sum(abs(t) for t in terms)
     return WitnessReport(
         value,
@@ -239,20 +233,25 @@ def ofilter_witness(
 def ofilter_witness_lossy(
     state: MicroMacroState, loss: LossParams, k: int
 ) -> WitnessReport:
-    """Threshold-filter test after loss on the macro arm of a pure state."""
+    """Threshold-filter test after loss on the macro arm of a pure state.
+
+    The filter is diagonal in each axis basis, and equal-transmittivity loss
+    is phase covariant and commutes with passive rotations, so each term is
+    the binomial thinning (as in the fringe) of the lossless state's signed
+    axis-basis populations ``|psi'_0|^2 - |psi'_1|^2``.
+    """
     space = fock_space(state.cutoff)
-    images = loss_kraus_images(state, loss)
+    kernel = _binomial_thinning_kernel(state.cutoff, loss.eta)
     terms = []
     for axis in (1, 2, 3):
         basis = PolarizationBasis.canonical(axis)
         povm = threshold_povm(basis, k, state.cutoff)
-        rot = rotate_dense(space, images, state.basis, basis, axis=2)
-        t = transfer_matrix(state.basis, basis)
-        rot = np.einsum("sp,ksd->kpd", t, rot)
-        weights = np.abs(rot) ** 2
-        per_micro = weights @ povm.difference_diagonal()
-        term = float(per_micro[:, 0].sum() - per_micro[:, 1].sum())
-        terms.append(term)
+        rot = rotate_dense(space, state.dense(space), state.basis, basis)
+        rot = transfer_matrix(state.basis, basis).T @ rot
+        signed = np.zeros((state.cutoff + 1, state.cutoff + 1))
+        signed[space.n, space.m] = np.abs(rot[0]) ** 2 - np.abs(rot[1]) ** 2
+        thinned = kernel @ signed @ kernel.T
+        terms.append(float(thinned[space.n, space.m] @ povm.difference_diagonal()))
     value = sum(abs(t) for t in terms)
     return WitnessReport(
         value,

@@ -4,10 +4,13 @@ The loops below are the straightforward per-amplitude and per-pattern
 versions of the amplifier ladders, of ``required_cutoff`` and of the
 single-survivor conditioning.  They are kept here only as reference
 oracles: the package builds the same objects from index arrays, and these
-tests require the two to agree.  Two more oracles stand beside them: the
+tests require the two to agree.  More oracles stand beside them: the
 binomial expansion of a sector rotation, against the exponentiated
-Schwinger generator that the package uses, and the singlet built directly
-from its equatorial ladders, against the rotated (H, V) construction.
+Schwinger generator that the package uses; the singlet built directly
+from its equatorial ladders, against the rotated (H, V) construction; and
+the lossy pseudo-Pauli and threshold-filter terms contracted from dense
+Kraus images, built one Kraus operator and source state at a time, against
+the sparse overlaps and thinned populations the package uses.
 """
 
 import math
@@ -29,21 +32,23 @@ from qiopa import (
     micro_macro_state,
     micro_macro_state_hv,
     required_cutoff,
+    rotate_basis,
 )
 from qiopa.amplifier import (
     _hv_macro_vector_unchecked,
     _macro_vector_unchecked,
     pair_ladder_tail,
 )
-from qiopa.channels import _conditioned_block
+from qiopa.channels import _conditioned_block, loss_kraus_images
 from qiopa.fock import (
     _sector_matrix,
-    _sector_rotations,
-    _unitary_log,
+    _sector_rotation,
     fock_space,
-    schwinger_operator,
+    rotate_dense,
     transfer_matrix,
 )
+from qiopa.measurement import pauli_matrix, sigma_operator, threshold_povm
+from qiopa.witnesses import ofilter_witness_lossy, sigma_witness_lossy
 
 HV = PolarizationBasis.hv()
 # a budget loose enough that any cutoff passes the tail gate
@@ -187,6 +192,57 @@ def equatorial_singlet_ladders(phi, gain, n_max):
     for (n, m), amp in plus.items():
         out[1, space.index(n, m)] = -amp * scale
     return out
+
+
+def kraus_images_loop(state, eta):
+    """Dense ``(n_kraus, 2, dim)`` Kraus images ``K_pq |psi_s>`` of a joint
+    state, one Kraus operator and source state at a time from the closed
+    form ``sqrt(C(n,p) C(m,q)) (1-eta)^((p+q)/2) eta^((n+m-p-q)/2)``."""
+    space = fock_space(state.cutoff)
+    vectors = state.dense(space)
+    out = np.zeros((space.dim, 2, space.dim), dtype=complex)
+    for kraus, (p, q) in enumerate(zip(space.n.tolist(), space.m.tolist())):
+        for src, (n, m) in enumerate(zip(space.n.tolist(), space.m.tolist())):
+            if n >= p and m >= q:
+                c = math.sqrt(math.comb(n, p) * math.comb(m, q))
+                c *= (1.0 - eta) ** (0.5 * (p + q)) * eta ** (0.5 * (n + m - p - q))
+                out[kraus, :, space.index(n - p, m - q)] = c * vectors[:, src]
+    return out
+
+
+def sigma_terms_from_images(state, images):
+    """Lossy pseudo-Pauli terms contracted from dense Kraus images."""
+
+    def projected_correlation(vec, sig):
+        x = np.einsum("ksd,d->ks", images, vec.conj())
+        return float(np.einsum("ks,st,kt->", x.conj(), sig, x).real)
+
+    terms = []
+    for axis in (1, 2, 3):
+        op = sigma_operator(axis, state.gain, state.cutoff, basis=state.basis)
+        sig = pauli_matrix(axis, state.basis)
+        terms.append(
+            projected_correlation(op.plus_vector, sig)
+            - projected_correlation(op.minus_vector, sig)
+        )
+    return terms
+
+
+def ofilter_terms_from_images(state, images, k):
+    """Lossy threshold-filter terms from dense Kraus images rotated, micro
+    and macro arm, into each axis basis."""
+    space = fock_space(state.cutoff)
+    terms = []
+    for axis in (1, 2, 3):
+        basis = PolarizationBasis.canonical(axis)
+        povm = threshold_povm(basis, k, state.cutoff)
+        rot = rotate_dense(space, images, state.basis, basis, axis=2)
+        t = transfer_matrix(state.basis, basis)
+        rot = np.einsum("sp,ksd->kpd", t, rot)
+        weights = np.abs(rot) ** 2
+        per_micro = weights @ povm.difference_diagonal()
+        terms.append(float(per_micro[:, 0].sum() - per_micro[:, 1].sum()))
+    return terms
 
 
 # --------------------------------------------------------------------------
@@ -368,14 +424,6 @@ PHASE = np.diag(np.exp([0.4j, -1.3j]))
 NEAR_IDENTITY = u2(0.0, 1e-9, 0.0, 0.0)
 
 
-def schwinger_sector_matrix(transfer, total):
-    """The package's rotation block of ``transfer`` on one sector, built as
-    ``_sector_rotations`` builds each of its blocks."""
-    generator = schwinger_operator(_unitary_log(transfer).T, total)
-    sl = fock_space(total).sector_slices[total]
-    return _sector_matrix(generator[sl, sl].toarray())
-
-
 @PROPERTY
 @given(transfers)
 @example(SWAP)
@@ -383,7 +431,7 @@ def schwinger_sector_matrix(transfer, total):
 @example(NEAR_IDENTITY)
 def test_rotation_blocks_match_binomial_expansion(transfer):
     for total in range(21):
-        got = schwinger_sector_matrix(transfer, total)
+        got = _sector_matrix(transfer, total)
         assert np.max(np.abs(got - binomial_sector_matrix(total, transfer))) < 1e-12, total
 
 
@@ -392,10 +440,10 @@ def test_rotation_blocks_match_binomial_expansion(transfer):
     "dst", [HV, PolarizationBasis.plus_minus(), PolarizationBasis.right_left(), PolarizationBasis.equatorial(0.77)]
 )
 def test_cached_basis_rotations_match_binomial_expansion(src, dst):
-    blocks = _sector_rotations(20, src, dst)
     transfer = transfer_matrix(src, dst)
     for total in range(21):
-        assert np.max(np.abs(blocks[total] - binomial_sector_matrix(total, transfer))) < 1e-12, total
+        block = _sector_rotation(total, src, dst)
+        assert np.max(np.abs(block - binomial_sector_matrix(total, transfer))) < 1e-12, total
 
 
 @LARGE_SECTOR_PROPERTY
@@ -405,8 +453,21 @@ def test_cached_basis_rotations_match_binomial_expansion(src, dst):
 @example(NEAR_IDENTITY, 500)
 @example(u2(0.3, 0.7, 1.1, -0.4), 500)
 def test_rotation_blocks_are_unitary_to_500_photons(transfer, total):
-    r = schwinger_sector_matrix(transfer, total)
+    r = _sector_matrix(transfer, total)
     assert np.max(np.abs(r.conj().T @ r - np.eye(total + 1))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "src, dst", [(HV, PolarizationBasis.equatorial(0.123)), (PolarizationBasis.equatorial(2.9), HV)]
+)
+def test_rotating_one_sector_builds_one_block(src, dst):
+    # a state confined to the 500-photon sector needs its block alone; the
+    # rotation is passive, so the norm survives
+    state = TwoModeVector({(300, 200): 1.0}, 500, src)
+    misses = _sector_rotation.cache_info().misses
+    rotated = rotate_basis(state, dst)
+    assert _sector_rotation.cache_info().misses == misses + 1
+    assert abs(rotated.norm() - 1.0) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -425,3 +486,53 @@ def test_singlet_matches_equatorial_ladders(phi, g, n_max):
     state = micro_macro_state(phi, gain, Cutoff(n_max, ANY_TAIL))
     want = equatorial_singlet_ladders(state.basis.phi, gain, n_max)
     assert np.max(np.abs(state.dense() - want)) < 1e-13
+
+
+# --------------------------------------------------------------------------
+# lossy witness terms
+# --------------------------------------------------------------------------
+
+@st.composite
+def gated_singlets(draw):
+    """Amplified singlets in a random equatorial basis, at a cutoff up to 16
+    that passes the 0.5 tail gate."""
+    gain = GainParams(draw(st.one_of(st.just(0.0), st.floats(0.05, 1.5))))
+    n_max = draw(st.integers(required_cutoff(gain, 0.5), 16))
+    phi = draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    return micro_macro_state(phi, gain, Cutoff(n_max, 0.5))
+
+
+PM_SINGLET = micro_macro_state(0.0, GainParams(1.2), Cutoff(12, 0.5))
+
+
+@PROPERTY
+@given(gated_singlets(), st.floats(0.0, 1.0))
+@example(state=PM_SINGLET, eta=0.0)
+@example(state=PM_SINGLET, eta=1.0)
+def test_lossy_sigma_terms_match_dense_images(state, eta):
+    images = kraus_images_loop(state, eta)
+    want = sigma_terms_from_images(state, images)
+    got = sigma_witness_lossy(state, LossParams(eta)).terms
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    assert np.max(np.abs(loss_kraus_images(state, LossParams(eta)) - images)) < 1e-14
+
+
+@PROPERTY
+@given(gated_singlets(), st.floats(0.0, 1.0), st.integers(0, 3))
+@example(state=PM_SINGLET, eta=0.0, k=0)
+@example(state=PM_SINGLET, eta=1.0, k=2)
+def test_lossy_ofilter_terms_match_dense_images(state, eta, k):
+    want = ofilter_terms_from_images(state, kraus_images_loop(state, eta), k)
+    got = ofilter_witness_lossy(state, LossParams(eta), k).terms
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+
+def test_lossy_witness_terms_match_dense_images_at_cutoff_40():
+    state = micro_macro_state(0.0, GainParams(1.2), Cutoff(40, 0.5))
+    loss = LossParams(0.5417)
+    images = kraus_images_loop(state, loss.eta)
+    got = sigma_witness_lossy(state, loss).terms
+    assert np.max(np.abs(np.subtract(got, sigma_terms_from_images(state, images)))) < 1e-12
+    for k in (0, 2):
+        got = ofilter_witness_lossy(state, loss, k).terms
+        assert np.max(np.abs(np.subtract(got, ofilter_terms_from_images(state, images, k)))) < 1e-12
