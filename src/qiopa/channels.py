@@ -117,37 +117,46 @@ def _loss_structure(n_max: int):
     and source index, square-rooted binomial factor, and lost / kept photon
     counts.  Kraus operators share the triangular indexing of the state
     space and map sources one to one onto ascending destinations.
+
+    The sources of ``K_{pq}`` are the states ``|p + n', q + m'>`` whose
+    surplus ``|n', m'>`` holds at most ``F = n_max - p - q`` photons: the
+    first ``(F+1)(F+2)/2`` states in index order, which are also its
+    destinations.  The table is filled sector by sector (all ``p + q`` equal)
+    into arrays sized from that count, with int32 indices and int16 counts.
     """
     space = fock_space(n_max)
     d = space.dim
-    n_arr, m_arr = space.n, space.m
     log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-    dsts, srcs, binsq, lost, kept = [], [], [], [], []
-    for k in range(d):
-        p = int(n_arr[k])
-        q = int(m_arr[k])
-        sel = np.flatnonzero((n_arr >= p) & (m_arr >= q))
-        ns, ms = n_arr[sel], m_arr[sel]
-        left = ns - p + ms - q
-        log_bin = 0.5 * (
+    free = n_max - space.total
+    indptr = np.zeros(d + 1, dtype=np.int64)
+    np.cumsum((free + 1) * (free + 2) // 2, out=indptr[1:])
+    nnz = int(indptr[-1])
+    if nnz > np.iinfo(np.int32).max:
+        raise ValueError(f"loss table at cutoff {n_max} exceeds int32 indexing")
+    indptr = indptr.astype(np.int32)
+    dst = np.empty(nnz, dtype=np.int32)
+    src = np.empty(nnz, dtype=np.int32)
+    binsq = np.empty(nnz)
+    lost = np.empty(nnz, dtype=np.int16)
+    kept = np.empty(nnz, dtype=np.int16)
+    for total, sl in enumerate(space.sector_slices):
+        size = (n_max - total + 1) * (n_max - total + 2) // 2
+        seg = slice(indptr[sl.start], indptr[sl.stop])
+        # one row per Kraus operator of the sector, one column per surplus state
+        p = space.n[sl, None]
+        q = space.m[sl, None]
+        ns = space.n[:size] + p
+        ms = space.m[:size] + q
+        left = space.total[:size]
+        dst[seg] = np.tile(np.arange(size), total + 1)
+        src[seg] = ((left + total) * (left + total + 1) // 2 + ns).ravel()
+        binsq[seg] = np.exp(0.5 * (
             log_fact[ns] - log_fact[p] - log_fact[ns - p]
             + log_fact[ms] - log_fact[q] - log_fact[ms - q]
-        )
-        dsts.append(left * (left + 1) // 2 + (ns - p))
-        srcs.append(sel)
-        binsq.append(np.exp(log_bin))
-        lost.append(np.full(sel.size, p + q, dtype=np.int64))
-        kept.append(left)
-    indptr = np.concatenate(([0], np.cumsum([sel.size for sel in srcs])))
-    return (
-        indptr,
-        np.concatenate(dsts),
-        np.concatenate(srcs),
-        np.concatenate(binsq),
-        np.concatenate(lost).astype(float),
-        np.concatenate(kept).astype(float),
-        d,
-    )
+        )).ravel()
+        lost[seg] = total
+        kept[seg] = np.tile(left, total + 1)
+    return indptr, dst, src, binsq, lost, kept, d
 
 
 def _kraus_coefficients(n_max: int, eta: float):
@@ -155,8 +164,10 @@ def _kraus_coefficients(n_max: int, eta: float):
     and dimension of every (source state, Kraus operator) pair at
     transmittivity ``eta`` (see :func:`_loss_structure`)."""
     indptr, dst, src, binsq, lost, kept, d = _loss_structure(n_max)
-    # numpy power keeps 0^0 = 1, covering the eta = 0 and eta = 1 edges
-    data = binsq * np.power(1.0 - eta, 0.5 * lost) * np.power(eta, 0.5 * kept)
+    # one power per photon count, gathered by the small-integer counts; numpy
+    # power keeps 0^0 = 1, covering the eta = 0 and eta = 1 edges
+    half = 0.5 * np.arange(n_max + 1)
+    data = binsq * np.power(1.0 - eta, half)[lost] * np.power(eta, half)[kept]
     return indptr, dst, src, data, d
 
 

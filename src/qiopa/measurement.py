@@ -8,7 +8,10 @@ Four measurement families are implemented:
 * the threshold filter POVM assigning +1 / -1 when the photon-number
   imbalance between the two modes of a basis exceeds a threshold ``k`` and an
   inconclusive 0 otherwise, and the fringe visibility it gives on the lossy
-  macro-qubit (loss acts there as binomial thinning of the populations);
+  macro-qubit.  Loss acts there as binomial thinning of each mode, and in
+  the seed's own basis its populations are a product of two single-mode
+  distributions kept on the exact truncation triangle, so the fringe is one
+  O(n_max^2) contraction with no population matrix;
 * a multi-detector coincidence scheme with non-number-resolving clicks;
 * quantum Stokes operators (per-basis photon-number differences) and the
   total photon number.  Each Stokes operator is the sparse Schwinger map
@@ -34,7 +37,7 @@ from .amplifier import (
     MicroMacroState,
     _checked_tail,
     _hv_macro_vector_unchecked,
-    _macro_ladder,
+    _macro_mode_populations,
     _macro_vector_unchecked,
     required_cutoff,
 )
@@ -254,25 +257,42 @@ def lossy_fringe_probabilities(
     The macro-qubit at ``phi`` is sent through the loss channel and measured
     in its own equatorial basis.  Only Fock populations matter for these
     diagonal effects, so the channel acts as independent binomial thinning of
-    the two modes, which is exact at any cutoff.
+    the two modes, which is exact at any cutoff.  The populations on
+    ``|2i+1, 2j>`` are a product ``a_i b_j`` of two single-mode distributions
+    (:func:`qiopa.amplifier._macro_mode_populations`), kept on the exact
+    triangle ``2i+1 + 2j <= n_max`` and renormalized.  With ``K`` the thinning
+    kernel, the even mode thinned under the triangle is
+    ``T[s, i] = a_i sum_{j <= k_max-i} K[s, 2j] b_j`` and the odd mode's tails are
+    ``U[r, i] = P(thin(2i+1) >= r)``; then ``P+ = sum T[s, i] U[s+k+1, i]`` and
+    ``P- = sum T[s, i] (1 - U[s-k, i])``.  Time and memory are O(n_max^2).
+    The phase ``phi`` does not enter the populations.
     """
     if k < 0:
         raise ValueError(f"threshold must be non-negative, got {k}")
     if cutoff is None:
         cutoff = Cutoff(required_cutoff(gain, 1e-10), 1e-9)
     n_max = cutoff.n_max
-    n, m, amps = _macro_ladder(phi, gain, n_max)
-    q = np.zeros((n_max + 1, n_max + 1))
-    q[n, m] = np.abs(amps) ** 2
-    mass = q.sum()
+    a, b = _macro_mode_populations(gain, n_max)
+    # reversed cumsum: sum_{j <= k_max - i} b_j, the even mode under the triangle
+    mass = float(a @ np.cumsum(b)[::-1])
     _checked_tail(mass, gain, cutoff)
-    q /= mass
+    # P(r - s > k) pairs s with r >= s + k + 1, P(s - r > k) with r <= s - k - 1
+    span = n_max - k
+    if span <= 0:
+        return 0.0, 0.0, 1.0
     kernel = _binomial_thinning_kernel(n_max, loss.eta)
-    q = kernel @ q @ kernel.T
-    a = np.arange(n_max + 1)
-    diff = a[:, None] - a[None, :]
-    p_plus = float(q[diff > k].sum())
-    p_minus = float(q[-diff > k].sum())
+    odd = kernel[:, 1::2]
+    # below[r, i] = P(thin(2i+1) <= r) = 1 - U[r+1, i], summed from the low
+    # end so that small probabilities keep their relative precision
+    below = np.cumsum(odd, axis=0)
+    above = np.cumsum(odd[::-1], axis=0)[::-1]  # U
+    # T[s, i], built in place: a fresh large temporary costs about a pass over it
+    even = np.multiply(kernel[:, 0 : 2 * a.size : 2], b)
+    np.cumsum(even, axis=1, out=even)
+    even = even[:, ::-1]
+    even *= a
+    p_plus = float(np.einsum("si,si->", even[:span], above[k + 1 :])) / mass
+    p_minus = float(np.einsum("si,si->", even[k + 1 :], below[:span])) / mass
     return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
 
 

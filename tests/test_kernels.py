@@ -10,7 +10,10 @@ Schwinger generator that the package uses; the singlet built directly
 from its equatorial ladders, against the rotated (H, V) construction; and
 the lossy pseudo-Pauli and threshold-filter terms contracted from dense
 Kraus images, built one Kraus operator and source state at a time, against
-the sparse overlaps and thinned populations the package uses.
+the sparse overlaps and thinned populations the package uses; the lossy
+fringe thinned as a dense population matrix, against the contraction of the
+two single-mode factors; and the loss table built per Kraus operator from
+lists, against the preallocated sector-by-sector fill.
 """
 
 import math
@@ -35,11 +38,14 @@ from qiopa import (
     rotate_basis,
 )
 from qiopa.amplifier import (
+    _checked_tail,
     _hv_macro_vector_unchecked,
+    _macro_ladder,
+    _macro_mode_populations,
     _macro_vector_unchecked,
     pair_ladder_tail,
 )
-from qiopa.channels import _conditioned_block, loss_kraus_images
+from qiopa.channels import _conditioned_block, _kraus_coefficients, loss_kraus_images
 from qiopa.fock import (
     _sector_matrix,
     _sector_rotation,
@@ -47,7 +53,13 @@ from qiopa.fock import (
     rotate_dense,
     transfer_matrix,
 )
-from qiopa.measurement import pauli_matrix, sigma_operator, threshold_povm
+from qiopa.measurement import (
+    _binomial_thinning_kernel,
+    lossy_fringe_probabilities,
+    pauli_matrix,
+    sigma_operator,
+    threshold_povm,
+)
 from qiopa.witnesses import ofilter_witness_lossy, sigma_witness_lossy
 
 HV = PolarizationBasis.hv()
@@ -243,6 +255,60 @@ def ofilter_terms_from_images(state, images, k):
         per_micro = weights @ povm.difference_diagonal()
         terms.append(float(per_micro[:, 0].sum() - per_micro[:, 1].sum()))
     return terms
+
+
+def fringe_from_population_matrix(phi, gain, loss, k, cutoff):
+    """Lossy fringe ``(P+, P-, P0)`` from the dense ``(n_max+1)^2`` population
+    matrix of the truncated amplified seed, thinned as ``K Q K^T`` and summed
+    over the two conclusive regions."""
+    n_max = cutoff.n_max
+    n, m, amps = _macro_ladder(phi, gain, n_max)
+    q = np.zeros((n_max + 1, n_max + 1))
+    q[n, m] = np.abs(amps) ** 2
+    mass = q.sum()
+    _checked_tail(mass, gain, cutoff)
+    q /= mass
+    kernel = _binomial_thinning_kernel(n_max, loss.eta)
+    q = kernel @ q @ kernel.T
+    a = np.arange(n_max + 1)
+    diff = a[:, None] - a[None, :]
+    p_plus = float(q[diff > k].sum())
+    p_minus = float(q[-diff > k].sum())
+    return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
+
+
+def loss_structure_lists(n_max):
+    """Loss table built one Kraus operator at a time from per-operator lists:
+    row pointer, destination, source, square-rooted binomial factor and lost
+    / kept photon counts as floats."""
+    space = fock_space(n_max)
+    n_arr, m_arr = space.n, space.m
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+    dsts, srcs, binsq, lost, kept = [], [], [], [], []
+    for k in range(space.dim):
+        p = int(n_arr[k])
+        q = int(m_arr[k])
+        sel = np.flatnonzero((n_arr >= p) & (m_arr >= q))
+        ns, ms = n_arr[sel], m_arr[sel]
+        left = ns - p + ms - q
+        log_bin = 0.5 * (
+            log_fact[ns] - log_fact[p] - log_fact[ns - p]
+            + log_fact[ms] - log_fact[q] - log_fact[ms - q]
+        )
+        dsts.append(left * (left + 1) // 2 + (ns - p))
+        srcs.append(sel)
+        binsq.append(np.exp(log_bin))
+        lost.append(np.full(sel.size, p + q, dtype=np.int64))
+        kept.append(left)
+    indptr = np.concatenate(([0], np.cumsum([sel.size for sel in srcs])))
+    return (
+        indptr,
+        np.concatenate(dsts),
+        np.concatenate(srcs),
+        np.concatenate(binsq),
+        np.concatenate(lost).astype(float),
+        np.concatenate(kept).astype(float),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -536,3 +602,101 @@ def test_lossy_witness_terms_match_dense_images_at_cutoff_40():
     for k in (0, 2):
         got = ofilter_witness_lossy(state, loss, k).terms
         assert np.max(np.abs(np.subtract(got, ofilter_terms_from_images(state, images, k)))) < 1e-12
+
+
+def test_loss_table_matches_list_builder_bitwise():
+    for n_max in range(1, 13):
+        indptr, dst, src, binsq, lost, kept = loss_structure_lists(n_max)
+        for eta in (0.0, 0.3, 0.5417, 1.0):
+            got = _kraus_coefficients(n_max, eta)
+            want = binsq * np.power(1.0 - eta, 0.5 * lost) * np.power(eta, 0.5 * kept)
+            for new, old in zip(got[:3], (indptr, dst, src)):
+                assert np.array_equal(new, old), n_max
+            assert np.array_equal(got[3].view(np.int64), want.view(np.int64)), (n_max, eta)
+            assert got[4] == fock_space(n_max).dim
+
+
+# --------------------------------------------------------------------------
+# lossy fringe
+# --------------------------------------------------------------------------
+
+# Gains up to the benchmark's 1.8; from 0.05 up every population to 61
+# photons is a normal float.
+fringe_gains = st.one_of(st.just(0.0), st.floats(0.05, 1.8))
+
+
+def assert_same_fringe(phi, gain, eta, k, cutoff):
+    loss = LossParams(eta)
+    got = lossy_fringe_probabilities(phi, gain, loss, k, cutoff)
+    want = fringe_from_population_matrix(phi, gain, loss, k, cutoff)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12, (got, want)
+
+
+@st.composite
+def fringe_cases(draw):
+    n_max = draw(st.integers(1, 61))
+    return (
+        draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+        draw(fringe_gains),
+        draw(st.floats(0.0, 1.0)),
+        draw(st.integers(0, n_max + 2)),
+        n_max,
+    )
+
+
+@PROPERTY
+@given(fringe_cases())
+@example((0.0, 1.8, 0.0, 0, 61))
+@example((0.0, 1.8, 1.0, 0, 61))
+@example((0.0, 1.0, 1.0, 1, 60))
+@example((0.0, 0.0, 0.5, 0, 1))
+def test_lossy_fringe_matches_population_matrix(case):
+    phi, g, eta, k, n_max = case
+    assert_same_fringe(phi, GainParams(g), eta, k, Cutoff(n_max, ANY_TAIL))
+
+
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_lossy_fringe_matches_population_matrix_at_benchmark_cutoff(k):
+    for eta in (1.0, 0.7, 0.35, 0.1, 0.0):
+        assert_same_fringe(0.0, GainParams(1.8), eta, k, Cutoff(481, 1e-9))
+
+
+def assert_same_populations(gain, n_max):
+    """``a_i b_j`` equals the squared ladder amplitudes, to the rounding of a
+    log-domain evaluation whose terms reach ``log(n_max!)``."""
+    n, m, amps = _macro_ladder(0.0, gain, n_max)
+    a, b = _macro_mode_populations(gain, n_max)
+    rtol = 4.0 * np.finfo(float).eps * (1.0 + math.lgamma(n_max + 1.0))
+    np.testing.assert_allclose(a[(n - 1) // 2] * b[m // 2], np.abs(amps) ** 2, rtol=rtol, atol=0.0)
+
+
+@PROPERTY
+@given(fringe_gains, st.integers(1, 61))
+def test_mode_populations_factor_the_ladder(g, n_max):
+    assert_same_populations(GainParams(g), n_max)
+
+
+def test_mode_populations_factor_the_ladder_at_benchmark_cutoff():
+    assert_same_populations(GainParams(1.8), 481)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 1.8])
+def test_mode_populations_are_single_mode_distributions(g):
+    """Each factor alone sums to one: the squeezed one-photon state carries
+    ``1/cosh^3 g`` and the squeezed vacuum ``1/cosh g``, not only their product."""
+    gain = GainParams(g)
+    a, b = _macro_mode_populations(gain, required_cutoff(gain, 1e-14))
+    assert a[0] == pytest.approx(1.0 / gain.cosh_g**3, rel=1e-15)
+    assert b[0] == pytest.approx(1.0 / gain.cosh_g, rel=1e-15)
+    assert a.sum() == pytest.approx(1.0, abs=1e-12)
+    assert b.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_undersized_fringe_cutoff_reports_the_oracle_tail():
+    gain, loss, cutoff = GainParams(1.8), LossParams(0.5), Cutoff(101, 1e-9)
+    with pytest.raises(CutoffError) as got:
+        lossy_fringe_probabilities(0.0, gain, loss, 0, cutoff)
+    with pytest.raises(CutoffError) as want:
+        fringe_from_population_matrix(0.0, gain, loss, 0, cutoff)
+    assert got.value.tail_mass == pytest.approx(want.value.tail_mass, rel=1e-12, abs=0.0)
+    assert got.value.tail_mass > 1e-3
