@@ -187,29 +187,25 @@ def required_cutoff(gain: GainParams, tail_tolerance: float, n_cap: int = 200_00
             f"no cutoff below {n_cap} reaches tail {tail_tolerance} at g={gain.g}",
             tail_mass=pair_ladder_tail(hi, gain),
         )
+    return 2 * _first_below(lambda p: pair_ladder_tail(p, gain), tail_tolerance, hi) + 1
+
+
+def _first_below(tail, threshold: float, hi: int) -> int:
+    """Smallest ``p`` in ``[0, hi]`` with ``tail(p) < threshold``, by
+    bisection, for a decreasing ``tail`` that is below ``threshold`` at ``hi``."""
     lo = 0
-    while lo < hi:  # invariant: the tail at hi is below the tolerance
+    while lo < hi:  # invariant: the tail at hi is below the threshold
         mid = (lo + hi) // 2
-        if pair_ladder_tail(mid, gain) < tail_tolerance:
+        if tail(mid) < threshold:
             hi = mid
         else:
             lo = mid + 1
-    return 2 * hi + 1
+    return hi
 
 
 # --------------------------------------------------------------------------
 # amplified states
 # --------------------------------------------------------------------------
-
-def _ladder_vector(
-    n: np.ndarray, m: np.ndarray, amps: np.ndarray, n_max: int, basis: PolarizationBasis
-) -> TwoModeVector:
-    """Sparse vector from index and amplitude arrays; exact zeros (including
-    amplitudes that underflow) are left out."""
-    keep = amps != 0.0
-    keys = zip(n[keep].tolist(), m[keep].tolist())
-    return TwoModeVector(dict(zip(keys, amps[keep].astype(complex).tolist())), n_max, basis)
-
 
 def _checked_tail(mass: float, gain: GainParams, cutoff: Cutoff) -> None:
     """Raise :class:`CutoffError` if a truncated state of squared norm
@@ -260,7 +256,7 @@ def _macro_mode_populations(gain: GainParams, n_max: int) -> tuple[np.ndarray, n
 
 def _macro_vector_unchecked(phi: float, gain: GainParams, n_max: int) -> TwoModeVector:
     """Truncated amplified equatorial seed without the tail-tolerance gate."""
-    return _ladder_vector(*_macro_ladder(phi, gain, n_max), n_max, PolarizationBasis.equatorial(phi))
+    return TwoModeVector(*_macro_ladder(phi, gain, n_max), n_max, PolarizationBasis.equatorial(phi))
 
 
 def macro_qubit(phi: float, gain: GainParams, cutoff: Cutoff) -> MacroQubit:
@@ -282,7 +278,7 @@ def _hv_macro_vector_unchecked(seed: str, gain: GainParams, n_max: int) -> TwoMo
     n = np.arange((n_max - 1) // 2 + 1)
     amps = seed_pair_amplitude(n, gain)
     pair = (n + 1, n) if seed == "H" else (n, n + 1)
-    return _ladder_vector(*pair, amps, n_max, PolarizationBasis.hv())
+    return TwoModeVector(*pair, amps, n_max, PolarizationBasis.hv())
 
 
 def hv_macro_state(seed: str, gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
@@ -301,7 +297,7 @@ def amplified_vacuum(gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
     """Unseeded output: a two-mode squeezed vacuum ``sum_n (tanh g)^n |n, n> / cosh g``."""
     n = np.arange(cutoff.n_max // 2 + 1)
     amps = (1.0 / gain.cosh_g) * gain.tanh_g**n
-    state = _ladder_vector(n, n, amps, cutoff.n_max, PolarizationBasis.hv())
+    state = TwoModeVector(n, n, amps, cutoff.n_max, PolarizationBasis.hv())
     _checked_tail(state.norm() ** 2, gain, cutoff)
     return state
 
@@ -343,7 +339,7 @@ def micro_macro_state_hv(gain: GainParams, cutoff: Cutoff) -> MicroMacroState:
     scale = 1.0 / math.sqrt(2.0 * mass)
     hv = PolarizationBasis.hv()
     components = (
-        _ladder_vector(n, n + 1, amps * scale, cutoff.n_max, hv),
-        _ladder_vector(n + 1, n, amps * -scale, cutoff.n_max, hv),
+        TwoModeVector(n, n + 1, amps * scale, cutoff.n_max, hv),
+        TwoModeVector(n + 1, n, amps * -scale, cutoff.n_max, hv),
     )
     return MicroMacroState(components, gain, hv)

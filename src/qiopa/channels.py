@@ -25,6 +25,7 @@ import scipy.sparse as sp
 from .amplifier import (
     GainParams,
     MicroMacroState,
+    _first_below,
     amplified_vacuum,
     micro_macro_state_hv,
     required_cutoff,
@@ -75,6 +76,17 @@ def coherence_parameter(gain: GainParams, loss: LossParams) -> float:
     return loss.R * gain.tanh_g
 
 
+def _conditional_tail_fraction(p: int, x: float) -> float:
+    """Fraction of ``sum_q (q+1)(q+2) x^q = 2 / (1-x)^3`` carried by the
+    terms ``q >= p``, for ``0 <= x < 1``.  With ``a = p + 1`` the tail is
+    ``x^p [a(a+1)/(1-x) + (2a+1) x/(1-x)^2 + x(1+x)/(1-x)^3]``; it
+    decreases monotonically in ``p``."""
+    a = p + 1
+    y = 1.0 - x
+    tail = x**p * (a * (a + 1) / y + (2 * a + 1) * x / y**2 + x * (1.0 + x) / y**3)
+    return tail / (2.0 / y**3)
+
+
 def conditioning_cutoff(
     gain: GainParams, loss: LossParams, tol: float = 1e-8
 ) -> Cutoff:
@@ -82,24 +94,20 @@ def conditioning_cutoff(
 
     The conditional matrix entries are power series in ``t^2`` with quadratic
     pair-index weights, so truncating at pair index ``p`` leaves a relative
-    residual of order ``(p+1)(p+2) t^(2p)``; the loop below sums the heaviest
-    series directly until its remaining fraction is two orders below ``tol``.
-    The result also keeps the truncated state mass itself below ``tol``.
+    residual of order ``(p+1)(p+2) t^(2p)``.  The pair count is the smallest
+    ``p <= 100000`` whose remaining fraction of the heaviest series
+    (:func:`_conditional_tail_fraction`) is two orders below ``tol``.  The
+    result also keeps the truncated state mass itself below ``tol``.
     """
     x = coherence_parameter(gain, loss) ** 2
     n_max = 3
     if x > 0.0:
-        full = 2.0 / (1.0 - x) ** 3
-        partial = 0.0
-        p = 0
-        while (full - partial) / full >= 0.01 * tol:
-            partial += (p + 1) * (p + 2) * x**p
-            p += 1
-            if p > 100_000:
-                raise CutoffError(
-                    f"conditional series does not converge to {tol} at t^2={x}"
-                )
-        n_max = 2 * p + 3
+        if _conditional_tail_fraction(100_000, x) >= 0.01 * tol:
+            raise CutoffError(
+                f"conditional series does not converge to {tol} at t^2={x}"
+            )
+        pairs = _first_below(lambda p: _conditional_tail_fraction(p, x), 0.01 * tol, 100_000)
+        n_max = 2 * pairs + 3
     n_max = max(n_max, required_cutoff(gain, min(tol, 1e-9)))
     return Cutoff(n_max, tol)
 
@@ -263,17 +271,14 @@ def _conditioned_block(
         stride = max(comp.cutoff for comp in comps) + 1
         keys, cols, amps = [], [], []
         for s, comp in enumerate(comps):
-            nm = np.array(list(comp.amplitudes), dtype=np.int64).reshape(-1, 2)
-            c = np.fromiter(comp.amplitudes.values(), dtype=complex, count=len(nm))
-            for q in (0, 1):
-                hit = nm[:, q] >= 1
-                lost = nm[hit]
-                lost[:, q] -= 1
+            for q, count in enumerate((comp.n, comp.m)):
+                hit = count >= 1
+                a, b = comp.n[hit] - (1 - q), comp.m[hit] - q
                 # numpy power keeps 0^0 = 1, covering the eta = 1 edge
-                decay = np.power(loss.R, 0.5 * lost.sum(axis=1))
-                amps.append(c[hit] * np.sqrt(nm[hit, q]) * decay * sqrt_eta)
-                keys.append(lost[:, 0] * stride + lost[:, 1])
-                cols.append(np.full(len(lost), 2 * s + q))
+                decay = np.power(loss.R, 0.5 * (a + b))
+                amps.append(comp.amps[hit] * np.sqrt(count[hit]) * decay * sqrt_eta)
+                keys.append(a * stride + b)
+                cols.append(np.full(a.size, 2 * s + q))
         patterns, rows = np.unique(np.concatenate(keys), return_inverse=True)
         v = np.zeros((patterns.size, 4), dtype=complex)
         # a component's keys are distinct, so each (row, column) slot is
@@ -373,7 +378,7 @@ def attenuated_injection_pipeline(
     """
     singlet = micro_macro_state_hv(gain, cutoff)
     vac = amplified_vacuum(gain, cutoff).normalized()
-    zero = TwoModeVector({}, cutoff.n_max, PolarizationBasis.hv())
+    zero = TwoModeVector([], [], [], cutoff.n_max, PolarizationBasis.hv())
     ensemble = [
         (p.p, singlet.components),
         ((1.0 - p.p) / 2.0, (vac, zero)),

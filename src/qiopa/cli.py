@@ -347,7 +347,7 @@ def _run_ofilter_dist(cfg: RunConfig):
     if k < 0:
         raise ConfigError("threshold k must be non-negative")
     total = n + m
-    state = TwoModeVector({(n, m): 1.0}, total, prep)
+    state = TwoModeVector.from_amplitudes({(n, m): 1.0}, total, prep)
     dist = photon_distribution(state, target)
     povm = threshold_povm(target, k, total)
     space = fock_space(total)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +29,8 @@ import scipy.sparse as sp
 
 TWO_PI = 2.0 * math.pi
 
-# Amplitudes with modulus below this threshold are absent from sparse maps.
+# Amplitudes with modulus below this threshold are left out of vectors built
+# from dense arrays.
 DROP_THRESHOLD = 1e-14
 
 _NORM_TOL = 1e-8
@@ -285,27 +287,61 @@ def rotate_dense(
 # state containers
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeVector:
-    """Sparse two-mode state vector: map ``(n, m) -> amplitude``.
+    """Sparse two-mode state vector held as parallel arrays: photon numbers
+    ``n`` and ``m`` (int64) and amplitudes ``amps`` (complex), one entry per
+    stored ``|n, m>``.
 
-    The squared-amplitude sum may fall below one (truncated states); it must
-    never exceed one beyond numerical tolerance.  Amplitudes below
-    :data:`DROP_THRESHOLD` are absent from the map.
+    The arrays are validated, copied and made read-only on construction;
+    exact zeros are left out.  Each ``(n, m)`` appears at most once.  The
+    squared-amplitude sum may fall below one (truncated states); it must
+    never exceed one beyond numerical tolerance.  Hand-written states come
+    in through :meth:`from_amplitudes`, dense ones through :meth:`from_dense`,
+    which leaves out amplitudes below :data:`DROP_THRESHOLD`.
     """
 
-    amplitudes: Mapping[tuple[int, int], complex]
+    n: np.ndarray
+    m: np.ndarray
+    amps: np.ndarray
     cutoff: int
     basis: PolarizationBasis
 
     def __post_init__(self) -> None:
-        total = 0.0
-        for (n, m), amp in self.amplitudes.items():
-            if n < 0 or m < 0 or n + m > self.cutoff:
-                raise ValueError(f"index ({n}, {m}) outside cutoff {self.cutoff}")
-            total += abs(amp) ** 2
+        n = np.array(self.n, dtype=np.int64).reshape(-1)
+        m = np.array(self.m, dtype=np.int64).reshape(-1)
+        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        if not n.size == m.size == amps.size:
+            raise ValueError("index and amplitude arrays differ in length")
+        # m > cutoff - n is n + m > cutoff without an int64 overflow
+        outside = (n < 0) | (m < 0) | (m > self.cutoff - n)
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            raise ValueError(f"index ({n[i]}, {m[i]}) outside cutoff {self.cutoff}")
+        keys = _flat_index(n, m)
+        if np.any(np.diff(keys) <= 0) and np.unique(keys).size < keys.size:
+            raise ValueError("repeated (n, m) index")
+        total = float(np.vdot(amps, amps).real)
         if total > 1.0 + _NORM_TOL:
             raise ValueError(f"squared-amplitude sum {total} exceeds 1")
+        keep = amps != 0.0
+        if not keep.all():
+            n, m, amps = n[keep], m[keep], amps[keep]
+        for name, arr in (("n", n), ("m", m), ("amps", amps)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_amplitudes(
+        cls,
+        amplitudes: Mapping[tuple[int, int], complex],
+        cutoff: int,
+        basis: PolarizationBasis,
+    ) -> "TwoModeVector":
+        """Vector from a map ``(n, m) -> amplitude``."""
+        nm = np.array(list(amplitudes), dtype=np.int64).reshape(-1, 2)
+        amps = np.fromiter(amplitudes.values(), dtype=complex, count=len(nm))
+        return cls(nm[:, 0], nm[:, 1], amps, cutoff, basis)
 
     @classmethod
     def from_dense(
@@ -316,23 +352,25 @@ class TwoModeVector:
         drop_threshold: float = DROP_THRESHOLD,
     ) -> "TwoModeVector":
         space = fock_space(cutoff)
-        amps = {
-            (int(space.n[i]), int(space.m[i])): complex(vec[i])
-            for i in np.flatnonzero(np.abs(vec) > drop_threshold)
-        }
-        return cls(amps, cutoff, basis)
+        keep = np.flatnonzero(np.abs(vec) > drop_threshold)
+        return cls(space.n[keep], space.m[keep], vec[keep], cutoff, basis)
+
+    @property
+    def amplitudes(self) -> Mapping[tuple[int, int], complex]:
+        """Read-only map ``(n, m) -> amplitude``, built on each access."""
+        keys = zip(self.n.tolist(), self.m.tolist())
+        return MappingProxyType(dict(zip(keys, self.amps.tolist())))
 
     def dense(self, space: FockSpace | None = None) -> np.ndarray:
-        space = space or fock_space(self.cutoff)
-        if space.n_max < self.cutoff:
+        n_max = self.cutoff if space is None else space.n_max
+        if n_max < self.cutoff:
             raise ValueError("target space smaller than the state's cutoff")
-        out = np.zeros(space.dim, dtype=complex)
-        for (n, m), amp in self.amplitudes.items():
-            out[space.index(n, m)] = amp
+        out = np.zeros((n_max + 1) * (n_max + 2) // 2, dtype=complex)
+        out[_flat_index(self.n, self.m)] = self.amps
         return out
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(float(np.vdot(self.amps, self.amps).real))
 
     def normalized(self) -> "TwoModeVector":
         norm = self.norm()
@@ -341,21 +379,27 @@ class TwoModeVector:
         return self.scaled(1.0 / norm)
 
     def scaled(self, factor: complex) -> "TwoModeVector":
-        return TwoModeVector(
-            {k: factor * v for k, v in self.amplitudes.items()}, self.cutoff, self.basis
-        )
+        return TwoModeVector(self.n, self.m, factor * self.amps, self.cutoff, self.basis)
 
     def overlap(self, other: "TwoModeVector") -> complex:
         """Inner product ``<self|other>``; both states must share a basis."""
         if self.basis != other.basis:
             raise ValueError("overlap requires a common basis")
-        small, big = self.amplitudes, other.amplitudes
-        if len(big) < len(small):
-            return complex(np.conj(other.overlap(self)))
-        return sum(np.conj(v) * big.get(k, 0.0) for k, v in small.items())
+        _, mine, theirs = np.intersect1d(
+            _flat_index(self.n, self.m), _flat_index(other.n, other.m),
+            assume_unique=True, return_indices=True,
+        )
+        return complex(np.vdot(self.amps[mine], other.amps[theirs]))
 
     def mean_total_photons(self) -> float:
-        return sum((n + m) * abs(a) ** 2 for (n, m), a in self.amplitudes.items())
+        return float(np.dot(self.n + self.m, np.abs(self.amps) ** 2))
+
+
+def _flat_index(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Index ``t (t + 1) / 2 + n`` of ``|n, m>``, ``t = n + m``, in the
+    ordering of :class:`FockSpace`."""
+    total = n + m
+    return total * (total + 1) // 2 + n
 
 
 def rotate_basis(state: TwoModeVector, target: PolarizationBasis) -> TwoModeVector:

@@ -235,12 +235,11 @@ def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
     size = n_max + 1
     log_fact = np.array([math.lgamma(k + 1) for k in range(size)])
     kernel = np.zeros((size, size))
-    for n in range(size):
-        a = np.arange(n + 1)
-        log_c = log_fact[n] - log_fact[a] - log_fact[n - a]
-        kernel[: n + 1, n] = (
-            np.exp(log_c) * np.power(eta, a) * np.power(1.0 - eta, n - a)
-        )
+    counts = np.arange(size)
+    kept, lost = np.power(eta, counts), np.power(1.0 - eta, counts)
+    a, n = np.triu_indices(size)  # the entries with a <= n
+    lag = n - a
+    kernel[a, n] = np.exp(log_fact[n] - log_fact[a] - log_fact[lag]) * kept[a] * lost[lag]
     kernel.setflags(write=False)
     return kernel
 

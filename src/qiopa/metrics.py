@@ -70,14 +70,12 @@ def _check_two_qubit_state(rho: np.ndarray, tol: float) -> np.ndarray:
 def concurrence_2x2(rho: np.ndarray, params: dict | None = None, tol: float = 1e-9) -> ConcurrenceReport:
     """Two-qubit concurrence via the spin-flip eigenvalue construction.
 
-    Eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` are clipped at -1e-12
-    before the square roots; the basis order is (HH, HV, VH, VV).
+    Eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` are clipped at 0 before
+    the square roots; the basis order is (HH, HV, VH, VV).
     """
     rho = _check_two_qubit_state(rho, tol)
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     evals = np.linalg.eigvals(rho @ flipped).real
-    if evals.min() < -1e-12:
-        evals = np.clip(evals, 0.0, None)
     lambdas = np.sort(np.sqrt(np.clip(evals, 0.0, None)))[::-1]
     value = max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
     surviving = None

@@ -339,7 +339,7 @@ def separable_counterexample(
         phi = 2.0 * math.pi * node / nodes
         micro = np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0)
         macro = rotate_basis(
-            TwoModeVector(
+            TwoModeVector.from_amplitudes(
                 {(0, n_photons): 1.0}, cutoff, PolarizationBasis.equatorial(phi)
             ),
             hv,

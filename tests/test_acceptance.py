@@ -334,7 +334,7 @@ def test_criterion_9_property_suite(tmp_path):
         macro_qubit(0.0, GainParams(g), Cutoff(24, 0.5)).state.normalized()
         for g in (0.5, 1.0)
     ]
-    states.append(TwoModeVector({(10, 0): 1.0}, 24, PolarizationBasis.plus_minus()))
+    states.append(TwoModeVector.from_amplitudes({(10, 0): 1.0}, 24, PolarizationBasis.plus_minus()))
     for state in states:
         for target in (PolarizationBasis.right_left(), PolarizationBasis.hv()):
             unit_dev = max(unit_dev, abs(rotate_basis(state, target).norm() - 1.0))

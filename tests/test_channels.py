@@ -88,7 +88,7 @@ class TestLossyChannel:
 
     def test_single_photon_two_kraus_terms(self):
         eta = 0.37
-        state = TwoModeVector({(1, 0): 1.0}, 3, HV)
+        state = TwoModeVector.from_amplitudes({(1, 0): 1.0}, 3, HV)
         out = lossy_channel(state, LossParams(eta))
         space = fock_space(3)
         one = space.index(1, 0)
@@ -127,7 +127,7 @@ class TestLossyChannel:
 
     def test_populations_binomial_kernel(self):
         eta = 0.42
-        state = TwoModeVector({(4, 0): 1.0}, 5, HV)
+        state = TwoModeVector.from_amplitudes({(4, 0): 1.0}, 5, HV)
         out = lossy_channel(state, LossParams(eta))
         space = fock_space(5)
         for k in range(5):

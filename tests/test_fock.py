@@ -72,11 +72,11 @@ class TestFockSpace:
 class TestTwoModeVector:
     def test_norm_guard(self):
         with pytest.raises(ValueError):
-            TwoModeVector({(0, 0): 1.0, (1, 0): 0.5}, 2, HV)
+            TwoModeVector.from_amplitudes({(0, 0): 1.0, (1, 0): 0.5}, 2, HV)
 
     def test_index_guard(self):
         with pytest.raises(ValueError):
-            TwoModeVector({(2, 1): 1.0}, 2, HV)
+            TwoModeVector.from_amplitudes({(2, 1): 1.0}, 2, HV)
 
     def test_drop_threshold(self):
         space = fock_space(2)
@@ -87,15 +87,15 @@ class TestTwoModeVector:
         assert (0, 1) not in state.amplitudes
 
     def test_normalized(self):
-        state = TwoModeVector({(1, 0): 0.5}, 2, HV).normalized()
+        state = TwoModeVector.from_amplitudes({(1, 0): 0.5}, 2, HV).normalized()
         assert state.norm() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError):
-            TwoModeVector({}, 2, HV).normalized()
+            TwoModeVector.from_amplitudes({}, 2, HV).normalized()
 
 
 class TestRotateBasis:
     def test_single_photon(self):
-        state = TwoModeVector({(1, 0): 1.0}, 4, HV)
+        state = TwoModeVector.from_amplitudes({(1, 0): 1.0}, 4, HV)
         rotated = rotate_basis(state, PM)
         expected = 1.0 / math.sqrt(2.0)
         assert rotated.amplitudes[(1, 0)] == pytest.approx(expected, abs=1e-14)
@@ -104,21 +104,21 @@ class TestRotateBasis:
     def test_two_photons_binomial_expansion(self):
         # (a_H^dag)^2 / sqrt(2) |vac> expanded over the +/- modes gives
         # amplitudes (1/2, 1/sqrt(2), 1/2) on |2,0>, |1,1>, |0,2>
-        state = TwoModeVector({(2, 0): 1.0}, 4, HV)
+        state = TwoModeVector.from_amplitudes({(2, 0): 1.0}, 4, HV)
         rotated = rotate_basis(state, PM)
         assert rotated.amplitudes[(2, 0)] == pytest.approx(0.5, abs=1e-14)
         assert rotated.amplitudes[(1, 1)] == pytest.approx(1 / math.sqrt(2), abs=1e-14)
         assert rotated.amplitudes[(0, 2)] == pytest.approx(0.5, abs=1e-14)
 
     def test_ten_photons_binomial_distribution(self):
-        state = TwoModeVector({(10, 0): 1.0}, 12, PM)
+        state = TwoModeVector.from_amplitudes({(10, 0): 1.0}, 12, PM)
         dist = photon_distribution(state, RL)
         for r in range(11):
             expected = math.comb(10, r) / 1024.0
             assert dist[(r, 10 - r)] == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_target_rejected(self):
-        state = TwoModeVector({(1, 0): 1.0}, 2, HV)
+        state = TwoModeVector.from_amplitudes({(1, 0): 1.0}, 2, HV)
         with pytest.raises(ValueError):
             rotate_basis(state, "circular")
 
@@ -157,7 +157,7 @@ class TestRotateBasis:
             assert totals[total] == pytest.approx(weight, abs=1e-13)
 
     def test_half_turn_is_exact_mode_swap(self):
-        state = TwoModeVector({(3, 1): 0.8, (1, 0): 0.6}, 4, PM)
+        state = TwoModeVector.from_amplitudes({(3, 1): 0.8, (1, 0): 0.6}, 4, PM)
         swapped = rotate_basis(state, PolarizationBasis.equatorial(math.pi))
         assert swapped.amplitudes[(1, 3)] == pytest.approx(0.8, abs=1e-14)
         assert swapped.amplitudes[(0, 1)] == pytest.approx(0.6, abs=1e-14)
@@ -166,13 +166,13 @@ class TestRotateBasis:
 class TestExpectation:
     def test_vacuum_photon_number(self):
         space = fock_space(3)
-        rho = DensityOperator.from_pure(TwoModeVector({(0, 0): 1.0}, 3, HV))
+        rho = DensityOperator.from_pure(TwoModeVector.from_amplitudes({(0, 0): 1.0}, 3, HV))
         number = np.diag(space.total.astype(float))
         assert expectation(rho, number) == pytest.approx(0.0, abs=1e-14)
 
     def test_fock_eigenvalue(self):
         space = fock_space(4)
-        rho = DensityOperator.from_pure(TwoModeVector({(2, 1): 1.0}, 4, HV))
+        rho = DensityOperator.from_pure(TwoModeVector.from_amplitudes({(2, 1): 1.0}, 4, HV))
         number = np.diag(space.total.astype(float))
         assert expectation(rho, number) == pytest.approx(3.0, abs=1e-13)
 
@@ -199,14 +199,14 @@ class TestExpectation:
         assert isinstance(expectation(rho, herm), float)
 
     def test_dimension_mismatch(self):
-        rho = DensityOperator.from_pure(TwoModeVector({(0, 0): 1.0}, 3, HV))
+        rho = DensityOperator.from_pure(TwoModeVector.from_amplitudes({(0, 0): 1.0}, 3, HV))
         with pytest.raises(ValueError):
             expectation(rho, np.eye(4))
 
 
 class TestPhotonDistribution:
     def test_point_mass_in_own_basis(self):
-        state = TwoModeVector({(5, 0): 1.0}, 6, PM)
+        state = TwoModeVector.from_amplitudes({(5, 0): 1.0}, 6, PM)
         assert photon_distribution(state, PM) == {(5, 0): 1.0}
 
     def test_sums_to_one(self):
@@ -248,7 +248,7 @@ class TestDensityOperator:
         assert np.max(np.abs(rotated.matrix - np.outer(want, want.conj()))) < 1e-12
 
     def test_validate(self):
-        rho = DensityOperator.from_pure(TwoModeVector({(1, 0): 1.0}, 2, HV))
+        rho = DensityOperator.from_pure(TwoModeVector.from_amplitudes({(1, 0): 1.0}, 2, HV))
         rho.validate()
         bad = DensityOperator(rho.matrix * 2.0, 2, HV)
         with pytest.raises(ValueError):

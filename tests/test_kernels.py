@@ -12,8 +12,13 @@ the lossy pseudo-Pauli and threshold-filter terms contracted from dense
 Kraus images, built one Kraus operator and source state at a time, against
 the sparse overlaps and thinned populations the package uses; the lossy
 fringe thinned as a dense population matrix, against the contraction of the
-two single-mode factors; and the loss table built per Kraus operator from
-lists, against the preallocated sector-by-sector fill.
+two single-mode factors; the loss table built per Kraus operator from
+lists, against the preallocated sector-by-sector fill; the binomial
+thinning kernel filled column by column, against its one-shot fill; the
+conditioning cutoff summed term by term, against its closed-form tail; and
+the vector code of the era when a vector was a ``(n, m) -> amplitude`` map
+(dense scatter, dense gather, single-survivor block), against the array
+storage.
 """
 
 import math
@@ -32,6 +37,7 @@ from qiopa import (
     PolarizationBasis,
     TwoModeVector,
     amplified_vacuum,
+    conditioning_cutoff,
     micro_macro_state,
     micro_macro_state_hv,
     required_cutoff,
@@ -45,8 +51,15 @@ from qiopa.amplifier import (
     _macro_vector_unchecked,
     pair_ladder_tail,
 )
-from qiopa.channels import _conditioned_block, _kraus_coefficients, loss_kraus_images
+from qiopa.channels import (
+    _conditional_tail_fraction,
+    _conditioned_block,
+    _kraus_coefficients,
+    coherence_parameter,
+    loss_kraus_images,
+)
 from qiopa.fock import (
+    DROP_THRESHOLD,
     _sector_matrix,
     _sector_rotation,
     fock_space,
@@ -311,6 +324,82 @@ def loss_structure_lists(n_max):
     )
 
 
+def binomial_kernel_loop(n_max, eta):
+    """Thinning kernel ``K[a, n] = C(n, a) eta^a (1-eta)^(n-a)`` filled one
+    column at a time."""
+    size = n_max + 1
+    log_fact = np.array([math.lgamma(k + 1) for k in range(size)])
+    kernel = np.zeros((size, size))
+    for n in range(size):
+        a = np.arange(n + 1)
+        log_c = log_fact[n] - log_fact[a] - log_fact[n - a]
+        kernel[: n + 1, n] = np.exp(log_c) * np.power(eta, a) * np.power(1.0 - eta, n - a)
+    return kernel
+
+
+def conditioning_cutoff_loop(gain, loss, tol=1e-8):
+    """``conditioning_cutoff`` by summing the heaviest conditional series
+    ``sum_p (p+1)(p+2) t^(2p)`` term by term until the remainder ``full -
+    partial`` falls two orders below ``tol``."""
+    x = coherence_parameter(gain, loss) ** 2
+    n_max = 3
+    if x > 0.0:
+        full = 2.0 / (1.0 - x) ** 3
+        partial = 0.0
+        p = 0
+        while (full - partial) / full >= 0.01 * tol:
+            partial += (p + 1) * (p + 2) * x**p
+            p += 1
+            if p > 100_000:
+                raise CutoffError(f"conditional series does not converge to {tol} at t^2={x}")
+        n_max = 2 * p + 3
+    return Cutoff(max(n_max, required_cutoff(gain, min(tol, 1e-9))), tol)
+
+
+def dense_from_map(amplitudes, space):
+    """Dense vector scattered one ``(n, m) -> amplitude`` entry at a time."""
+    out = np.zeros(space.dim, dtype=complex)
+    for (n, m), amp in amplitudes.items():
+        out[space.index(n, m)] = amp
+    return out
+
+
+def map_from_dense(vec, cutoff):
+    """``(n, m) -> amplitude`` map of the dense entries above the drop threshold."""
+    space = fock_space(cutoff)
+    return {
+        (int(space.n[i]), int(space.m[i])): complex(vec[i])
+        for i in np.flatnonzero(np.abs(vec) > DROP_THRESHOLD)
+    }
+
+
+def conditioned_block_dict(ensemble, loss):
+    """Single-survivor block with each component's pairs and amplitudes read
+    back from its ``(n, m) -> amplitude`` map, then keyed, grouped and
+    scattered as in the package."""
+    sqrt_eta = math.sqrt(loss.eta)
+    rho = np.zeros((4, 4), dtype=complex)
+    for weight, comps in ensemble:
+        stride = max(comp.cutoff for comp in comps) + 1
+        keys, cols, amps = [], [], []
+        for s, comp in enumerate(comps):
+            nm = np.array(list(comp.amplitudes), dtype=np.int64).reshape(-1, 2)
+            c = np.fromiter(comp.amplitudes.values(), dtype=complex, count=len(nm))
+            for q in (0, 1):
+                hit = nm[:, q] >= 1
+                lost = nm[hit]
+                lost[:, q] -= 1
+                decay = np.power(loss.R, 0.5 * lost.sum(axis=1))
+                amps.append(c[hit] * np.sqrt(nm[hit, q]) * decay * sqrt_eta)
+                keys.append(lost[:, 0] * stride + lost[:, 1])
+                cols.append(np.full(len(lost), 2 * s + q))
+        patterns, rows = np.unique(np.concatenate(keys), return_inverse=True)
+        v = np.zeros((patterns.size, 4), dtype=complex)
+        v[rows, np.concatenate(cols)] = np.concatenate(amps)
+        rho += weight * (v.T @ v.conj())
+    return rho, float(np.trace(rho).real)
+
+
 # --------------------------------------------------------------------------
 # ladders
 # --------------------------------------------------------------------------
@@ -411,7 +500,7 @@ def injection_ensemble(p, gain, n_max):
     cutoff = Cutoff(n_max, ANY_TAIL)
     singlet = micro_macro_state_hv(gain, cutoff)
     vac = amplified_vacuum(gain, cutoff).normalized()
-    zero = TwoModeVector({}, n_max, HV)
+    zero = TwoModeVector.from_amplitudes({}, n_max, HV)
     return [
         (p, singlet.components),
         ((1.0 - p) / 2.0, (vac, zero)),
@@ -460,7 +549,7 @@ def test_conditioning_matches_loop_on_arbitrary_members(members, eta):
     ensemble = []
     for weight, first, second in members:
         norm = math.sqrt(sum(abs(a) ** 2 for a in [*first.values(), *second.values()])) or 1.0
-        comps = tuple(TwoModeVector({k: a / norm for k, a in c.items()}, 12, HV) for c in (first, second))
+        comps = tuple(TwoModeVector.from_amplitudes({k: a / norm for k, a in c.items()}, 12, HV) for c in (first, second))
         ensemble.append((weight, comps))
     assert_same_block(ensemble, LossParams(eta))
 
@@ -468,6 +557,60 @@ def test_conditioning_matches_loop_on_arbitrary_members(members, eta):
 def test_conditioning_matches_loop_at_the_largest_benchmark_cutoff():
     gain, loss = GainParams(4.0), LossParams(1e-3)
     assert_same_block(injection_ensemble(0.9995, gain, 35681), loss)
+
+
+def shuffled_vector(amplitudes, order, cutoff):
+    """Vector whose arrays list the map's entries in the given order."""
+    keys = list(amplitudes)
+    nm = np.array([keys[i] for i in order], dtype=np.int64).reshape(-1, 2)
+    amps = np.array([amplitudes[keys[i]] for i in order], dtype=complex)
+    return TwoModeVector(nm[:, 0], nm[:, 1], amps, cutoff, HV)
+
+
+@st.composite
+def normalized_maps(draw, cutoff=12):
+    """Up to 24 amplitudes on ``n + m <= cutoff`` with squared sum at most one."""
+    pairs = st.tuples(st.integers(0, cutoff), st.integers(0, cutoff)).filter(lambda nm: sum(nm) <= cutoff)
+    amps = draw(st.dictionaries(
+        pairs, st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), max_size=24,
+    ))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values())) or 1.0
+    return {k: a / norm for k, a in amps.items()}
+
+
+@st.composite
+def conditioning_ensembles(draw):
+    """Ensembles of three kinds: arbitrary supports stored in a random entry
+    order, the amplified singlet rotated into a random equatorial basis, and
+    the imperfect-injection ensemble."""
+    kind = draw(st.sampled_from(["shuffled", "rotated", "injection"]))
+    gain = GainParams(draw(gains))
+    n_max = draw(st.integers(1, 40))
+    if kind == "injection":
+        return injection_ensemble(draw(st.floats(0.0, 1.0)), gain, n_max)
+    if kind == "rotated":
+        phi = draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+        return [(1.0, micro_macro_state(phi, gain, Cutoff(n_max, ANY_TAIL)).components)]
+    ensemble = []
+    for _ in range(draw(st.integers(1, 3))):
+        weight = draw(st.floats(0.0, 1.0))
+        comps = []
+        for amps in (draw(normalized_maps()), draw(normalized_maps())):
+            order = draw(st.permutations(range(len(amps))))
+            comps.append(shuffled_vector({k: a / math.sqrt(2.0) for k, a in amps.items()}, order, 12))
+        ensemble.append((weight, tuple(comps)))
+    return ensemble
+
+
+@PROPERTY
+@given(conditioning_ensembles(), st.floats(1e-9, 1.0))
+@example(ensemble=injection_ensemble(0.7, GainParams(4.0), 41), eta=1.0)
+def test_conditioning_matches_dict_oracle(ensemble, eta):
+    loss = LossParams(eta)
+    rho, prob = _conditioned_block(ensemble, loss)
+    want_rho, want_prob = conditioned_block_dict(ensemble, loss)
+    assert np.max(np.abs(rho - want_rho)) <= 1e-13
+    assert abs(prob - want_prob) <= 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -529,7 +672,7 @@ def test_rotation_blocks_are_unitary_to_500_photons(transfer, total):
 def test_rotating_one_sector_builds_one_block(src, dst):
     # a state confined to the 500-photon sector needs its block alone; the
     # rotation is passive, so the norm survives
-    state = TwoModeVector({(300, 200): 1.0}, 500, src)
+    state = TwoModeVector.from_amplitudes({(300, 200): 1.0}, 500, src)
     misses = _sector_rotation.cache_info().misses
     rotated = rotate_basis(state, dst)
     assert _sector_rotation.cache_info().misses == misses + 1
@@ -700,3 +843,128 @@ def test_undersized_fringe_cutoff_reports_the_oracle_tail():
         fringe_from_population_matrix(0.0, gain, loss, 0, cutoff)
     assert got.value.tail_mass == pytest.approx(want.value.tail_mass, rel=1e-12, abs=0.0)
     assert got.value.tail_mass > 1e-3
+
+
+# --------------------------------------------------------------------------
+# vector storage
+# --------------------------------------------------------------------------
+
+@PROPERTY
+@given(normalized_maps(), st.integers(12, 16), st.data())
+def test_dense_round_trip_matches_dict_era(amps, cutoff, data):
+    order = data.draw(st.permutations(range(len(amps))))
+    vec = shuffled_vector(amps, order, cutoff)
+    space = fock_space(cutoff)
+    dense = vec.dense()
+    assert np.array_equal(dense, dense_from_map(amps, space))
+    bigger = fock_space(cutoff + 3)
+    assert np.array_equal(vec.dense(bigger), dense_from_map(amps, bigger))
+    back = TwoModeVector.from_dense(dense, cutoff, HV)
+    assert dict(back.amplitudes) == map_from_dense(dense, cutoff)
+    assert np.array_equal(back.dense(), dense_from_map(map_from_dense(dense, cutoff), space))
+
+
+@pytest.mark.parametrize(
+    "n, m, amps, message",
+    [
+        ([1, -1], [0, 1], [0.6, 0.6], r"index \(-1, 1\) outside cutoff 3"),
+        ([0, 1], [-2, 0], [0.6, 0.6], r"index \(0, -2\) outside cutoff 3"),
+        ([0, 2], [1, 2], [0.6, 0.6], r"index \(2, 2\) outside cutoff 3"),
+        ([2**62], [2**62], [0.6], r"index \(4611686018427387904, 4611686018427387904\) outside"),
+        ([0, 1], [0, 0], [0.8, 0.8], r"squared-amplitude sum 1\.28\d* exceeds 1"),
+        ([1, 0, 1], [0, 1, 0], [0.5, 0.5, 0.5], "repeated"),
+        ([2, 2], [1, 1], [0.5, 0.0], "repeated"),  # adjacent, one of them zero
+        ([0, 1], [0, 0], [0.5], "differ in length"),
+    ],
+    ids=["negative-n", "negative-m", "above-cutoff", "int64-overflow", "norm", "duplicate", "adjacent-duplicate", "length"],
+)
+def test_vector_validation_raises(n, m, amps, message):
+    with pytest.raises(ValueError, match=message):
+        TwoModeVector(np.array(n), np.array(m), np.array(amps), 3, HV)
+
+
+def test_vector_storage_is_a_read_only_copy():
+    n, m, amps = np.array([1, 0, 2]), np.array([0, 1, 0]), np.array([0.6, 0.0, 0.8j])
+    vec = TwoModeVector(n, m, amps, 3, HV)
+    amps[0] = 0.0
+    # the exact zero is left out; the rest keeps its order
+    assert vec.n.tolist() == [1, 2] and vec.m.tolist() == [0, 0]
+    assert vec.amps.tolist() == [0.6, 0.8j]
+    with pytest.raises(ValueError):
+        vec.amps[0] = 1.0
+    with pytest.raises(TypeError):
+        vec.amplitudes[(1, 0)] = 1.0
+    assert vec.amplitudes == {(1, 0): 0.6, (2, 0): 0.8j}
+
+
+@PROPERTY
+@given(normalized_maps(), normalized_maps())
+def test_vector_algebra_matches_dict_era(first, second):
+    a = TwoModeVector.from_amplitudes(first, 12, HV)
+    b = TwoModeVector.from_amplitudes(second, 12, HV)
+    want = sum(np.conj(v) * second.get(k, 0.0) for k, v in first.items())
+    assert abs(a.overlap(b) - want) <= 1e-15 * len(first)
+    norm = math.sqrt(sum(abs(v) ** 2 for v in first.values()))
+    assert abs(a.norm() - norm) <= 1e-15 * max(1, len(first))
+    photons = sum((n + m) * abs(v) ** 2 for (n, m), v in first.items())
+    assert abs(a.mean_total_photons() - photons) <= 1e-14 * max(1, len(first))
+
+
+# --------------------------------------------------------------------------
+# conditioning cutoff
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("g", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("eta", [1e-4, 1e-3, 1e-2])
+def test_conditioning_cutoff_matches_loop_on_benchmark_grid(g, eta):
+    gain, loss = GainParams(g), LossParams(eta)
+    assert conditioning_cutoff(gain, loss) == conditioning_cutoff_loop(gain, loss)
+
+
+@PROPERTY
+@given(st.floats(0.0, 4.5), st.floats(1e-5, 1.0))
+@example(g=0.0, eta=0.5)
+@example(g=1.0, eta=1.0)
+def test_conditioning_cutoff_matches_loop(g, eta):
+    # the loop stops on full - partial, whose rounding moves its stopping
+    # point by one pair (two photons) at cutoffs above about 20,000
+    gain, loss = GainParams(g), LossParams(eta)
+    got = conditioning_cutoff(gain, loss).n_max
+    assert abs(got - conditioning_cutoff_loop(gain, loss).n_max) <= 2
+
+
+@PROPERTY
+@given(st.floats(1e-6, 0.999), st.integers(0, 5000))
+def test_conditional_tail_fraction_matches_direct_sum(x, p):
+    # terms beyond p + count are below 1e-20 of the first
+    count = int(50.0 / -math.log(x)) + 2 * p + 10
+    q = np.arange(p, p + count, dtype=float)
+    want = math.fsum((q + 1.0) * (q + 2.0) * x**q) / (2.0 / (1.0 - x) ** 3)
+    assert _conditional_tail_fraction(p, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_conditioning_cutoff_raises_where_the_loop_does():
+    gain, loss = GainParams(10.0), LossParams(1e-9)
+    with pytest.raises(CutoffError, match="does not converge"):
+        conditioning_cutoff_loop(gain, loss)
+    with pytest.raises(CutoffError, match="does not converge"):
+        conditioning_cutoff(gain, loss)
+
+
+# --------------------------------------------------------------------------
+# binomial thinning kernel
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 60, 481])
+@pytest.mark.parametrize("eta", [0.0, 0.2, 0.37, 0.5, 0.9, 1.0])
+def test_thinning_kernel_matches_loop_bitwise(n_max, eta):
+    got = _binomial_thinning_kernel(n_max, eta)
+    want = binomial_kernel_loop(n_max, eta)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@PROPERTY
+@given(st.integers(1, 300), st.floats(0.0, 1.0))
+def test_thinning_kernel_matches_loop_bitwise_anywhere(n_max, eta):
+    got = _binomial_thinning_kernel.__wrapped__(n_max, eta)
+    assert np.array_equal(got.view(np.int64), binomial_kernel_loop(n_max, eta).view(np.int64))

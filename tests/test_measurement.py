@@ -145,20 +145,20 @@ class TestThresholdPOVM:
             threshold_povm(PM, -1, 8)
 
     def test_conclusive_plus_on_polarized_state(self):
-        state = TwoModeVector({(10, 0): 1.0}, 10, PM)
+        state = TwoModeVector.from_amplitudes({(10, 0): 1.0}, 10, PM)
         p_plus, p_minus, p_zero = ofilter_probabilities(state, PM, 5)
         assert p_plus == pytest.approx(1.0, abs=1e-12)
         assert p_minus == p_zero == 0.0
 
     def test_mostly_inconclusive_in_rotated_basis(self):
-        state = TwoModeVector({(10, 0): 1.0}, 10, PM)
+        state = TwoModeVector.from_amplitudes({(10, 0): 1.0}, 10, PM)
         p_plus, p_minus, p_zero = ofilter_probabilities(state, RL, 5)
         assert p_zero == pytest.approx(912.0 / 1024.0, abs=1e-12)
         assert p_plus == pytest.approx(56.0 / 1024.0, abs=1e-12)
         assert p_minus == pytest.approx(56.0 / 1024.0, abs=1e-12)
 
     def test_vacuum_always_inconclusive(self):
-        vac = TwoModeVector({(0, 0): 1.0}, 4, PM)
+        vac = TwoModeVector.from_amplitudes({(0, 0): 1.0}, 4, PM)
         for k in (1, 3):
             assert ofilter_probabilities(vac, RL, k)[2] == pytest.approx(1.0)
 
@@ -188,7 +188,7 @@ class TestThresholdPOVM:
     def test_basis_dependent_filtering(self):
         # conclusive in the aligned basis for every k < n, binomial-tail
         # suppressed in the rotated basis
-        state = TwoModeVector({(10, 0): 1.0}, 10, PM)
+        state = TwoModeVector.from_amplitudes({(10, 0): 1.0}, 10, PM)
         for k in range(10):
             p_plus, _, _ = ofilter_probabilities(state, PM, k)
             assert p_plus == pytest.approx(1.0, abs=1e-12)
@@ -264,7 +264,7 @@ def test_parity_expectation_decays_with_loss():
 
 class TestMultiDetector:
     def test_vacuum_inconclusive(self):
-        vac = TwoModeVector({(0, 0): 1.0}, 4, PM)
+        vac = TwoModeVector.from_amplitudes({(0, 0): 1.0}, 4, PM)
         assert multi_detector_probabilities(vac, PM, 4) == (0.0, 0.0, 1.0)
 
     def test_all_click_probability_counts_surjections(self):
@@ -279,13 +279,13 @@ class TestMultiDetector:
         )
 
     def test_perfectly_polarized_coincidence(self):
-        state = TwoModeVector({(4, 0): 1.0}, 4, PM)
+        state = TwoModeVector.from_amplitudes({(4, 0): 1.0}, 4, PM)
         p_plus, p_minus, p_zero = multi_detector_probabilities(state, PM, 4)
         assert p_plus == pytest.approx(math.factorial(4) / 4**4, abs=1e-12)
         assert p_minus == 0.0
 
     def test_double_coincidences_are_inconclusive(self):
-        state = TwoModeVector({(4, 4): 1.0}, 8, PM)
+        state = TwoModeVector.from_amplitudes({(4, 4): 1.0}, 8, PM)
         p_plus, p_minus, p_zero = multi_detector_probabilities(state, PM, 4)
         both = all_detectors_click_probability(np.array([4]), 4)[0] ** 2
         assert p_plus == p_minus
@@ -298,14 +298,14 @@ class TestMultiDetector:
         md, of = [], []
         for n in range(13):
             for m in range(13 - n):
-                state = TwoModeVector({(n, m): 1.0}, 12, PM)
+                state = TwoModeVector.from_amplitudes({(n, m): 1.0}, 12, PM)
                 md.append(multi_detector_probabilities(state, PM, 4)[0])
                 of.append(ofilter_probabilities(state, PM, 4)[0])
         corr = np.corrcoef(md, of)[0, 1]
         assert corr > 0.5
 
     def test_detector_count_validation(self):
-        state = TwoModeVector({(1, 0): 1.0}, 2, PM)
+        state = TwoModeVector.from_amplitudes({(1, 0): 1.0}, 2, PM)
         with pytest.raises(ValueError):
             multi_detector_probabilities(state, PM, 0)
 
