@@ -5,7 +5,11 @@ modes through the Kraus family ``K_{pq}``, where ``K_{pq}`` removes ``p``
 photons from the first mode and ``q`` from the second with amplitude
 ``sqrt(C(n,p) C(m,q)) (1-eta)^{(p+q)/2} eta^{(n+m-p-q)/2}``.  On a joint
 micro-macro state the channel acts on the amplified arm only; the micro arm
-is lossless.
+is lossless.  Each Kraus amplitude is a product ``k_p(n) k_q(m)`` of
+single-mode amplitudes whose squares form the binomial thinning kernel.
+The reporting paths (the fringe and the lossy witnesses) work with that
+single-mode kernel and its square roots; the two-mode Kraus images here
+serve the general :func:`lossy_channel`.
 
 The highly attenuated regime is the exact conditioning of the lossy state on
 one surviving photon in the amplified arm, which yields a two-qubit density
@@ -179,14 +183,6 @@ def _kraus_coefficients(n_max: int, eta: float):
     return indptr, dst, src, data, d
 
 
-def _kraus_images(state: TwoModeVector | MicroMacroState, loss: LossParams) -> list[sp.csr_matrix]:
-    """Sparse Kraus images of a pure state, one per micro component (one for
-    a two-mode vector): ``Q_s[k, f] = <f|K_k|psi_s>``."""
-    indptr, dst, src, data, d = _kraus_coefficients(state.cutoff, loss.eta)
-    vectors = np.atleast_2d(state.dense())
-    return [sp.csr_matrix((data * v[src], dst, indptr), shape=(d, d)) for v in vectors]
-
-
 def loss_kraus_images(
     state: TwoModeVector | MicroMacroState, loss: LossParams
 ) -> np.ndarray:
@@ -196,7 +192,12 @@ def loss_kraus_images(
     a joint state (loss on the amplified arm only).  The lossy density
     operator is the sum over rows of their outer products.
     """
-    images = np.stack([q.toarray() for q in _kraus_images(state, loss)], axis=1)
+    indptr, dst, src, data, d = _kraus_coefficients(state.cutoff, loss.eta)
+    # Q_s[k, f] = <f|K_k|psi_s>, one per micro component
+    images = np.stack([
+        sp.csr_matrix((data * v[src], dst, indptr), shape=(d, d)).toarray()
+        for v in np.atleast_2d(state.dense())
+    ], axis=1)
     return images if isinstance(state, MicroMacroState) else images[:, 0]
 
 

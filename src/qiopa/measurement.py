@@ -44,6 +44,7 @@ from .amplifier import (
 from .channels import LossParams
 from .fock import (
     Cutoff,
+    CutoffError,
     DensityOperator,
     PolarizationBasis,
     TwoModeVector,
@@ -231,7 +232,13 @@ def ofilter_probabilities(
 
 @lru_cache(maxsize=32)
 def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
-    """Column-stochastic matrix ``K[a, n] = C(n, a) eta^a (1-eta)^(n-a)``."""
+    """Column-stochastic matrix ``K[a, n] = C(n, a) eta^a (1-eta)^(n-a)``.
+
+    ``C(n, a)`` overflows above ``n`` of about 1030, before the powers scale
+    it down; entries with ``log C(n, a) > 700`` are therefore taken whole in
+    the log domain.  They have ``0 < a < n``, so no ``0 * log 0`` arises and
+    the ``eta = 0`` and ``eta = 1`` edges stay exact.
+    """
     size = n_max + 1
     log_fact = np.array([math.lgamma(k + 1) for k in range(size)])
     kernel = np.zeros((size, size))
@@ -239,7 +246,16 @@ def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
     kept, lost = np.power(eta, counts), np.power(1.0 - eta, counts)
     a, n = np.triu_indices(size)  # the entries with a <= n
     lag = n - a
-    kernel[a, n] = np.exp(log_fact[n] - log_fact[a] - log_fact[lag]) * kept[a] * lost[lag]
+    entries = log_fact[n] - log_fact[a] - log_fact[lag]  # log C(n, a)
+    big = np.flatnonzero(entries > 700.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logged = np.exp(entries[big] + a[big] * np.log(eta) + lag[big] * np.log1p(-eta))
+        # in place, so that the build holds one table of entries at a time
+        np.exp(entries, out=entries)
+        entries *= kept[a]
+        entries *= lost[lag]
+    entries[big] = logged
+    kernel[a, n] = entries
     kernel.setflags(write=False)
     return kernel
 
@@ -292,7 +308,16 @@ def lossy_fringe_probabilities(
     even *= a
     p_plus = float(np.einsum("si,si->", even[:span], above[k + 1 :])) / mass
     p_minus = float(np.einsum("si,si->", even[k + 1 :], below[:span])) / mass
+    _checked_finite((p_plus, p_minus), gain, loss, n_max)
     return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
+
+
+def _checked_finite(values, gain: GainParams, loss: LossParams, n_max: int) -> None:
+    """Raise :class:`CutoffError` if a reported probability is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise CutoffError(
+            f"non-finite probability at cutoff {n_max}, g={gain.g}, eta={loss.eta}"
+        )
 
 
 def visibility_ratio(p_plus: float, p_minus: float, loss: LossParams, k: int) -> float:

@@ -8,6 +8,12 @@ a class of separable states and is only a witness under a supplementary
 assumption on the source.  The assumption-free bound for dichotomic
 measurements is ``sqrt(3)``, attained by Bloch vectors along the main
 diagonals; the spin (Stokes) criterion bounds separable states at zero.
+
+The lossy tests never form the lossy state.  The pseudo-Pauli terms are
+differences of lossy fidelities between the two amplified seeds of each
+axis, sums over the single-mode loss amplitudes ``k_p(n)`` on the exact
+truncation triangle; the threshold-filter terms thin the signed axis-basis
+populations binomially; the spin terms scale by ``eta``.
 """
 
 from __future__ import annotations
@@ -17,9 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplifier import GainParams, MicroMacroState
-from .channels import LossParams, _kraus_images
+from .amplifier import (
+    GainParams,
+    MicroMacroState,
+    _checked_tail,
+    _macro_mode_populations,
+    seed_pair_amplitude,
+)
+from .channels import LossParams
 from .fock import (
+    Cutoff,
     DensityOperator,
     PolarizationBasis,
     TwoModeVector,
@@ -31,6 +44,7 @@ from .fock import (
 from .measurement import (
     PseudoPauliOperator,
     _binomial_thinning_kernel,
+    _checked_finite,
     pauli_matrix,
     sigma_operator,
     stokes_terms,
@@ -164,30 +178,90 @@ def micro_macro_sigma_witness(
     )
 
 
-def sigma_witness_lossy(
-    state: MicroMacroState, loss: LossParams
-) -> WitnessReport:
-    """Pseudo-Pauli test after loss on the macro arm of a pure joint state.
+def _shifted(x: np.ndarray) -> np.ndarray:
+    """Square matrix ``S[p, n] = x[n - p]``, zero where ``n < p``."""
+    lag = np.arange(x.size) - np.arange(x.size)[:, None]
+    return np.where(lag >= 0, x[np.maximum(lag, 0)], 0.0)
 
-    Evaluates ``Tr[(I x L)(|psi><psi|) (sigma_i x Sigma_i)]`` from the
-    overlaps ``<v|K_k|psi_s>`` of the sparse Kraus images of both micro
-    components with the six pseudo-Pauli vectors ``v``, forming no density
-    matrix and no dense image; agrees with applying
-    :func:`~qiopa.channels.lossy_channel`, then :func:`micro_macro_sigma_witness`.
+
+def _loss_amplitudes(n_max: int, eta: float) -> np.ndarray:
+    """Single-mode loss amplitudes ``k[p, n] = sqrt(C(n,p) (1-eta)^p eta^(n-p))``
+    of losing ``p`` of ``n`` photons, the square roots of the thinning kernel."""
+    amp = np.sqrt(_binomial_thinning_kernel(n_max, eta))
+    a, n = np.triu_indices(n_max + 1)
+    k = np.zeros_like(amp)
+    k[n - a, n] = amp[a, n]
+    return k
+
+
+def _ladder_fidelities(c: np.ndarray, k: np.ndarray) -> tuple[float, float]:
+    """``F(H|H) = sum_p (sum_n c_{n-p} c_n k_p(n+1) k_p(n))^2`` and
+    ``F(V|H) = sum_q (sum_n c_{n-1-q} c_n k_{q+2}(n+1) k_q(n))^2`` of the pair
+    ladders ``sum c_n |n+1, n>`` (H) and ``sum c_n |n, n+1>`` (V)."""
+    size = c.size
+    below = _shifted(c)  # c_{n-p}
+    same = np.einsum("pn,n,pn,pn->p", below, c, k[:size, 1 : size + 1], k[:size, :size])
+    # summed over n - 1, so that below[q, n - 1] = c_{n-1-q}
+    cross = np.einsum(
+        "qn,n,qn,qn->q",
+        below[:-1, :-1], c[1:], k[2 : size + 1, 2 : size + 1], k[: size - 1, 1:size],
+    )
+    return float(same @ same), float(cross @ cross)
+
+
+def _product_fidelity(bra, ket, k: np.ndarray) -> float:
+    """``sum_pq |M[p, q]|^2`` with ``M[p, q] = <x y| K_p x K_q |s t>`` for
+    product states ``bra = (x, y)``, ``ket = (s, t)`` (single-mode amplitudes
+    by photon count) kept on the triangle ``n + m <= N``:
+    ``M[p, q] = sum_n f_p(n) G_q(N - n)``, ``f_p(n) = x(n-p) s(n) k_p(n)``,
+    ``G_q`` the cumulative sum of ``y(m-q) t(m) k_q(m)``."""
+    (x, y), (s, t) = bra, ket
+    f = _shifted(x) * s * k
+    g = np.cumsum(_shifted(y) * t * k, axis=1)
+    m = f @ g[:, ::-1].T
+    return float(np.sum(m * m))
+
+
+def sigma_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> WitnessReport:
+    """Pseudo-Pauli test of the amplified singlet after loss on the macro arm.
+
+    Each term is a difference of lossy fidelities between the normalized
+    truncated seeds ``A_0``, ``A_1`` of the axis, ``term_j = F(0|1) - F(0|0)``
+    with ``F(a|b) = <A_a| L(|A_b><A_b|) |A_a>``, exact on the truncated
+    state of :func:`qiopa.amplifier.micro_macro_state`, whose tail gate it
+    shares.  Axis 1 pairs the (H, V) ladders; on axes 2 and 3, which give
+    one value, both seeds are products over the two modes.  No state, Kraus
+    image or rotation is formed; the derivation is in ``notes/decisions.md``.
     """
-    ops = [sigma_operator(axis, state.gain, state.cutoff, basis=state.basis) for axis in (1, 2, 3)]
-    vectors = np.stack([v for op in ops for v in (op.plus_vector, op.minus_vector)], axis=1)
-    x = np.stack([q @ vectors.conj() for q in _kraus_images(state, loss)])
-    sigs = np.repeat([pauli_matrix(axis, state.basis) for axis in (1, 2, 3)], 2, axis=0)
-    corr = np.einsum("skj,jst,tkj->j", x.conj(), sigs, x).real
-    terms = [float(t) for t in corr[0::2] - corr[1::2]]
+    n_max = cutoff.n_max
+    c = seed_pair_amplitude(np.arange((n_max - 1) // 2 + 1), gain)
+    mass = float(np.sum(c**2))
+    _checked_tail(mass, gain, cutoff)
+    k = _loss_amplitudes(n_max, loss.eta)
+    same, cross = _ladder_fidelities(c, k)
+    term_1 = (cross - same) / mass**2
+    # equatorial(0) seed |A_0> = sum u_i v_j |2i+1, 2j>; equatorial(pi) is
+    # equatorial(0) with the modes exchanged, and its seed is
+    # |A_1> = sum (-1)^(i+j) u_i v_j |2j, 2i+1>
+    a, b = _macro_mode_populations(gain, n_max)
+    eq_mass = float(a @ np.cumsum(b)[::-1])
+    u, v = np.sqrt(a), np.sqrt(b) * (-1.0) ** np.arange(b.size)
+    parity = (-1.0) ** np.arange(a.size)
+    odd, even, odd_1, even_1 = np.zeros((4, n_max + 1))
+    odd[1 : 2 * u.size : 2], even[: 2 * v.size : 2] = u, v
+    odd_1[1 : 2 * u.size : 2], even_1[: 2 * v.size : 2] = parity * u, parity * v
+    seed_0, seed_1 = (odd, even), (even_1, odd_1)
+    cross_eq, same_eq = (_product_fidelity(seed_0, seed, k) for seed in (seed_1, seed_0))
+    term_23 = (cross_eq - same_eq) / eq_mass**2
+    terms = (term_1, term_23, term_23)
+    _checked_finite(terms, gain, loss, n_max)
     value = sum(abs(t) for t in terms)
     return WitnessReport(
         value,
         SEPARABLE_BOUND,
-        tuple(terms),
+        terms,
         "micro-macro-sigma",
-        {"g": state.gain.g, "eta": loss.eta, "cutoff": state.cutoff},
+        {"g": gain.g, "eta": loss.eta, "cutoff": n_max},
     )
 
 

@@ -31,7 +31,6 @@ from qiopa import (
     generalized_dichotomic_bound,
     lossy_channel,
     macro_qubit,
-    micro_macro_state,
     micro_macro_state_hv,
     ofilter_witness,
     pauli_matrix,
@@ -162,18 +161,18 @@ def test_criterion_3_witness_fragility():
     ok = True
     for g_val in (0.0, 0.3, 0.6, 0.9, 1.2, 1.5):
         gain = GainParams(g_val)
-        state = micro_macro_state(0.0, gain, Cutoff(30, 0.5))
-        s_top = sigma_witness_lossy(state, LossParams(1.0)).value
+        cutoff = Cutoff(30, 0.5)
+        s_top = sigma_witness_lossy(gain, LossParams(1.0), cutoff).value
         ok &= abs(s_top - 3.0) < 1e-6
         values = [
-            sigma_witness_lossy(state, LossParams(eta)).value
+            sigma_witness_lossy(gain, LossParams(eta), cutoff).value
             for eta in np.linspace(1.0, 0.0, 21)
         ]
         ok &= all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
         lo, hi = 0.0, 1.0
         for _ in range(50):
             mid = 0.5 * (lo + hi)
-            if sigma_witness_lossy(state, LossParams(mid)).value < target:
+            if sigma_witness_lossy(gain, LossParams(mid), cutoff).value < target:
                 lo = mid
             else:
                 hi = mid
@@ -185,6 +184,45 @@ def test_criterion_3_witness_fragility():
     ok &= elapsed < 300.0
     report(
         "criterion 3 (witness fragility)",
+        ok,
+        "; ".join(details) + f"; {elapsed:.1f}s (target < 300s)",
+    )
+    assert ok
+
+
+def test_criterion_3_witness_fragility_converged():
+    """Criterion 3 at converged cutoffs: each gain runs at
+    ``required_cutoff(gain, 1e-12)`` instead of the fixed cutoff 30, which
+    drops 19 % of the state's mass at g = 1.5 and puts the crossing there at
+    R<n> = 0.90 instead of the converged 0.67."""
+    start = time.time()
+    details = []
+    ok = True
+    for g_val in (0.0, 0.3, 0.6, 0.9, 1.2, 1.5):
+        gain = GainParams(g_val)
+        cutoff = Cutoff(required_cutoff(gain, 1e-12), 1e-12)
+
+        def s(eta):
+            return sigma_witness_lossy(gain, LossParams(eta), cutoff).value
+
+        s_top = s(1.0)
+        ok &= abs(s_top - 3.0) < 1e-6
+        values = [s(eta) for eta in np.linspace(1.0, 0.0, 21)]
+        ok &= all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+        lo, hi = 0.0, 1.0
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if s(mid) < DICHOTOMIC_BOUND else (lo, mid)
+        lost = (1.0 - 0.5 * (lo + hi)) * gain.mean_photon_number
+        ok &= 0.3 <= lost <= 3.0
+        details.append(
+            f"g={g_val} (cutoff {cutoff.n_max}): S(1)={s_top:.8f}, "
+            f"R<n> at sqrt3 = {lost:.2f}"
+        )
+    elapsed = time.time() - start
+    ok &= elapsed < 300.0
+    report(
+        "criterion 3, converged cutoffs (witness fragility)",
         ok,
         "; ".join(details) + f"; {elapsed:.1f}s (target < 300s)",
     )

@@ -126,6 +126,25 @@ class TestPlumbing:
         assert code == EXIT_NUMERIC
         assert "inconclusive" in err
 
+    @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma"])
+    def test_non_finite_probability_exits_3(self, experiment, monkeypatch, capsys):
+        import qiopa.measurement
+        import qiopa.witnesses
+
+        kernel = qiopa.measurement._binomial_thinning_kernel
+
+        def poisoned(n_max, eta):
+            out = kernel(n_max, eta).copy()
+            out[:, 1] = np.nan
+            return out
+
+        for module in (qiopa.measurement, qiopa.witnesses):
+            monkeypatch.setattr(module, "_binomial_thinning_kernel", poisoned)
+        code, out, err = run_cli([experiment, "--g", "0.5", "--eta", "0.5"], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "non-finite" in err
+
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["teleportation"]) == EXIT_CONFIG
 
@@ -162,6 +181,15 @@ class TestExperiments:
         etas = column(out, "eta")
         rs = column(out, "R")
         assert all(e + r == pytest.approx(1.0) for e, r in zip(etas, rs))
+
+    def test_visibility_finite_where_binomials_overflow(self, capsys):
+        # cutoff 1189: C(n, a) alone overflows a float above n of about 1030
+        code, out, _ = run_cli(["visibility", "--g", "2.3", "--k", "0"], capsys)
+        assert code == EXIT_OK
+        for name in ("P_plus", "P_minus", "P_zero", "V"):
+            assert np.all(np.isfinite(column(out, name)))
+        v = dict(zip(column(out, "R"), column(out, "V")))[0.1]
+        assert abs(v - 0.640570589792) < 1e-9
 
     def test_witness_sigma_curves_ordered_in_gain(self, capsys):
         code, out, _ = run_cli(

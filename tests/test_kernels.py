@@ -9,8 +9,9 @@ binomial expansion of a sector rotation, against the exponentiated
 Schwinger generator that the package uses; the singlet built directly
 from its equatorial ladders, against the rotated (H, V) construction; and
 the lossy pseudo-Pauli and threshold-filter terms contracted from dense
-Kraus images, built one Kraus operator and source state at a time, against
-the sparse overlaps and thinned populations the package uses; the lossy
+Kraus images, built one Kraus operator and source state at a time, and the
+pseudo-Pauli terms contracted from the package's Kraus images, against the
+lossy fidelities and thinned populations the package uses; the lossy
 fringe thinned as a dense population matrix, against the contraction of the
 two single-mode factors; the loss table built per Kraus operator from
 lists, against the preallocated sector-by-sector fill; the binomial
@@ -251,6 +252,19 @@ def sigma_terms_from_images(state, images):
             - projected_correlation(op.minus_vector, sig)
         )
     return terms
+
+
+def sigma_terms_from_kraus_images(state, loss):
+    """Lossy pseudo-Pauli terms from the overlaps ``<v|K_k|psi_s>`` of the
+    Kraus images of both micro components with the six pseudo-Pauli vectors
+    ``v``, in the state's basis (the package's route before the lossy
+    fidelities)."""
+    ops = [sigma_operator(axis, state.gain, state.cutoff, basis=state.basis) for axis in (1, 2, 3)]
+    vectors = np.stack([v for op in ops for v in (op.plus_vector, op.minus_vector)], axis=1)
+    x = np.einsum("ksd,dj->skj", loss_kraus_images(state, loss), vectors.conj())
+    sigs = np.repeat([pauli_matrix(axis, state.basis) for axis in (1, 2, 3)], 2, axis=0)
+    corr = np.einsum("skj,jst,tkj->j", x.conj(), sigs, x).real
+    return corr[0::2] - corr[1::2]
 
 
 def ofilter_terms_from_images(state, images, k):
@@ -721,9 +735,44 @@ PM_SINGLET = micro_macro_state(0.0, GainParams(1.2), Cutoff(12, 0.5))
 def test_lossy_sigma_terms_match_dense_images(state, eta):
     images = kraus_images_loop(state, eta)
     want = sigma_terms_from_images(state, images)
-    got = sigma_witness_lossy(state, LossParams(eta)).terms
+    got = sigma_witness_lossy(state.gain, LossParams(eta), Cutoff(state.cutoff, 0.5)).terms
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
     assert np.max(np.abs(loss_kraus_images(state, LossParams(eta)) - images)) < 1e-14
+
+
+@PROPERTY
+@given(
+    gains,
+    st.integers(1, 24),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+@example(g=1.5, n_max=24, phi=0.0, eta=0.4137)
+@example(g=0.0, n_max=1, phi=0.0, eta=0.0)
+def test_lossy_sigma_fidelities_match_kraus_images(g, n_max, phi, eta):
+    # the lossy-fidelity route against the contraction of Kraus images with
+    # the rotated pseudo-Pauli vectors, on both cutoff parities
+    cutoff = Cutoff(n_max, ANY_TAIL)
+    gain, loss = GainParams(g), LossParams(eta)
+    want = sigma_terms_from_kraus_images(micro_macro_state(phi, gain, cutoff), loss)
+    got = sigma_witness_lossy(gain, loss, cutoff).terms
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    assert got[1] == got[2]
+
+
+@PROPERTY
+@given(gains, st.integers(1, 60), st.floats(1e-12, 0.99))
+@example(g=1.5, n_max=30, tail=0.5)
+def test_lossy_sigma_tail_gate_matches_state_gate(g, n_max, tail):
+    gain, cutoff = GainParams(g), Cutoff(n_max, tail)
+    try:
+        micro_macro_state(0.0, gain, cutoff)
+    except CutoffError as exc:
+        with pytest.raises(CutoffError) as caught:
+            sigma_witness_lossy(gain, LossParams(0.5), cutoff)
+        assert caught.value.tail_mass == exc.tail_mass
+    else:
+        sigma_witness_lossy(gain, LossParams(0.5), cutoff)
 
 
 @PROPERTY
@@ -740,7 +789,7 @@ def test_lossy_witness_terms_match_dense_images_at_cutoff_40():
     state = micro_macro_state(0.0, GainParams(1.2), Cutoff(40, 0.5))
     loss = LossParams(0.5417)
     images = kraus_images_loop(state, loss.eta)
-    got = sigma_witness_lossy(state, loss).terms
+    got = sigma_witness_lossy(state.gain, loss, Cutoff(40, 0.5)).terms
     assert np.max(np.abs(np.subtract(got, sigma_terms_from_images(state, images)))) < 1e-12
     for k in (0, 2):
         got = ofilter_witness_lossy(state, loss, k).terms

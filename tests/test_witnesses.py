@@ -85,25 +85,26 @@ class TestSigmaWitness:
     def test_zero_gain_linear_decay(self):
         # vacuum contributes nothing to any term, so S falls linearly in eta
         gain = GainParams(0.0)
-        state = micro_macro_state(0.0, gain, Cutoff(4, 0.5))
+        cutoff = Cutoff(4, 0.5)
         for eta in (0.9, 0.5, 0.2, 0.0):
-            rep = sigma_witness_lossy(state, LossParams(eta))
+            rep = sigma_witness_lossy(gain, LossParams(eta), cutoff)
             assert rep.value == pytest.approx(3.0 * eta, abs=1e-12)
 
     def test_monotone_under_loss(self):
         gain = GainParams(0.9)
-        state = micro_macro_state(0.0, gain, Cutoff(24, 0.5))
+        cutoff = Cutoff(24, 0.5)
         values = [
-            sigma_witness_lossy(state, LossParams(eta)).value
+            sigma_witness_lossy(gain, LossParams(eta), cutoff).value
             for eta in np.linspace(1.0, 0.0, 11)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_fast_path_matches_density_route(self):
         gain = GainParams(0.9)
-        state = micro_macro_state(0.0, gain, Cutoff(18, 0.5))
+        cutoff = Cutoff(18, 0.5)
+        state = micro_macro_state(0.0, gain, cutoff)
         for eta in (1.0, 0.7, 0.3):
-            fast = sigma_witness_lossy(state, LossParams(eta))
+            fast = sigma_witness_lossy(gain, LossParams(eta), cutoff)
             slow = micro_macro_sigma_witness(lossy_channel(state, LossParams(eta)), gain)
             assert fast.value == pytest.approx(slow.value, abs=1e-12)
             for a, b in zip(fast.terms, slow.terms):
@@ -111,9 +112,9 @@ class TestSigmaWitness:
 
     def test_falls_below_dichotomic_bound_near_one_lost_photon(self):
         gain = GainParams(1.5)
-        state = micro_macro_state(0.0, gain, Cutoff(30, 0.5))
-        lo = sigma_witness_lossy(state, LossParams(0.90)).value
-        hi = sigma_witness_lossy(state, LossParams(0.99)).value
+        cutoff = Cutoff(30, 0.5)
+        lo = sigma_witness_lossy(gain, LossParams(0.90), cutoff).value
+        hi = sigma_witness_lossy(gain, LossParams(0.99), cutoff).value
         assert lo < DICHOTOMIC_BOUND < hi
         # crossing sits where the expected number of lost photons is order one
         r_cross = 1.0 - 0.95
