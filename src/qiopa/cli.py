@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .amplifier import GainParams, micro_macro_state, micro_macro_state_hv, required_cutoff
+from .amplifier import GainParams, micro_macro_state_hv, required_cutoff
 from .channels import InjectionParams, LossParams, attenuated_state_with_injection
 from .fock import (
     ConditioningError,
@@ -52,10 +52,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# No longer a memory bound: at N = 80 `witness-sigma` peaks at 54 MB RSS and
-# `witness-ofilter` (rotated state, dense thinning kernel) at 61 MB, against
-# 52 MB after import. It stays until the witness sweeps choose their cutoffs
-# from a tail tolerance.
+# No longer a memory bound: at N = 80 `witness-sigma` and `witness-ofilter`
+# both peak at 54 MB RSS, against 52 MB after import. It stays until the
+# witness sweeps choose their cutoffs from a tail tolerance.
 _WITNESS_CUTOFF_LIMIT = 80
 
 _NUMERIC_FAILURES = (CutoffError, UndefinedVisibilityError, ConditioningError)
@@ -196,10 +195,7 @@ def _witness_cutoff(values: dict, default_n: int, default_tail: float) -> Cutoff
     if n_max is None:
         n_max = default_n
     if n_max > _WITNESS_CUTOFF_LIMIT:
-        raise ConfigError(
-            f"witness sweeps support cutoff <= {_WITNESS_CUTOFF_LIMIT}; "
-            f"{n_max} would not fit in memory"
-        )
+        raise ConfigError(f"witness sweeps support cutoff <= {_WITNESS_CUTOFF_LIMIT}, got {n_max}")
     return Cutoff(n_max, tail)
 
 
@@ -256,12 +252,11 @@ def _run_witness_ofilter(cfg: RunConfig):
     rows = []
     for g in _gain_grid(values):
         gain = GainParams(g)
-        state = micro_macro_state(0.0, gain, cutoff)
         for k in _ints(values, "k"):
             if k < 0:
                 raise ConfigError("threshold k must be non-negative")
             for eta in etas:
-                rep = ofilter_witness_lossy(state, LossParams(eta), k)
+                rep = ofilter_witness_lossy(gain, LossParams(eta), k, cutoff)
                 rows.append(
                     (1.0 - eta, eta, g, k, cutoff.n_max)
                     + tuple(rep.terms)

@@ -10,8 +10,8 @@ Four measurement families are implemented:
   inconclusive 0 otherwise, and the fringe visibility it gives on the lossy
   macro-qubit.  Loss acts there as binomial thinning of each mode, and in
   the seed's own basis its populations are a product of two single-mode
-  distributions kept on the exact truncation triangle, so the fringe is one
-  O(n_max^2) contraction with no population matrix;
+  distributions on the exact truncation triangle: the fringe and the lossy
+  threshold-filter terms are O(n_max^2) contractions with no population matrix;
 * a multi-detector coincidence scheme with non-number-resolving clicks;
 * quantum Stokes operators (per-basis photon-number differences) and the
   total photon number.  Each Stokes operator is the sparse Schwinger map
@@ -291,25 +291,34 @@ def lossy_fringe_probabilities(
     # reversed cumsum: sum_{j <= k_max - i} b_j, the even mode under the triangle
     mass = float(a @ np.cumsum(b)[::-1])
     _checked_tail(mass, gain, cutoff)
-    # P(r - s > k) pairs s with r >= s + k + 1, P(s - r > k) with r <= s - k - 1
-    span = n_max - k
-    if span <= 0:
-        return 0.0, 0.0, 1.0
-    kernel = _binomial_thinning_kernel(n_max, loss.eta)
-    odd = kernel[:, 1::2]
-    # below[r, i] = P(thin(2i+1) <= r) = 1 - U[r+1, i], summed from the low
-    # end so that small probabilities keep their relative precision
-    below = np.cumsum(odd, axis=0)
-    above = np.cumsum(odd[::-1], axis=0)[::-1]  # U
+    p_plus, p_minus = (p / mass for p in _fringe_imbalance(a, b, loss.eta, k, n_max))
+    _checked_finite((p_plus, p_minus), gain, loss, n_max)
+    return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
+
+
+def _fringe_imbalance(a, b, eta: float, k: int, n_max: int) -> tuple[float, float]:
+    """Unnormalized ``(P+, P-)`` of the fringe, without the tail gate."""
+    kernel = _binomial_thinning_kernel(n_max, eta)
     # T[s, i], built in place: a fresh large temporary costs about a pass over it
     even = np.multiply(kernel[:, 0 : 2 * a.size : 2], b)
     np.cumsum(even, axis=1, out=even)
     even = even[:, ::-1]
     even *= a
-    p_plus = float(np.einsum("si,si->", even[:span], above[k + 1 :])) / mass
-    p_minus = float(np.einsum("si,si->", even[k + 1 :], below[:span])) / mass
-    _checked_finite((p_plus, p_minus), gain, loss, n_max)
-    return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
+    return _thinned_imbalance(kernel[:, 1::2], even, k)
+
+
+def _thinned_imbalance(seeded: np.ndarray, other: np.ndarray, k: int) -> tuple[float, float]:
+    """The fringe's ``(P+, P-)`` from ``T = other`` and the tails ``U`` of the
+    columns of ``seeded``, unnormalized; rows are thinned counts ``0 .. n_max``."""
+    # P+ pairs s with r >= s + k + 1, P- with r <= s - k - 1; none if k >= n_max
+    span = max(seeded.shape[0] - 1 - k, 0)
+    # below[r, i] = 1 - U[r+1, i], summed from the low end so that small
+    # probabilities keep their relative precision
+    below = np.cumsum(seeded, axis=0)
+    above = np.cumsum(seeded[::-1], axis=0)[::-1]  # U
+    p_plus = float(np.einsum("si,si->", other[:span], above[k + 1 :]))
+    p_minus = float(np.einsum("si,si->", other[k + 1 :], below[:span]))
+    return p_plus, p_minus
 
 
 def _checked_finite(values, gain: GainParams, loss: LossParams, n_max: int) -> None:

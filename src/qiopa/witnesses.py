@@ -12,8 +12,8 @@ diagonals; the spin (Stokes) criterion bounds separable states at zero.
 The lossy tests never form the lossy state.  The pseudo-Pauli terms are
 differences of lossy fidelities between the two amplified seeds of each
 axis, sums over the single-mode loss amplitudes ``k_p(n)`` on the exact
-truncation triangle; the threshold-filter terms thin the signed axis-basis
-populations binomially; the spin terms scale by ``eta``.
+truncation triangle; the threshold-filter terms are the imbalance
+``P- - P+`` of one thinned seed; the spin terms scale by ``eta``.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from .fock import (
     TwoModeVector,
     fock_space,
     rotate_basis,
-    rotate_dense,
-    transfer_matrix,
 )
 from .measurement import (
     PseudoPauliOperator,
     _binomial_thinning_kernel,
     _checked_finite,
+    _fringe_imbalance,
+    _thinned_imbalance,
     pauli_matrix,
     sigma_operator,
     stokes_terms,
@@ -305,35 +305,31 @@ def ofilter_witness(
 
 
 def ofilter_witness_lossy(
-    state: MicroMacroState, loss: LossParams, k: int
+    gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff
 ) -> WitnessReport:
-    """Threshold-filter test after loss on the macro arm of a pure state.
-
-    The filter is diagonal in each axis basis, and equal-transmittivity loss
-    is phase covariant and commutes with passive rotations, so each term is
-    the binomial thinning (as in the fringe) of the lossless state's signed
-    axis-basis populations ``|psi'_0|^2 - |psi'_1|^2``.
-    """
-    space = fock_space(state.cutoff)
-    kernel = _binomial_thinning_kernel(state.cutoff, loss.eta)
-    terms = []
-    for axis in (1, 2, 3):
-        basis = PolarizationBasis.canonical(axis)
-        povm = threshold_povm(basis, k, state.cutoff)
-        rot = rotate_dense(space, state.dense(space), state.basis, basis)
-        rot = transfer_matrix(state.basis, basis).T @ rot
-        signed = np.zeros((state.cutoff + 1, state.cutoff + 1))
-        signed[space.n, space.m] = np.abs(rot[0]) ** 2 - np.abs(rot[1]) ** 2
-        thinned = kernel @ signed @ kernel.T
-        terms.append(float(thinned[space.n, space.m] @ povm.difference_diagonal()))
-    value = sum(abs(t) for t in terms)
+    """Threshold-filter test of the amplified singlet after loss on the macro
+    arm.  In axis j's own basis the singlet is ``(|0>|A_1> - |1>|A_0>)/sqrt(2)``
+    and ``A_1`` is ``A_0`` with its modes exchanged, up to signs, so each term
+    is ``P- - P+`` of the lossy ``A_0``: the H-seed ladder on axis 1, the
+    fringe on axes 2 and 3 (one value).  It runs the tail gate of
+    :func:`qiopa.amplifier.micro_macro_state` and forms no state."""
+    if k < 0:
+        raise ValueError(f"threshold must be non-negative, got {k}")
+    n_max = cutoff.n_max
+    w = seed_pair_amplitude(np.arange((n_max - 1) // 2 + 1), gain) ** 2
+    mass = float(np.sum(w))
+    _checked_tail(mass, gain, cutoff)
+    # the fringe's contraction with the ladder's columns: |n+1> seeded, T[s, n] = K[s, n] w_n
+    kernel = _binomial_thinning_kernel(n_max, loss.eta)
+    ladder = _thinned_imbalance(kernel[:, 1 : w.size + 1], kernel[:, : w.size] * w, k)
+    a, b = _macro_mode_populations(gain, n_max)
+    fringe = _fringe_imbalance(a, b, loss.eta, k, n_max)
+    term_23 = (fringe[1] - fringe[0]) / float(a @ np.cumsum(b)[::-1])
+    terms = ((ladder[1] - ladder[0]) / mass, term_23, term_23)
+    _checked_finite(terms, gain, loss, n_max)
     return WitnessReport(
-        value,
-        SEPARABLE_BOUND,
-        tuple(terms),
-        "micro-macro-ofilter",
-        {"k": k, "eta": loss.eta, "g": state.gain.g, "cutoff": state.cutoff},
-        note=_OFILTER_NOTE,
+        sum(abs(t) for t in terms), SEPARABLE_BOUND, terms, "micro-macro-ofilter",
+        {"k": k, "eta": loss.eta, "g": gain.g, "cutoff": n_max}, note=_OFILTER_NOTE,
     )
 
 

@@ -126,7 +126,7 @@ class TestPlumbing:
         assert code == EXIT_NUMERIC
         assert "inconclusive" in err
 
-    @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma"])
+    @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma", "witness-ofilter"])
     def test_non_finite_probability_exits_3(self, experiment, monkeypatch, capsys):
         import qiopa.measurement
         import qiopa.witnesses

@@ -726,6 +726,7 @@ def gated_singlets(draw):
 
 
 PM_SINGLET = micro_macro_state(0.0, GainParams(1.2), Cutoff(12, 0.5))
+LOW_SINGLET = micro_macro_state(0.7, GainParams(0.4), Cutoff(3, 0.5))
 
 
 @PROPERTY
@@ -779,10 +780,39 @@ def test_lossy_sigma_tail_gate_matches_state_gate(g, n_max, tail):
 @given(gated_singlets(), st.floats(0.0, 1.0), st.integers(0, 3))
 @example(state=PM_SINGLET, eta=0.0, k=0)
 @example(state=PM_SINGLET, eta=1.0, k=2)
+@example(state=LOW_SINGLET, eta=0.6, k=3)  # k >= n_max: no conclusive outcome
+@example(state=LOW_SINGLET, eta=0.6, k=5)
+@example(state=LOW_SINGLET, eta=0.0, k=1)  # every photon lost: all terms 0
+@example(state=PM_SINGLET, eta=0.4137, k=1)  # terms 2 and 3 are one value
 def test_lossy_ofilter_terms_match_dense_images(state, eta, k):
     want = ofilter_terms_from_images(state, kraus_images_loop(state, eta), k)
-    got = ofilter_witness_lossy(state, LossParams(eta), k).terms
+    got = ofilter_witness_lossy(state.gain, LossParams(eta), k, Cutoff(state.cutoff, 0.5)).terms
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+
+@pytest.mark.parametrize("eta, k", [(0.0, 0), (0.0, 3), (0.6, 12), (0.6, 13), (0.4137, 1), (1.0, 0)])
+def test_lossy_ofilter_exact_cases(eta, k):
+    # the equatorial axes share one value; with no photon left, or a threshold
+    # at or above the cutoff, every outcome is inconclusive
+    terms = ofilter_witness_lossy(GainParams(1.2), LossParams(eta), k, Cutoff(12, 0.5)).terms
+    assert terms[1] == terms[2]
+    if eta == 0.0 or k >= 12:
+        assert terms == (0.0, 0.0, 0.0)
+
+
+@PROPERTY
+@given(gains, st.integers(1, 60), st.floats(1e-12, 0.99))
+@example(g=1.5, n_max=30, tail=0.5)
+def test_lossy_ofilter_tail_gate_matches_state_gate(g, n_max, tail):
+    gain, cutoff = GainParams(g), Cutoff(n_max, tail)
+    try:
+        micro_macro_state(0.0, gain, cutoff)
+    except CutoffError as exc:
+        with pytest.raises(CutoffError) as caught:
+            ofilter_witness_lossy(gain, LossParams(0.5), 1, cutoff)
+        assert caught.value.tail_mass == exc.tail_mass
+    else:
+        ofilter_witness_lossy(gain, LossParams(0.5), 1, cutoff)
 
 
 def test_lossy_witness_terms_match_dense_images_at_cutoff_40():
@@ -792,7 +822,7 @@ def test_lossy_witness_terms_match_dense_images_at_cutoff_40():
     got = sigma_witness_lossy(state.gain, loss, Cutoff(40, 0.5)).terms
     assert np.max(np.abs(np.subtract(got, sigma_terms_from_images(state, images)))) < 1e-12
     for k in (0, 2):
-        got = ofilter_witness_lossy(state, loss, k).terms
+        got = ofilter_witness_lossy(state.gain, loss, k, Cutoff(40, 0.5)).terms
         assert np.max(np.abs(np.subtract(got, ofilter_terms_from_images(state, images, k)))) < 1e-12
 
 

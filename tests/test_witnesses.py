@@ -143,22 +143,24 @@ class TestSigmaWitness:
 class TestOfilterWitness:
     def test_reduces_to_pauli_criterion(self):
         gain = GainParams(0.0)
-        state = micro_macro_state(0.0, gain, Cutoff(2, 0.5))
-        rep = ofilter_witness_lossy(state, LossParams(1.0), 0)
+        rep = ofilter_witness_lossy(gain, LossParams(1.0), 0, Cutoff(2, 0.5))
         assert rep.value == pytest.approx(3.0, abs=1e-12)
         assert rep.note is not None
 
     def test_lossy_amplified_singlet_still_exceeds_one(self):
         gain = GainParams(1.2)
-        state = micro_macro_state(0.0, gain, Cutoff(30, 0.5))
-        rep = ofilter_witness_lossy(state, LossParams(0.7), 1)
+        rep = ofilter_witness_lossy(gain, LossParams(0.7), 1, Cutoff(30, 0.5))
         assert rep.value > 1.0
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ofilter_witness_lossy(GainParams(0.5), LossParams(0.5), -1, Cutoff(10, 0.5))
 
     def test_fast_path_matches_density_route(self):
         gain = GainParams(0.8)
         state = micro_macro_state(0.0, gain, Cutoff(16, 0.5))
         for eta, k in ((0.9, 0), (0.6, 1), (0.3, 2)):
-            fast = ofilter_witness_lossy(state, LossParams(eta), k)
+            fast = ofilter_witness_lossy(gain, LossParams(eta), k, Cutoff(16, 0.5))
             slow = ofilter_witness(lossy_channel(state, LossParams(eta)), k)
             assert fast.value == pytest.approx(slow.value, abs=1e-12)
 
