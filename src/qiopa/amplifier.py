@@ -37,8 +37,8 @@ class GainParams:
     g: float
 
     def __post_init__(self) -> None:
-        if self.g < 0.0:
-            raise ValueError(f"gain must be non-negative, got {self.g}")
+        if not (math.isfinite(self.g) and self.g >= 0.0):
+            raise ValueError(f"gain must be finite and non-negative, got {self.g}")
 
     @classmethod
     def from_coupling(cls, chi: float, t: float) -> "GainParams":

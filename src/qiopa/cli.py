@@ -3,14 +3,18 @@
 Every experiment evaluates a deterministic parameter grid and writes either
 CSV (``#``-prefixed metadata lines, a header row, the swept variable in the
 first column, gnuplot-friendly) or line-delimited JSON records.  Output files
-embed a hash of the fully resolved configuration together with the cutoff and
-tail tolerance actually used.
+embed a hash of the fully resolved configuration, and every row of a
+truncated experiment carries the cutoff it used.  That cutoff is ``--cutoff``
+when given; otherwise each gain gets ``required_cutoff(g, min(tail, 1e-9))``,
+with ``tail`` from ``--tail-tol`` or the experiment's default.
 
 A flat ``key=value`` config file can seed any run; repeated keys build grids
 and command-line flags override file values.  Loss grids accept either
 ``eta`` or ``R = 1 - eta``; rows echo both.  Exit codes: 0 on success, 2 on
-configuration errors, 3 on numeric failures (unreachable cutoff,
-all-inconclusive visibility, vanishing conditional probability).
+configuration errors (including a non-finite or negative gain, a negative
+threshold, a probability outside [0, 1] and a tail tolerance outside
+(0, 1)), 3 on numeric failures (unreachable cutoff, all-inconclusive
+visibility, vanishing conditional probability, overflow at extreme gain).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -52,12 +57,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# No longer a memory bound: at N = 80 `witness-sigma` and `witness-ofilter`
-# both peak at 54 MB RSS, against 52 MB after import. It stays until the
-# witness sweeps choose their cutoffs from a tail tolerance.
-_WITNESS_CUTOFF_LIMIT = 80
-
-_NUMERIC_FAILURES = (CutoffError, UndefinedVisibilityError, ConditioningError)
+_NUMERIC_FAILURES = (CutoffError, UndefinedVisibilityError, ConditioningError, OverflowError)
 
 
 class ConfigError(ValueError):
@@ -152,9 +152,32 @@ def _eta_grid(values: dict) -> list[float]:
 def _gain_grid(values: dict) -> list[float]:
     gs = _floats(values, "g")
     for g in gs:
-        if g < 0.0:
-            raise ConfigError(f"gain {g} must be non-negative")
+        if not (math.isfinite(g) and g >= 0.0):
+            raise ConfigError(f"gain {g} must be finite and non-negative")
     return gs
+
+
+def _threshold_grid(values: dict) -> list[int]:
+    ks = _ints(values, "k")
+    for k in ks:
+        if k < 0:
+            raise ConfigError(f"threshold k={k} must be non-negative")
+    return ks
+
+
+def _probability_grid(values: dict) -> list[float]:
+    ps = _floats(values, "p")
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"injection probability {p} outside [0, 1]")
+    return ps
+
+
+def _single(values: dict, key: str, grid) -> object:
+    """The one value of a parameter, read and checked by its grid reader."""
+    if len(values[key]) != 1:
+        raise ConfigError(f"parameter {key!r} expects a single value, got {values[key]}")
+    return grid(values)[0]
 
 
 def _basis_from_label(label: str) -> PolarizationBasis:
@@ -172,30 +195,16 @@ def _basis_from_label(label: str) -> PolarizationBasis:
     raise ConfigError(f"unknown basis {label!r} (use hv, pm, rl or eq:PHI)")
 
 
-def _explicit_cutoff(values: dict, default_tail: float) -> tuple[float, int | None]:
-    """Tail tolerance and, if one was given, the positive cutoff of a run."""
+def _resolve_cutoff(values: dict, gain: GainParams, default_tail: float) -> Cutoff:
+    """The one cutoff rule of every truncated experiment, applied per gain."""
     tail = float(_scalar(values, "tail_tol", float)) if "tail_tol" in values else default_tail
+    if not 0.0 < tail < 1.0:
+        raise ConfigError(f"tail tolerance {tail} outside (0, 1)")
     if "cutoff" not in values:
-        return tail, None
+        return Cutoff(required_cutoff(gain, min(tail, 1e-9)), tail)
     n_max = int(_scalar(values, "cutoff", int))
     if n_max < 1:
         raise ConfigError("cutoff must be a positive photon number")
-    return tail, n_max
-
-
-def _resolve_cutoff(values: dict, gain: GainParams, default_tail: float) -> Cutoff:
-    tail, n_max = _explicit_cutoff(values, default_tail)
-    if n_max is None:
-        n_max = required_cutoff(gain, min(tail, 1e-9))
-    return Cutoff(n_max, tail)
-
-
-def _witness_cutoff(values: dict, default_n: int, default_tail: float) -> Cutoff:
-    tail, n_max = _explicit_cutoff(values, default_tail)
-    if n_max is None:
-        n_max = default_n
-    if n_max > _WITNESS_CUTOFF_LIMIT:
-        raise ConfigError(f"witness sweeps support cutoff <= {_WITNESS_CUTOFF_LIMIT}, got {n_max}")
     return Cutoff(n_max, tail)
 
 
@@ -210,7 +219,7 @@ def _run_visibility(cfg: RunConfig):
     for g in _gain_grid(values):
         gain = GainParams(g)
         cutoff = _resolve_cutoff(values, gain, 1e-9)
-        for k in _ints(values, "k"):
+        for k in _threshold_grid(values):
             for eta in etas:
                 loss = LossParams(eta)
                 p_plus, p_minus, p_zero = lossy_fringe_probabilities(
@@ -227,10 +236,10 @@ def _run_visibility(cfg: RunConfig):
 def _run_witness_sigma(cfg: RunConfig):
     values = cfg.values
     etas = _eta_grid(values)
-    cutoff = _witness_cutoff(values, 30, 0.5)
     rows = []
     for g in _gain_grid(values):
         gain = GainParams(g)
+        cutoff = _resolve_cutoff(values, gain, 0.5)
         for eta in etas:
             rep = sigma_witness_lossy(gain, LossParams(eta), cutoff)
             rows.append(
@@ -248,13 +257,11 @@ def _run_witness_sigma(cfg: RunConfig):
 def _run_witness_ofilter(cfg: RunConfig):
     values = cfg.values
     etas = _eta_grid(values)
-    cutoff = _witness_cutoff(values, 30, 0.5)
     rows = []
     for g in _gain_grid(values):
         gain = GainParams(g)
-        for k in _ints(values, "k"):
-            if k < 0:
-                raise ConfigError("threshold k must be non-negative")
+        cutoff = _resolve_cutoff(values, gain, 0.5)
+        for k in _threshold_grid(values):
             for eta in etas:
                 rep = ofilter_witness_lossy(gain, LossParams(eta), k, cutoff)
                 rows.append(
@@ -308,7 +315,7 @@ def _run_concurrence(cfg: RunConfig):
         for eta in etas:
             loss = LossParams(eta)
             t = loss.R * gain.tanh_g
-            for p in _floats(values, "p"):
+            for p in _probability_grid(values):
                 c = concurrence_with_injection(gain, loss, InjectionParams(p))
                 p_crit = critical_injection_probability(gain, loss)
                 rows.append((g, eta, loss.R, p, t, c, p_crit))
@@ -339,9 +346,7 @@ def _run_ofilter_dist(cfg: RunConfig):
         raise ConfigError("the Fock state needs a non-negative photon pair with n+m >= 1")
     prep = _basis_from_label(str(_scalar(values, "prep_basis", str)))
     target = _basis_from_label(str(_scalar(values, "basis", str)))
-    k = int(_scalar(values, "k", int))
-    if k < 0:
-        raise ConfigError("threshold k must be non-negative")
+    k = _single(values, "k", _threshold_grid)
     total = n + m
     state = TwoModeVector.from_amplitudes({(n, m): 1.0}, total, prep)
     dist = photon_distribution(state, target)
@@ -360,15 +365,11 @@ def _run_ofilter_dist(cfg: RunConfig):
 
 def _run_density(cfg: RunConfig):
     values = cfg.values
-    g = float(_scalar(values, "g", float))
-    if g < 0.0:
-        raise ConfigError("gain must be non-negative")
+    g = _single(values, "g", _gain_grid)
     etas = _eta_grid(values)
     if len(etas) != 1:
         raise ConfigError("the density experiment expects a single eta (or R)")
-    p = float(_scalar(values, "p", float))
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"injection probability {p} outside [0, 1]")
+    p = _single(values, "p", _probability_grid)
     gain = GainParams(g)
     loss = LossParams(etas[0])
     mat = attenuated_state_with_injection(InjectionParams(p), gain, loss)

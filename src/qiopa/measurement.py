@@ -39,7 +39,6 @@ from .amplifier import (
     _hv_macro_vector_unchecked,
     _macro_mode_populations,
     _macro_vector_unchecked,
-    required_cutoff,
 )
 from .channels import LossParams
 from .fock import (
@@ -261,11 +260,7 @@ def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
 
 
 def lossy_fringe_probabilities(
-    phi: float,
-    gain: GainParams,
-    loss: LossParams,
-    k: int,
-    cutoff: Cutoff | None = None,
+    phi: float, gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff
 ) -> tuple[float, float, float]:
     """Threshold-filter outcome probabilities of the lossy amplified seed.
 
@@ -284,8 +279,6 @@ def lossy_fringe_probabilities(
     """
     if k < 0:
         raise ValueError(f"threshold must be non-negative, got {k}")
-    if cutoff is None:
-        cutoff = Cutoff(required_cutoff(gain, 1e-10), 1e-9)
     n_max = cutoff.n_max
     a, b = _macro_mode_populations(gain, n_max)
     # reversed cumsum: sum_{j <= k_max - i} b_j, the even mode under the triangle
@@ -344,11 +337,7 @@ def visibility_ratio(p_plus: float, p_minus: float, loss: LossParams, k: int) ->
 
 
 def visibility(
-    phi: float,
-    gain: GainParams,
-    loss: LossParams,
-    k: int,
-    cutoff: Cutoff | None = None,
+    phi: float, gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff
 ) -> float:
     """Fringe visibility of the amplified seed after loss, measured with
     threshold ``k`` in its own equatorial basis (see :func:`visibility_ratio`)."""

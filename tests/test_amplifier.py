@@ -38,6 +38,11 @@ class TestGainParams:
         with pytest.raises(ValueError):
             GainParams(-0.1)
 
+    @pytest.mark.parametrize("g", [math.nan, math.inf])
+    def test_non_finite_rejected(self, g):
+        with pytest.raises(ValueError, match="finite"):
+            GainParams(g)
+
 
 class TestMacroQubitAmplitude:
     def test_empty_products(self):

@@ -9,6 +9,7 @@ import pytest
 
 from qiopa import GainParams, InjectionParams, LossParams, attenuated_state_with_injection
 from qiopa.cli import (
+    _EXPERIMENTS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -16,6 +17,17 @@ from qiopa.cli import (
     main,
     run_experiment,
 )
+
+# every experiment that reads a gain, with the other grids it needs
+GAIN_EXPERIMENTS = {
+    "visibility": ["--R", "0.1"],
+    "witness-sigma": ["--eta", "0.5"],
+    "witness-ofilter": ["--eta", "0.5"],
+    "witness-stokes": ["--eta", "0.5"],
+    "concurrence": ["--eta", "0.5"],
+    "pcrit": ["--eta", "0.5"],
+    "density": [],
+}
 
 
 def run_cli(args, capsys):
@@ -115,9 +127,51 @@ class TestPlumbing:
         code, _, _ = run_cli(["pcrit", "--eta", "2", "--g", "1"], capsys)
         assert code == EXIT_CONFIG
 
-    def test_oversized_witness_cutoff_rejected(self, capsys):
-        code, _, err = run_cli(["witness-sigma", "--cutoff", "200"], capsys)
+    def test_large_witness_cutoff_accepted(self, capsys):
+        code, out, _ = run_cli(["witness-sigma", "--cutoff", "200"], capsys)
+        assert code == EXIT_OK
+        assert set(column(out, "cutoff")) == {200.0}
+
+    @pytest.mark.parametrize("tail", ["0", "1.5", "nan"])
+    @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma", "witness-stokes"])
+    def test_tail_tolerance_outside_unit_interval_rejected(self, experiment, tail, capsys):
+        code, out, err = run_cli([experiment, "--g", "1", "--tail-tol", tail], capsys)
         assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and "tail tolerance" in err
+
+    @pytest.mark.parametrize("g", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("experiment", sorted(GAIN_EXPERIMENTS))
+    def test_bad_gain_rejected(self, experiment, g, capsys):
+        code, out, err = run_cli(
+            [experiment, f"--g={g}"] + GAIN_EXPERIMENTS[experiment], capsys
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and "gain" in err
+
+    @pytest.mark.parametrize("experiment", sorted(GAIN_EXPERIMENTS))
+    def test_extreme_gain_is_a_numeric_failure(self, experiment, capsys):
+        # cosh(800) overflows a float, and no cutoff holds the seeded output
+        code, out, err = run_cli([experiment, "--g", "800"] + GAIN_EXPERIMENTS[experiment], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment", ["visibility", "witness-ofilter"])
+    def test_negative_threshold_rejected(self, experiment, capsys):
+        code, out, err = run_cli([experiment, "--g", "1", "--k=0,-1", "--eta", "0.5"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and "threshold" in err
+
+    @pytest.mark.parametrize("p", ["2", "-0.1", "nan"])
+    @pytest.mark.parametrize("experiment", ["concurrence", "density"])
+    def test_injection_probability_outside_unit_interval_rejected(self, experiment, p, capsys):
+        code, out, err = run_cli([experiment, "--g", "1", "--eta", "0.5", f"--p={p}"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and "injection probability" in err
 
     def test_numeric_failure_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -204,6 +258,20 @@ class TestExperiments:
         at_07 = [v for v, e in zip(s, etas) if e == 0.7]
         assert all(v == pytest.approx(3.0, abs=1e-6) for v in at_one)
         assert at_07[0] > at_07[1] > at_07[2]  # higher gain decays faster
+
+    def test_witness_sigma_default_cutoff_is_converged(self, capsys):
+        code, out, _ = run_cli(["witness-sigma", "--g", "1.5", "--eta", "0.8"], capsys)
+        assert code == EXIT_OK
+        assert column(out, "cutoff") == [239.0]
+        assert abs(column(out, "S")[0] - 0.522500141) < 1e-8
+
+    def test_witness_ofilter_default_cutoff_is_converged(self, capsys):
+        code, out, _ = run_cli(
+            ["witness-ofilter", "--g", "1.2", "--eta", "0.75", "--k", "0"], capsys
+        )
+        assert code == EXIT_OK
+        assert column(out, "cutoff") == [131.0]
+        assert abs(column(out, "term_1")[0] - (-0.455688815)) < 1e-8
 
     def test_witness_ofilter_exceeds_bound_with_loss(self, capsys):
         code, out, _ = run_cli(
@@ -327,6 +395,22 @@ class TestExperiments:
         for i, j, re, im in rows:
             got[i, j] = re + 1j * im
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_default_run_is_finite(experiment, capsys):
+    code, out, _ = run_cli([experiment], capsys)
+    assert code == EXIT_OK
+    header, rows = parse_csv(out)
+    assert rows
+    for row in rows:
+        assert len(row) == len(header)
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (experiment, row)
 
 
 def test_import_defers_scipy_optimize():
