@@ -219,6 +219,15 @@ def _checked_tail(mass: float, gain: GainParams, cutoff: Cutoff) -> None:
         )
 
 
+def _gated_pair_ladder(gain: GainParams, cutoff: Cutoff) -> tuple[np.ndarray, float]:
+    """Pair amplitudes ``c_n`` of the seeded ladders kept by ``cutoff`` and
+    their mass ``sum c_n^2``, after the tail gate."""
+    c = seed_pair_amplitude(np.arange((cutoff.n_max - 1) // 2 + 1), gain)
+    mass = float(np.sum(c**2))
+    _checked_tail(mass, gain, cutoff)
+    return c, mass
+
+
 def _macro_ladder(
     phi: float, gain: GainParams, n_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,6 +261,12 @@ def _macro_mode_populations(gain: GainParams, n_max: int) -> tuple[np.ndarray, n
     a = np.exp(log_pow + log_fact[2 * idx + 1] - 2.0 * log_fact[idx] - 3.0 * log_cosh)
     b = np.exp(log_pow + log_fact[2 * idx] - 2.0 * log_fact[idx] - log_cosh)
     return a, b
+
+
+def _macro_mode_mass(a: np.ndarray, b: np.ndarray) -> float:
+    """Mass ``sum a_i b_j`` of the mode factors on the triangle
+    ``i + j <= a.size - 1`` (reversed cumsum: ``sum_{j <= k_max - i} b_j``)."""
+    return float(a @ np.cumsum(b)[::-1])
 
 
 def _macro_vector_unchecked(phi: float, gain: GainParams, n_max: int) -> TwoModeVector:
@@ -332,10 +347,8 @@ def micro_macro_state_hv(gain: GainParams, cutoff: Cutoff) -> MicroMacroState:
     weight exactly.  It needs no basis rotation, which keeps large-cutoff
     pipelines cheap.
     """
-    n = np.arange((cutoff.n_max - 1) // 2 + 1)
-    amps = seed_pair_amplitude(n, gain)
-    mass = float(np.sum(amps**2))
-    _checked_tail(mass, gain, cutoff)
+    amps, mass = _gated_pair_ladder(gain, cutoff)
+    n = np.arange(amps.size)
     scale = 1.0 / math.sqrt(2.0 * mass)
     hv = PolarizationBasis.hv()
     components = (

@@ -1,15 +1,14 @@
 """Photon-loss channels and state reductions.
 
 Loss with transmittivity ``eta`` acts independently on both polarization
-modes through the Kraus family ``K_{pq}``, where ``K_{pq}`` removes ``p``
-photons from the first mode and ``q`` from the second with amplitude
-``sqrt(C(n,p) C(m,q)) (1-eta)^{(p+q)/2} eta^{(n+m-p-q)/2}``.  On a joint
-micro-macro state the channel acts on the amplified arm only; the micro arm
-is lossless.  Each Kraus amplitude is a product ``k_p(n) k_q(m)`` of
-single-mode amplitudes whose squares form the binomial thinning kernel.
-The reporting paths (the fringe and the lossy witnesses) work with that
-single-mode kernel and its square roots; the two-mode Kraus images here
-serve the general :func:`lossy_channel`.
+modes through the Kraus family ``K_{pq} = K_p x K_q``, where ``K_p`` removes
+``p`` of the ``n`` photons of a mode with amplitude
+``k_p(n) = sqrt(C(n,p) (1-eta)^p eta^(n-p))``.  On a joint micro-macro state
+the channel acts on the amplified arm only; the micro arm is lossless.  One
+single-mode table, the binomial thinning kernel ``k_p(n)^2``, serves every
+loss path: the fringe, both lossy witnesses, the Kraus images and the
+density-operator channel.  The single-survivor conditioning is the one
+exception (see :func:`_conditioned_block`).
 
 The highly attenuated regime is the exact conditioning of the lossy state on
 one surviving photon in the amplified arm, which yields a two-qubit density
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .amplifier import (
     GainParams,
@@ -117,70 +115,49 @@ def conditioning_cutoff(
 
 
 # --------------------------------------------------------------------------
-# Kraus machinery
+# the single-mode loss table and the Kraus channel built on it
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _loss_structure(n_max: int):
-    """Static index structure of the two-mode loss Kraus family.
+# Cached because fringe sweeps reuse each kernel, and at cutoff 481 a build
+# costs about three of their contractions.
+@lru_cache(maxsize=32)
+def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
+    """Column-stochastic matrix ``K[a, n] = C(n, a) eta^a (1-eta)^(n-a)``.
 
-    Flat arrays over every (source state, Kraus operator) pair, grouped by
-    Kraus operator in index order (CSR row pointer ``indptr``): destination
-    and source index, square-rooted binomial factor, and lost / kept photon
-    counts.  Kraus operators share the triangular indexing of the state
-    space and map sources one to one onto ascending destinations.
-
-    The sources of ``K_{pq}`` are the states ``|p + n', q + m'>`` whose
-    surplus ``|n', m'>`` holds at most ``F = n_max - p - q`` photons: the
-    first ``(F+1)(F+2)/2`` states in index order, which are also its
-    destinations.  The table is filled sector by sector (all ``p + q`` equal)
-    into arrays sized from that count, with int32 indices and int16 counts.
+    ``C(n, a)`` overflows above ``n`` of about 1030, before the powers scale
+    it down; entries with ``log C(n, a) > 700`` are therefore taken whole in
+    the log domain.  They have ``0 < a < n``, so no ``0 * log 0`` arises and
+    the ``eta = 0`` and ``eta = 1`` edges stay exact.
     """
-    space = fock_space(n_max)
-    d = space.dim
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-    free = n_max - space.total
-    indptr = np.zeros(d + 1, dtype=np.int64)
-    np.cumsum((free + 1) * (free + 2) // 2, out=indptr[1:])
-    nnz = int(indptr[-1])
-    if nnz > np.iinfo(np.int32).max:
-        raise ValueError(f"loss table at cutoff {n_max} exceeds int32 indexing")
-    indptr = indptr.astype(np.int32)
-    dst = np.empty(nnz, dtype=np.int32)
-    src = np.empty(nnz, dtype=np.int32)
-    binsq = np.empty(nnz)
-    lost = np.empty(nnz, dtype=np.int16)
-    kept = np.empty(nnz, dtype=np.int16)
-    for total, sl in enumerate(space.sector_slices):
-        size = (n_max - total + 1) * (n_max - total + 2) // 2
-        seg = slice(indptr[sl.start], indptr[sl.stop])
-        # one row per Kraus operator of the sector, one column per surplus state
-        p = space.n[sl, None]
-        q = space.m[sl, None]
-        ns = space.n[:size] + p
-        ms = space.m[:size] + q
-        left = space.total[:size]
-        dst[seg] = np.tile(np.arange(size), total + 1)
-        src[seg] = ((left + total) * (left + total + 1) // 2 + ns).ravel()
-        binsq[seg] = np.exp(0.5 * (
-            log_fact[ns] - log_fact[p] - log_fact[ns - p]
-            + log_fact[ms] - log_fact[q] - log_fact[ms - q]
-        )).ravel()
-        lost[seg] = total
-        kept[seg] = np.tile(left, total + 1)
-    return indptr, dst, src, binsq, lost, kept, d
+    size = n_max + 1
+    log_fact = np.array([math.lgamma(k + 1) for k in range(size)])
+    kernel = np.zeros((size, size))
+    counts = np.arange(size)
+    kept, lost = np.power(eta, counts), np.power(1.0 - eta, counts)
+    a, n = np.triu_indices(size)  # the entries with a <= n
+    lag = n - a
+    entries = log_fact[n] - log_fact[a] - log_fact[lag]  # log C(n, a)
+    big = np.flatnonzero(entries > 700.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logged = np.exp(entries[big] + a[big] * np.log(eta) + lag[big] * np.log1p(-eta))
+        # in place, so that the build holds one table of entries at a time
+        np.exp(entries, out=entries)
+        entries *= kept[a]
+        entries *= lost[lag]
+    entries[big] = logged
+    kernel[a, n] = entries
+    kernel.setflags(write=False)
+    return kernel
 
 
-def _kraus_coefficients(n_max: int, eta: float):
-    """Kraus-operator row pointer, destination and source index, coefficient
-    and dimension of every (source state, Kraus operator) pair at
-    transmittivity ``eta`` (see :func:`_loss_structure`)."""
-    indptr, dst, src, binsq, lost, kept, d = _loss_structure(n_max)
-    # one power per photon count, gathered by the small-integer counts; numpy
-    # power keeps 0^0 = 1, covering the eta = 0 and eta = 1 edges
-    half = 0.5 * np.arange(n_max + 1)
-    data = binsq * np.power(1.0 - eta, half)[lost] * np.power(eta, half)[kept]
-    return indptr, dst, src, data, d
+def _loss_amplitudes(n_max: int, eta: float) -> np.ndarray:
+    """Single-mode loss amplitudes ``k[p, n] = sqrt(C(n,p) (1-eta)^p eta^(n-p))``
+    of losing ``p`` of ``n`` photons, the square roots of the thinning kernel."""
+    amp = np.sqrt(_binomial_thinning_kernel(n_max, eta))
+    a, n = np.triu_indices(n_max + 1)
+    k = np.zeros_like(amp)
+    k[n - a, n] = amp[a, n]
+    return k
 
 
 def loss_kraus_images(
@@ -189,15 +166,23 @@ def loss_kraus_images(
     """All Kraus images of a pure state under two-mode loss.
 
     Shape ``(n_kraus, dim)`` for a two-mode vector, ``(n_kraus, 2, dim)`` for
-    a joint state (loss on the amplified arm only).  The lossy density
-    operator is the sum over rows of their outer products.
+    a joint state (loss on the amplified arm only), with the Kraus operators
+    ``K_pq`` in the index order of ``|p, q>``.  The lossy density operator is
+    the sum over rows of their outer products.
     """
-    indptr, dst, src, data, d = _kraus_coefficients(state.cutoff, loss.eta)
-    # Q_s[k, f] = <f|K_k|psi_s>, one per micro component
-    images = np.stack([
-        sp.csr_matrix((data * v[src], dst, indptr), shape=(d, d)).toarray()
-        for v in np.atleast_2d(state.dense())
-    ], axis=1)
+    n_max = state.cutoff
+    space = fock_space(n_max)
+    k = _loss_amplitudes(n_max, loss.eta)
+    vectors = np.atleast_2d(state.dense(space))
+    grid = np.zeros((len(vectors), n_max + 1, n_max + 1), dtype=complex)
+    grid[:, space.n, space.m] = vectors
+    images = np.zeros((space.dim,) + vectors.shape, dtype=complex)
+    for kraus, (p, q) in enumerate(zip(space.n, space.m)):
+        # K_pq maps |p + n, q + m> to |n, m>; the destinations with
+        # n + m <= n_max - p - q are the first `size` states in index order
+        size = space.sector_slices[n_max - p - q].stop
+        shifted = grid[:, p:, q:] * k[p, p:, None] * k[q, q:]
+        images[kraus, :, :size] = shifted[:, space.n[:size], space.m[:size]]
     return images if isinstance(state, MicroMacroState) else images[:, 0]
 
 
@@ -209,6 +194,8 @@ def lossy_channel(
     Trace preserving and completely positive; Fock populations transform by
     the binomial kernel ``P(n -> k) = C(n, k) eta^k (1 - eta)^(n - k)`` on
     each mode, and composing channels multiplies their transmittivities.
+    Pure states go through their Kraus images, which is several times faster
+    than the mode route of density operators on their outer product.
     """
     if isinstance(state, (TwoModeVector, MicroMacroState)):
         v = loss_kraus_images(state, loss)
@@ -221,28 +208,29 @@ def lossy_channel(
 
 
 def _lossy_density(rho: DensityOperator, loss: LossParams) -> DensityOperator:
-    """Kraus sum on a density operator, one Kraus operator at a time.
+    """Kraus sum on a density operator, one mode at a time (``K_pq = K_p x K_q``).
 
-    Each ``K_{pq}`` maps its sources one to one onto destinations, so its
-    term is a scatter of the selected block scaled by the coefficients.
+    Losing ``p`` photons from a mode maps the states holding at least ``p``
+    there one to one onto destinations, scaled by ``k[p, n]``: one gather
+    and scatter of the selected block per lost count.
     """
-    indptr, dsts, srcs, data, d = _kraus_coefficients(rho.cutoff, loss.eta)
-    md = rho.micro_dim
-    src_mat = rho.matrix.reshape(md, d, md, d)
-    out = np.zeros_like(src_mat)
+    space = fock_space(rho.cutoff)
+    k = _loss_amplitudes(rho.cutoff, loss.eta)
+    md, d = rho.micro_dim, space.dim
+    mat = rho.matrix.reshape(md, d, md, d)
     micro_ix = np.arange(md)
-    for k in range(d):
-        seg = slice(indptr[k], indptr[k + 1])
-        c = data[seg]
-        if not np.any(c):
-            continue
-        sub = src_mat[np.ix_(micro_ix, srcs[seg], micro_ix, srcs[seg])]
-        out[np.ix_(micro_ix, dsts[seg], micro_ix, dsts[seg])] += (
-            sub * c[None, :, None, None] * c[None, None, None, :]
-        )
-    return DensityOperator(
-        out.reshape(md * d, md * d), rho.cutoff, rho.basis, rho.micro_dim
-    )
+    for counts, first_mode in ((space.n, True), (space.m, False)):
+        out = np.zeros_like(mat)
+        for p in range(rho.cutoff + 1):
+            src = np.flatnonzero(counts >= p)
+            c = k[p, counts[src]]
+            left = space.total[src] - p
+            dst = left * (left + 1) // 2 + space.n[src] - p * first_mode
+            out[np.ix_(micro_ix, dst, micro_ix, dst)] += (
+                mat[np.ix_(micro_ix, src, micro_ix, src)] * c[:, None, None] * c
+            )
+        mat = out
+    return DensityOperator(mat.reshape(md * d, md * d), rho.cutoff, rho.basis, md)
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +252,9 @@ def _conditioned_block(
     key and one row of a ``(patterns, 4)`` matrix ``V``, whose column is
     ``2 s + q`` for micro component ``s``; the amplitudes are scattered into
     it.  Terms within a row add coherently and rows add incoherently, so the
-    member contributes ``weight V^T V^*``.
+    member contributes ``weight V^T V^*``.  The amplitude stays in closed
+    form rather than read from the loss table: the attenuated pipelines run
+    cutoffs to tens of thousands, where a dense table would not fit in memory.
     """
     sqrt_eta = math.sqrt(loss.eta)
     rho = np.zeros((4, 4), dtype=complex)

@@ -12,9 +12,10 @@ A flat ``key=value`` config file can seed any run; repeated keys build grids
 and command-line flags override file values.  Loss grids accept either
 ``eta`` or ``R = 1 - eta``; rows echo both.  Exit codes: 0 on success, 2 on
 configuration errors (including a non-finite or negative gain, a negative
-threshold, a probability outside [0, 1] and a tail tolerance outside
-(0, 1)), 3 on numeric failures (unreachable cutoff, all-inconclusive
-visibility, vanishing conditional probability, overflow at extreme gain).
+threshold, a probability outside [0, 1], a tail tolerance outside (0, 1)
+and an unwritable output), 3 on numeric failures (unreachable cutoff,
+all-inconclusive visibility, vanishing conditional probability, overflow at
+extreme gain).
 """
 
 from __future__ import annotations
@@ -413,7 +414,7 @@ _EXPERIMENTS = {
     "concurrence": (
         _run_concurrence,
         {"t": [f"{t / 50:.2f}" for t in range(50)]},
-        {"t", "g", "eta", "R", "p", "cutoff", "tail_tol"},
+        {"t", "g", "eta", "R", "p"},
     ),
     "pcrit": (
         _run_pcrit,
@@ -633,7 +634,11 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(cfg, meta, columns, rows)
+    try:
+        _emit(cfg, meta, columns, rows)
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -37,10 +37,11 @@ from .amplifier import (
     MicroMacroState,
     _checked_tail,
     _hv_macro_vector_unchecked,
+    _macro_mode_mass,
     _macro_mode_populations,
     _macro_vector_unchecked,
 )
-from .channels import LossParams
+from .channels import LossParams, _binomial_thinning_kernel
 from .fock import (
     Cutoff,
     CutoffError,
@@ -229,36 +230,6 @@ def ofilter_probabilities(
 # visibility of the macro fringe under loss
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
-    """Column-stochastic matrix ``K[a, n] = C(n, a) eta^a (1-eta)^(n-a)``.
-
-    ``C(n, a)`` overflows above ``n`` of about 1030, before the powers scale
-    it down; entries with ``log C(n, a) > 700`` are therefore taken whole in
-    the log domain.  They have ``0 < a < n``, so no ``0 * log 0`` arises and
-    the ``eta = 0`` and ``eta = 1`` edges stay exact.
-    """
-    size = n_max + 1
-    log_fact = np.array([math.lgamma(k + 1) for k in range(size)])
-    kernel = np.zeros((size, size))
-    counts = np.arange(size)
-    kept, lost = np.power(eta, counts), np.power(1.0 - eta, counts)
-    a, n = np.triu_indices(size)  # the entries with a <= n
-    lag = n - a
-    entries = log_fact[n] - log_fact[a] - log_fact[lag]  # log C(n, a)
-    big = np.flatnonzero(entries > 700.0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logged = np.exp(entries[big] + a[big] * np.log(eta) + lag[big] * np.log1p(-eta))
-        # in place, so that the build holds one table of entries at a time
-        np.exp(entries, out=entries)
-        entries *= kept[a]
-        entries *= lost[lag]
-    entries[big] = logged
-    kernel[a, n] = entries
-    kernel.setflags(write=False)
-    return kernel
-
-
 def lossy_fringe_probabilities(
     phi: float, gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff
 ) -> tuple[float, float, float]:
@@ -281,8 +252,7 @@ def lossy_fringe_probabilities(
         raise ValueError(f"threshold must be non-negative, got {k}")
     n_max = cutoff.n_max
     a, b = _macro_mode_populations(gain, n_max)
-    # reversed cumsum: sum_{j <= k_max - i} b_j, the even mode under the triangle
-    mass = float(a @ np.cumsum(b)[::-1])
+    mass = _macro_mode_mass(a, b)
     _checked_tail(mass, gain, cutoff)
     p_plus, p_minus = (p / mass for p in _fringe_imbalance(a, b, loss.eta, k, n_max))
     _checked_finite((p_plus, p_minus), gain, loss, n_max)

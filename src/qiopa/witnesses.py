@@ -26,11 +26,11 @@ import numpy as np
 from .amplifier import (
     GainParams,
     MicroMacroState,
-    _checked_tail,
+    _gated_pair_ladder,
+    _macro_mode_mass,
     _macro_mode_populations,
-    seed_pair_amplitude,
 )
-from .channels import LossParams
+from .channels import LossParams, _binomial_thinning_kernel, _loss_amplitudes
 from .fock import (
     Cutoff,
     DensityOperator,
@@ -41,7 +41,6 @@ from .fock import (
 )
 from .measurement import (
     PseudoPauliOperator,
-    _binomial_thinning_kernel,
     _checked_finite,
     _fringe_imbalance,
     _thinned_imbalance,
@@ -184,16 +183,6 @@ def _shifted(x: np.ndarray) -> np.ndarray:
     return np.where(lag >= 0, x[np.maximum(lag, 0)], 0.0)
 
 
-def _loss_amplitudes(n_max: int, eta: float) -> np.ndarray:
-    """Single-mode loss amplitudes ``k[p, n] = sqrt(C(n,p) (1-eta)^p eta^(n-p))``
-    of losing ``p`` of ``n`` photons, the square roots of the thinning kernel."""
-    amp = np.sqrt(_binomial_thinning_kernel(n_max, eta))
-    a, n = np.triu_indices(n_max + 1)
-    k = np.zeros_like(amp)
-    k[n - a, n] = amp[a, n]
-    return k
-
-
 def _ladder_fidelities(c: np.ndarray, k: np.ndarray) -> tuple[float, float]:
     """``F(H|H) = sum_p (sum_n c_{n-p} c_n k_p(n+1) k_p(n))^2`` and
     ``F(V|H) = sum_q (sum_n c_{n-1-q} c_n k_{q+2}(n+1) k_q(n))^2`` of the pair
@@ -234,9 +223,7 @@ def sigma_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> W
     image or rotation is formed; the derivation is in ``notes/decisions.md``.
     """
     n_max = cutoff.n_max
-    c = seed_pair_amplitude(np.arange((n_max - 1) // 2 + 1), gain)
-    mass = float(np.sum(c**2))
-    _checked_tail(mass, gain, cutoff)
+    c, mass = _gated_pair_ladder(gain, cutoff)
     k = _loss_amplitudes(n_max, loss.eta)
     same, cross = _ladder_fidelities(c, k)
     term_1 = (cross - same) / mass**2
@@ -244,7 +231,7 @@ def sigma_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> W
     # equatorial(0) with the modes exchanged, and its seed is
     # |A_1> = sum (-1)^(i+j) u_i v_j |2j, 2i+1>
     a, b = _macro_mode_populations(gain, n_max)
-    eq_mass = float(a @ np.cumsum(b)[::-1])
+    eq_mass = _macro_mode_mass(a, b)
     u, v = np.sqrt(a), np.sqrt(b) * (-1.0) ** np.arange(b.size)
     parity = (-1.0) ** np.arange(a.size)
     odd, even, odd_1, even_1 = np.zeros((4, n_max + 1))
@@ -316,15 +303,13 @@ def ofilter_witness_lossy(
     if k < 0:
         raise ValueError(f"threshold must be non-negative, got {k}")
     n_max = cutoff.n_max
-    w = seed_pair_amplitude(np.arange((n_max - 1) // 2 + 1), gain) ** 2
-    mass = float(np.sum(w))
-    _checked_tail(mass, gain, cutoff)
-    # the fringe's contraction with the ladder's columns: |n+1> seeded, T[s, n] = K[s, n] w_n
+    c, mass = _gated_pair_ladder(gain, cutoff)
+    # the fringe's contraction with the ladder's columns: |n+1> seeded, T[s, n] = K[s, n] c_n^2
     kernel = _binomial_thinning_kernel(n_max, loss.eta)
-    ladder = _thinned_imbalance(kernel[:, 1 : w.size + 1], kernel[:, : w.size] * w, k)
+    ladder = _thinned_imbalance(kernel[:, 1 : c.size + 1], kernel[:, : c.size] * c**2, k)
     a, b = _macro_mode_populations(gain, n_max)
     fringe = _fringe_imbalance(a, b, loss.eta, k, n_max)
-    term_23 = (fringe[1] - fringe[0]) / float(a @ np.cumsum(b)[::-1])
+    term_23 = (fringe[1] - fringe[0]) / _macro_mode_mass(a, b)
     terms = ((ladder[1] - ladder[0]) / mass, term_23, term_23)
     _checked_finite(terms, gain, loss, n_max)
     return WitnessReport(

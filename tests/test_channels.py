@@ -170,7 +170,34 @@ def random_joint_density(seed, cutoff, micro_dim) -> DensityOperator:
     return DensityOperator(mat / np.trace(mat).real, cutoff, HV, micro_dim)
 
 
+def kraus_sum_loop(rho, eta):
+    """``sum_K K rho K^dag`` over the two-mode Kraus family, each ``K_pq``
+    (identity on the micro factor) built densely from the closed form
+    ``sqrt(C(n,p) C(m,q)) (1-eta)^((p+q)/2) eta^((n+m-p-q)/2)``."""
+    space = fock_space(rho.cutoff)
+    out = np.zeros_like(rho.matrix)
+    for p, q in zip(space.n.tolist(), space.m.tolist()):
+        kraus = np.zeros((space.dim, space.dim))
+        for src, (n, m) in enumerate(zip(space.n.tolist(), space.m.tolist())):
+            if n >= p and m >= q:
+                c = math.sqrt(math.comb(n, p) * math.comb(m, q))
+                c *= (1.0 - eta) ** (0.5 * (p + q)) * eta ** (0.5 * (n + m - p - q))
+                kraus[space.index(n - p, m - q), src] = c
+        full = np.kron(np.eye(rho.micro_dim), kraus)
+        out += full @ rho.matrix @ full.T
+    return out
+
+
 class TestLossChannelProperties:
+    @CHANNEL_PROPERTY
+    @given(seed=seeds, cutoff=st.integers(1, 6), micro_dim=micro_dims, eta=transmittivities)
+    @example(seed=4, cutoff=6, micro_dim=2, eta=0.0)
+    @example(seed=5, cutoff=6, micro_dim=1, eta=1.0)
+    def test_matches_the_dense_kraus_sum(self, seed, cutoff, micro_dim, eta):
+        rho = random_joint_density(seed, cutoff, micro_dim)
+        out = lossy_channel(rho, LossParams(eta))
+        assert np.max(np.abs(out.matrix - kraus_sum_loop(rho, eta))) < 1e-13
+
     @CHANNEL_PROPERTY
     @given(seed=seeds, cutoff=small_cutoffs, micro_dim=micro_dims, eta=transmittivities)
     @example(seed=0, cutoff=8, micro_dim=2, eta=0.0)

@@ -111,6 +111,30 @@ class TestPlumbing:
         assert code == EXIT_CONFIG
         assert "flux" in err
 
+    @pytest.mark.parametrize("flag", ["--cutoff=5", "--tail-tol=0.3"])
+    def test_concurrence_rejects_truncation_flags(self, flag, capsys):
+        # the attenuated concurrence is closed form; nothing there is truncated
+        code, out, err = run_cli(["concurrence", "--g", "1", "--eta", "0.5", flag], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_concurrence_rejects_cutoff_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g=1\neta=0.5\ncutoff=5\n")
+        code, out, err = run_cli(["concurrence", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "unknown parameter 'cutoff'" in err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(["pcrit", "--g", "1", "--eta", "0.5", "--out", str(target)], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: cannot write")
+        assert not target.parent.exists()
+
     def test_wrong_experiment_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment=density\n")
@@ -182,6 +206,7 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma", "witness-ofilter"])
     def test_non_finite_probability_exits_3(self, experiment, monkeypatch, capsys):
+        import qiopa.channels
         import qiopa.measurement
         import qiopa.witnesses
 
@@ -192,7 +217,7 @@ class TestPlumbing:
             out[:, 1] = np.nan
             return out
 
-        for module in (qiopa.measurement, qiopa.witnesses):
+        for module in (qiopa.channels, qiopa.measurement, qiopa.witnesses):
             monkeypatch.setattr(module, "_binomial_thinning_kernel", poisoned)
         code, out, err = run_cli([experiment, "--g", "0.5", "--eta", "0.5"], capsys)
         assert code == EXIT_NUMERIC

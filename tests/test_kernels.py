@@ -13,10 +13,9 @@ Kraus images, built one Kraus operator and source state at a time, and the
 pseudo-Pauli terms contracted from the package's Kraus images, against the
 lossy fidelities and thinned populations the package uses; the lossy
 fringe thinned as a dense population matrix, against the contraction of the
-two single-mode factors; the loss table built per Kraus operator from
-lists, against the preallocated sector-by-sector fill; the binomial
-thinning kernel filled column by column, against its one-shot fill; the
-conditioning cutoff summed term by term, against its closed-form tail; and
+two single-mode factors; the binomial thinning kernel filled column by
+column, against its one-shot fill; the conditioning cutoff summed term by
+term, against its closed-form tail; and
 the vector code of the era when a vector was a ``(n, m) -> amplitude`` map
 (dense scatter, dense gather, single-survivor block), against the array
 storage.
@@ -55,7 +54,6 @@ from qiopa.amplifier import (
 from qiopa.channels import (
     _conditional_tail_fraction,
     _conditioned_block,
-    _kraus_coefficients,
     coherence_parameter,
     loss_kraus_images,
 )
@@ -302,40 +300,6 @@ def fringe_from_population_matrix(phi, gain, loss, k, cutoff):
     p_plus = float(q[diff > k].sum())
     p_minus = float(q[-diff > k].sum())
     return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
-
-
-def loss_structure_lists(n_max):
-    """Loss table built one Kraus operator at a time from per-operator lists:
-    row pointer, destination, source, square-rooted binomial factor and lost
-    / kept photon counts as floats."""
-    space = fock_space(n_max)
-    n_arr, m_arr = space.n, space.m
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-    dsts, srcs, binsq, lost, kept = [], [], [], [], []
-    for k in range(space.dim):
-        p = int(n_arr[k])
-        q = int(m_arr[k])
-        sel = np.flatnonzero((n_arr >= p) & (m_arr >= q))
-        ns, ms = n_arr[sel], m_arr[sel]
-        left = ns - p + ms - q
-        log_bin = 0.5 * (
-            log_fact[ns] - log_fact[p] - log_fact[ns - p]
-            + log_fact[ms] - log_fact[q] - log_fact[ms - q]
-        )
-        dsts.append(left * (left + 1) // 2 + (ns - p))
-        srcs.append(sel)
-        binsq.append(np.exp(log_bin))
-        lost.append(np.full(sel.size, p + q, dtype=np.int64))
-        kept.append(left)
-    indptr = np.concatenate(([0], np.cumsum([sel.size for sel in srcs])))
-    return (
-        indptr,
-        np.concatenate(dsts),
-        np.concatenate(srcs),
-        np.concatenate(binsq),
-        np.concatenate(lost).astype(float),
-        np.concatenate(kept).astype(float),
-    )
 
 
 def binomial_kernel_loop(n_max, eta):
@@ -824,18 +788,6 @@ def test_lossy_witness_terms_match_dense_images_at_cutoff_40():
     for k in (0, 2):
         got = ofilter_witness_lossy(state.gain, loss, k, Cutoff(40, 0.5)).terms
         assert np.max(np.abs(np.subtract(got, ofilter_terms_from_images(state, images, k)))) < 1e-12
-
-
-def test_loss_table_matches_list_builder_bitwise():
-    for n_max in range(1, 13):
-        indptr, dst, src, binsq, lost, kept = loss_structure_lists(n_max)
-        for eta in (0.0, 0.3, 0.5417, 1.0):
-            got = _kraus_coefficients(n_max, eta)
-            want = binsq * np.power(1.0 - eta, 0.5 * lost) * np.power(eta, 0.5 * kept)
-            for new, old in zip(got[:3], (indptr, dst, src)):
-                assert np.array_equal(new, old), n_max
-            assert np.array_equal(got[3].view(np.int64), want.view(np.int64)), (n_max, eta)
-            assert got[4] == fock_space(n_max).dim
 
 
 # --------------------------------------------------------------------------
