@@ -15,7 +15,8 @@ configuration errors (including a non-finite or negative gain, a negative
 threshold, a probability outside [0, 1], a tail tolerance outside (0, 1)
 and an unwritable output), 3 on numeric failures (unreachable cutoff,
 all-inconclusive visibility, vanishing conditional probability, overflow at
-extreme gain).
+extreme gain), 141 (a shell's status for SIGPIPE) when the reader of stdout
+closes it early, as in ``qiopa pcrit | head -1``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -57,6 +59,7 @@ from .witnesses import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 _NUMERIC_FAILURES = (CutoffError, UndefinedVisibilityError, ConditioningError, OverflowError)
 
@@ -610,13 +613,20 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     return meta, columns, rows
 
 
-def _emit(cfg: RunConfig, meta: dict, columns, rows) -> None:
+def _emit(cfg: RunConfig, meta: dict, columns, rows) -> int:
     writer = _write_csv if cfg.fmt == "csv" else _write_records
     if cfg.out is None:
-        writer(sys.stdout, cfg, meta, columns, rows)
-        return
+        try:
+            writer(sys.stdout, cfg, meta, columns, rows)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; on devnull the interpreter's last flush stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_PIPE
+        return EXIT_OK
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
         writer(handle, cfg, meta, columns, rows)
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -635,11 +645,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     try:
-        _emit(cfg, meta, columns, rows)
+        return _emit(cfg, meta, columns, rows)
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

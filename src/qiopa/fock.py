@@ -25,7 +25,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,7 +198,42 @@ def transfer_matrix(src: PolarizationBasis, dst: PolarizationBasis) -> np.ndarra
     return src.mode_matrix @ dst.mode_matrix.conj().T
 
 
-def schwinger_operator(pauli: np.ndarray, n_max: int) -> sp.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """Read-only tridiagonal matrix held as three numpy diagonals, with
+    ``lower[i]`` at ``(i+1, i)`` and ``upper[i]`` at ``(i, i+1)``."""
+
+    lower: np.ndarray
+    diagonal: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.lower, self.diagonal, self.upper):
+            arr.setflags(write=False)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Product with a vector or with the columns of a ``(dim, k)`` matrix."""
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        out = self.diagonal[col] * x
+        out[1:] += self.lower[col] * x[:-1]
+        out[:-1] += self.upper[col] * x[1:]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.diagonal) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(values, rows, cols)`` of the nonzero entries in row-major order."""
+        dim = self.diagonal.size
+        rows = np.repeat(np.arange(dim), 3)
+        cols = rows + np.tile([-1, 0, 1], dim)
+        # the two padding zeros sit outside the matrix and go with the other zeros
+        values = np.stack([np.r_[0, self.lower], self.diagonal, np.r_[self.upper, 0]], 1).ravel()
+        keep = values != 0.0
+        return values[keep], rows[keep], cols[keep]
+
+
+def schwinger_operator(pauli: np.ndarray, n_max: int) -> Tridiagonal:
     """Schwinger map ``sum_jk P[j,k] b_j^dag b_k`` of a 2x2 matrix ``P`` on
     the truncated space of :func:`fock_space` ``(n_max)``.
 
@@ -213,13 +247,11 @@ def schwinger_operator(pauli: np.ndarray, n_max: int) -> sp.csr_matrix:
     return _schwinger_tridiagonal(pauli, space.n, space.m)
 
 
-def _schwinger_tridiagonal(pauli: np.ndarray, n: np.ndarray, m: np.ndarray) -> sp.csr_matrix:
+def _schwinger_tridiagonal(pauli: np.ndarray, n: np.ndarray, m: np.ndarray) -> Tridiagonal:
     """The tridiagonal of :func:`schwinger_operator` over consecutive states ``(n, m)``."""
+    pauli = np.asarray(pauli, dtype=complex)
     hop = np.sqrt((n[:-1] + 1.0) * m[:-1])
-    diagonal = pauli[0, 0] * n + pauli[1, 1] * m
-    return sp.diags(
-        [pauli[0, 1] * hop, diagonal, pauli[1, 0] * hop], [-1, 0, 1], format="csr", dtype=complex
-    )
+    return Tridiagonal(pauli[0, 1] * hop, pauli[0, 0] * n + pauli[1, 1] * m, pauli[1, 0] * hop)
 
 
 def _unitary_log(unitary: np.ndarray) -> np.ndarray:

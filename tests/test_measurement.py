@@ -29,6 +29,7 @@ from qiopa import (
     simon_spin_witness,
     simon_spin_witness_lossy,
     stokes_operators,
+    stokes_terms,
     threshold_povm,
     visibility,
 )
@@ -378,6 +379,33 @@ class TestStokes:
         rho = DensityOperator(np.outer(vec, vec.conj()), 16, PM, micro_dim=2)
         assert simon_spin_witness(rho).value <= 1e-10
 
+    @pytest.mark.parametrize(
+        "cutoff, basis", [(6, HV), (7, RL), (8, PolarizationBasis.equatorial(0.4))]
+    )
+    def test_mixed_route_matches_dense_operators(self, cutoff, basis):
+        # Tr(rho (sigma_i x J_i)) with J_i the dense Stokes operator
+        rng = np.random.default_rng(cutoff)
+        dim = 2 * fock_space(cutoff).dim
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = a @ a.conj().T
+        rho = DensityOperator(a / np.trace(a), cutoff, basis, micro_dim=2)
+        ops = stokes_operators(cutoff, basis)
+        terms, mean_n = stokes_terms(rho)
+        for axis in (1, 2, 3):
+            want = expectation(rho, np.kron(pauli_matrix(axis, basis), ops.dense(axis)))
+            assert terms[axis - 1] == pytest.approx(want, abs=1e-12)
+        number = np.kron(np.eye(2), np.diag(ops.number_diagonal))
+        assert mean_n == pytest.approx(expectation(rho, number), abs=1e-12)
+
+    def test_pure_and_mixed_routes_agree(self):
+        state = micro_macro_state_hv(GainParams(0.6), Cutoff(12, 0.5))
+        vec = state.dense().reshape(-1)
+        rho = DensityOperator(np.outer(vec, vec.conj()), state.cutoff, state.basis, micro_dim=2)
+        pure_terms, pure_n = stokes_terms(state)
+        mixed_terms, mixed_n = stokes_terms(rho)
+        assert np.max(np.abs(pure_terms - mixed_terms)) < 1e-12
+        assert pure_n == pytest.approx(mixed_n, abs=1e-12)
+
     def test_requires_joint_state(self):
         rho = DensityOperator(np.eye(fock_space(3).dim) / fock_space(3).dim, 3, HV)
         with pytest.raises(ValueError):
@@ -396,7 +424,9 @@ axes = st.sampled_from((1, 2, 3))
 def sector_block(pauli, total):
     """Block of the Schwinger map of ``pauli`` on the sector of ``total`` photons."""
     sl = fock_space(total).sector_slices[total]
-    return schwinger_operator(pauli, total)[sl, sl].toarray()
+    op = schwinger_operator(pauli, total)
+    hops = slice(sl.start, sl.stop - 1)
+    return np.diag(op.diagonal[sl]) + np.diag(op.lower[hops], -1) + np.diag(op.upper[hops], 1)
 
 
 class TestStokesBlocks:
