@@ -15,8 +15,8 @@ configuration errors (including a non-finite or negative gain, a negative
 threshold, a probability outside [0, 1], a tail tolerance outside (0, 1)
 and an unwritable output), 3 on numeric failures (unreachable cutoff,
 all-inconclusive visibility, vanishing conditional probability, overflow at
-extreme gain), 141 (a shell's status for SIGPIPE) when the reader of stdout
-closes it early, as in ``qiopa pcrit | head -1``.
+extreme gain, memory exhausted), 141 (a shell's status for SIGPIPE) when
+the reader of stdout closes it early, as in ``qiopa pcrit | head -1``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .amplifier import GainParams, micro_macro_state_hv, required_cutoff
+from .amplifier import GainParams, required_cutoff
 from .channels import InjectionParams, LossParams, attenuated_state_with_injection
 from .fock import (
     ConditioningError,
@@ -61,7 +61,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_PIPE = 141
 
-_NUMERIC_FAILURES = (CutoffError, UndefinedVisibilityError, ConditioningError, OverflowError)
+_NUMERIC_FAILURES = (
+    CutoffError, UndefinedVisibilityError, ConditioningError, OverflowError, MemoryError,
+)
 
 
 class ConfigError(ValueError):
@@ -201,12 +203,12 @@ def _basis_from_label(label: str) -> PolarizationBasis:
 
 def _resolve_cutoff(values: dict, gain: GainParams, default_tail: float) -> Cutoff:
     """The one cutoff rule of every truncated experiment, applied per gain."""
-    tail = float(_scalar(values, "tail_tol", float)) if "tail_tol" in values else default_tail
+    tail = _scalar(values, "tail_tol", float) if "tail_tol" in values else default_tail
     if not 0.0 < tail < 1.0:
         raise ConfigError(f"tail tolerance {tail} outside (0, 1)")
     if "cutoff" not in values:
         return Cutoff(required_cutoff(gain, min(tail, 1e-9)), tail)
-    n_max = int(_scalar(values, "cutoff", int))
+    n_max = _scalar(values, "cutoff", int)
     if n_max < 1:
         raise ConfigError("cutoff must be a positive photon number")
     return Cutoff(n_max, tail)
@@ -288,9 +290,8 @@ def _run_witness_stokes(cfg: RunConfig):
     for g in _gain_grid(values):
         gain = GainParams(g)
         cutoff = _resolve_cutoff(values, gain, 1e-8)
-        state = micro_macro_state_hv(gain, cutoff)
         for eta in etas:
-            rep = simon_spin_witness_lossy(state, LossParams(eta))
+            rep = simon_spin_witness_lossy(gain, LossParams(eta), cutoff)
             rows.append(
                 (eta, 1.0 - eta, g, cutoff.n_max)
                 + tuple(rep.terms)
@@ -344,12 +345,12 @@ def _run_pcrit(cfg: RunConfig):
 
 def _run_ofilter_dist(cfg: RunConfig):
     values = cfg.values
-    n = int(_scalar(values, "n", int))
-    m = int(_scalar(values, "m", int))
+    n = _scalar(values, "n", int)
+    m = _scalar(values, "m", int)
     if n < 0 or m < 0 or n + m < 1:
         raise ConfigError("the Fock state needs a non-negative photon pair with n+m >= 1")
-    prep = _basis_from_label(str(_scalar(values, "prep_basis", str)))
-    target = _basis_from_label(str(_scalar(values, "basis", str)))
+    prep = _basis_from_label(_scalar(values, "prep_basis", str))
+    target = _basis_from_label(_scalar(values, "basis", str))
     k = _single(values, "k", _threshold_grid)
     total = n + m
     state = TwoModeVector.from_amplitudes({(n, m): 1.0}, total, prep)
@@ -514,12 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--t": "coherence parameter grid",
     }
     scalar_flags = {
-        "--cutoff": ("maximum total photon number", int),
-        "--tail-tol": ("maximum truncated probability mass", float),
-        "--n": ("photons in the first mode", int),
-        "--m": ("photons in the second mode", int),
-        "--prep-basis": ("preparation basis (hv, pm, rl, eq:PHI)", str),
-        "--basis": ("measurement basis (hv, pm, rl, eq:PHI)", str),
+        "--cutoff": "maximum total photon number",
+        "--tail-tol": "maximum truncated probability mass",
+        "--n": "photons in the first mode",
+        "--m": "photons in the second mode",
+        "--prep-basis": "preparation basis (hv, pm, rl, eq:PHI)",
+        "--basis": "measurement basis (hv, pm, rl, eq:PHI)",
     }
     for name, (_, _, allowed) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=specs[name])
@@ -530,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, help_text in grid_flags.items():
             if flag.lstrip("-").replace("-", "_") in allowed:
                 _add_grid_option(p, flag, help_text)
-        for flag, (help_text, typ) in scalar_flags.items():
+        for flag, help_text in scalar_flags.items():
             if flag.lstrip("-").replace("-", "_") in allowed:
                 p.add_argument(flag, default=None, type=str,
                                dest=flag.lstrip("-").replace("-", "_"),
@@ -642,7 +643,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERIC_FAILURES as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        reason = str(exc)
+        if isinstance(exc, MemoryError):  # a bare MemoryError carries no message
+            reason = ": ".join(filter(None, ("memory ran out", reason)))
+        print(f"numeric failure: {reason}", file=sys.stderr)
         return EXIT_NUMERIC
     try:
         return _emit(cfg, meta, columns, rows)

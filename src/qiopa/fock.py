@@ -211,14 +211,6 @@ class Tridiagonal:
         for arr in (self.lower, self.diagonal, self.upper):
             arr.setflags(write=False)
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Product with a vector or with the columns of a ``(dim, k)`` matrix."""
-        col = (slice(None),) + (None,) * (x.ndim - 1)
-        out = self.diagonal[col] * x
-        out[1:] += self.lower[col] * x[:-1]
-        out[:-1] += self.upper[col] * x[1:]
-        return out
-
     def toarray(self) -> np.ndarray:
         return np.diag(self.diagonal) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
 

@@ -373,7 +373,6 @@ class StokesOperators:
         return self.operators[axis - 1].toarray()
 
 
-@lru_cache(maxsize=16)
 def stokes_operators(
     cutoff: int, basis: PolarizationBasis = PolarizationBasis.hv()
 ) -> StokesOperators:
@@ -385,38 +384,35 @@ def stokes_operators(
     return StokesOperators(cutoff, basis, operators, number_diag)
 
 
-def _stokes_terms_pure(joint: MicroMacroState) -> tuple[np.ndarray, float]:
-    """Per-axis ``<sigma_i x J_i>`` and ``<N>`` of a pure joint state."""
-    ops = stokes_operators(joint.cutoff, joint.basis)
-    vec = joint.dense()
-    terms = np.zeros(3)
-    for axis, op in zip((1, 2, 3), ops.operators):
-        # braket[s, t] = <v_s| J |v_t> over the two micro components
-        braket = vec.conj() @ (op @ vec.T)
-        terms[axis - 1] = np.sum(pauli_matrix(axis, joint.basis) * braket).real
-    mean_n = float(np.einsum("se,e,se->", vec.conj(), ops.number_diagonal, vec).real)
-    return terms, mean_n
-
-
 def stokes_terms(
     joint: DensityOperator | MicroMacroState,
 ) -> tuple[np.ndarray, float]:
     """Per-axis correlations ``<sigma_i x J_i>`` and the mean photon number
-    ``<N>`` of the macro arm, for a pure or mixed joint state."""
+    ``<N>`` of the macro arm, for a pure or mixed joint state.
+
+    Both kinds of state contract the operators' nonzero entries
+    ``(v_k, rows_k, cols_k)`` with
+    ``x[s, t] = Tr(J rho_st) = sum_k v_k rho_st[cols_k, rows_k]``, where
+    ``rho_st[e, f] = <s, e| rho |t, f>``; a pure state ``psi`` enters as
+    ``rho_st[e, f] = psi_s[e] conj(psi_t[f])``, in O(dim) memory.
+    """
     if isinstance(joint, MicroMacroState):
-        return _stokes_terms_pure(joint)
-    if joint.micro_dim != 2:
-        raise ValueError("Stokes correlations require a joint micro-macro state")
+        psi = joint.dense()
+        def blocks(rows, cols):
+            return np.einsum("sk,tk->kst", psi[:, cols], psi[:, rows].conj())
+        populations = np.sum(np.abs(psi) ** 2, axis=0)
+    else:
+        if joint.micro_dim != 2:
+            raise ValueError("Stokes correlations require a joint micro-macro state")
+        d = fock_space(joint.cutoff).dim
+        mat = joint.matrix.reshape(2, d, 2, d)
+        def blocks(rows, cols):
+            return mat[:, cols, :, rows]
+        populations = sum(mat[s, :, s, :].diagonal().real for s in range(2))
     ops = stokes_operators(joint.cutoff, joint.basis)
-    d = fock_space(joint.cutoff).dim
-    mat = joint.matrix.reshape(2, d, 2, d)
     terms = np.zeros(3)
     for axis, op in zip((1, 2, 3), ops.operators):
         values, rows, cols = op.entries()
-        # x[s, t] = Tr(J rho_st) with rho_st[e, f] = mat[s, e, t, f]
-        x = np.einsum("k,kst->st", values, mat[:, cols, :, rows])
+        x = np.einsum("k,kst->st", values, blocks(rows, cols))
         terms[axis - 1] = float(np.trace(x @ pauli_matrix(axis, joint.basis)).real)
-    mean_n = 0.0
-    for s in range(2):
-        mean_n += float((mat[s, :, s, :].diagonal().real * ops.number_diagonal).sum())
-    return terms, mean_n
+    return terms, float(populations @ ops.number_diagonal)

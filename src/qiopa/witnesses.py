@@ -13,7 +13,8 @@ The lossy tests never form the lossy state.  The pseudo-Pauli terms are
 differences of lossy fidelities between the two amplified seeds of each
 axis, sums over the single-mode loss amplitudes ``k_p(n)`` on the exact
 truncation triangle; the threshold-filter terms are the imbalance
-``P- - P+`` of one thinned seed; the spin terms scale by ``eta``.
+``P- - P+`` of one thinned seed; the spin terms are sums over the pair
+ladder, scaled by ``eta``.
 """
 
 from __future__ import annotations
@@ -422,29 +423,29 @@ def simon_spin_witness(
     return WitnessReport(value, 0.0, tuple(float(t) for t in terms), "simon-spin", merged)
 
 
-def simon_spin_witness_lossy(
-    state: MicroMacroState, loss: LossParams
-) -> WitnessReport:
-    """Spin-criterion test after loss ``eta`` on the macro arm of a pure
-    state.
+def simon_spin_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> WitnessReport:
+    """Spin-criterion test of the amplified singlet after loss on the macro
+    arm, on the (H, V) pair ladders ``sum c_n |n, n+1>`` and
+    ``sum c_n |n+1, n>`` of :func:`qiopa.amplifier.micro_macro_state_hv`,
+    whose tail gate it shares.
 
-    Equal-transmittivity loss rescales every photon-number-linear observable
-    by ``eta`` exactly (the channel adjoint maps ``J -> eta J`` and
-    ``N -> eta N`` at any cutoff), so every term and the value are ``eta``
-    times the lossless ones; the test suite checks this against the explicit
-    Kraus sum.
+    ``J_1`` gives -1; ``J_2`` and ``J_3`` move ``|n+1, n>`` to ``|n, n+1>``
+    with weight ``n + 1``, so both terms are ``-sum c_n^2 (n+1) / mass``, and
+    ``<N> = sum c_n^2 (2n+1) / mass``.  Equal-transmittivity loss maps
+    ``J -> eta J`` and ``N -> eta N`` at any cutoff, so the value is
+    ``2 eta`` exactly.  No state or Schwinger map is formed; the derivation
+    is in ``notes/decisions.md``.
     """
-    terms, mean_n = stokes_terms(state)
-    value = float(loss.eta * (abs(terms.sum()) - mean_n))
+    c, mass = _gated_pair_ladder(gain, cutoff)
+    weights = c**2 / mass
+    rungs = np.arange(c.size)
+    hop = -float(weights @ (rungs + 1.0))
+    mean_n = float(weights @ (2.0 * rungs + 1.0))
+    lossless = (-1.0, hop, hop)
     return WitnessReport(
-        value,
+        loss.eta * (abs(sum(lossless)) - mean_n),
         0.0,
-        tuple(float(loss.eta * t) for t in terms),
+        tuple(loss.eta * t for t in lossless),
         "simon-spin",
-        {
-            "g": state.gain.g,
-            "eta": loss.eta,
-            "cutoff": state.cutoff,
-            "mean_photons_b": loss.eta * mean_n,
-        },
+        {"g": gain.g, "eta": loss.eta, "cutoff": cutoff.n_max, "mean_photons_b": loss.eta * mean_n},
     )

@@ -277,9 +277,8 @@ def test_criterion_5_stokes_identity():
     for g_val in (0.3, 0.6, 1.0):
         gain = GainParams(g_val)
         cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
-        state = micro_macro_state_hv(gain, cut)
         for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            value = simon_spin_witness_lossy(state, LossParams(eta)).value
+            value = simon_spin_witness_lossy(gain, LossParams(eta), cut).value
             worst = max(worst, abs(value - 2.0 * eta))
     ok = worst < 1e-6
     report(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,18 @@ class TestPlumbing:
         assert out == ""
         assert "non-finite" in err
 
+    def test_memory_error_exits_3_with_one_line(self, monkeypatch, capsys):
+        import qiopa.cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(qiopa.cli, "lossy_fringe_probabilities", exhausted)
+        code, out, err = run_cli(["visibility", "--g", "0.5", "--R", "0.1"], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.count("\n") == 1 and "memory ran out" in err
+
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["teleportation"]) == EXIT_CONFIG
 
@@ -333,6 +346,21 @@ class TestExperiments:
         values = column(out, "value")
         for eta, value in zip(etas, values):
             assert value == pytest.approx(2 * eta, abs=1e-6)
+
+    def test_witness_stokes_at_high_gain_forms_no_state(self, capsys):
+        # the joint state at g = 2.5 (cutoff 1775) would take hundreds of MB
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["witness-stokes", "--g", "2.5", "--eta", "0,0.5,1"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 10e6
+        etas = column(out, "eta")
+        assert etas == [0.0, 0.5, 1.0]
+        for eta, value in zip(etas, column(out, "value")):
+            assert value == pytest.approx(2 * eta, abs=1e-9)
 
     def test_pcrit_scan_matches_closed_form(self, capsys):
         code, out, _ = run_cli(["pcrit", "--g", "0.5,1.5", "--eta", "0.01"], capsys)

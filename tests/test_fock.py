@@ -15,7 +15,7 @@ from qiopa import (
     photon_distribution,
     rotate_basis,
 )
-from qiopa.fock import rotate_dense, schwinger_operator, transfer_matrix
+from qiopa.fock import rotate_dense, transfer_matrix
 
 HV = PolarizationBasis.hv()
 PM = PolarizationBasis.plus_minus()
@@ -253,19 +253,6 @@ class TestDensityOperator:
         bad = DensityOperator(rho.matrix * 2.0, 2, HV)
         with pytest.raises(ValueError):
             bad.validate()
-
-
-class TestSchwingerTridiagonal:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_product_matches_dense(self, seed):
-        rng = np.random.default_rng(seed)
-        pauli = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        op = schwinger_operator(pauli / np.linalg.norm(pauli), 6 + seed)
-        dense = op.toarray()
-        dim = fock_space(6 + seed).dim
-        for shape in ((dim,), (dim, 3)):
-            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            assert np.max(np.abs(op @ x - dense @ x)) < 1e-14
 
 
 class TestCutoff:

@@ -345,20 +345,21 @@ class TestStokes:
         for g_val in (0.3, 0.6):
             gain = GainParams(g_val)
             cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
-            state = micro_macro_state_hv(gain, cut)
             for eta in (0.0, 0.5, 1.0):
-                value = simon_spin_witness_lossy(state, LossParams(eta)).value
+                value = simon_spin_witness_lossy(gain, LossParams(eta), cut).value
                 assert value == pytest.approx(2 * eta, abs=1e-9)
 
     def test_lossy_shortcut_matches_explicit_kraus(self):
-        gain = GainParams(0.6)
-        state = micro_macro_state_hv(gain, Cutoff(16, 0.5))
-        for eta in (0.3, 0.7, 1.0):
-            fast = simon_spin_witness_lossy(state, LossParams(eta))
-            slow = simon_spin_witness(lossy_channel(state, LossParams(eta)))
-            assert fast.terms == pytest.approx(slow.terms, abs=1e-12)
-            fast, slow = fast.value, slow.value
-            assert fast == pytest.approx(slow, abs=1e-12)
+        # odd and even cutoffs: the ladder's last rung sits at n_max or n_max - 1
+        for g_val, n_max in ((0.0, 1), (0.6, 16), (1.0, 17), (1.2, 24)):
+            gain = GainParams(g_val)
+            cut = Cutoff(n_max, 0.5)
+            state = micro_macro_state_hv(gain, cut)
+            for eta in (0.0, 0.3, 0.7, 1.0):
+                fast = simon_spin_witness_lossy(gain, LossParams(eta), cut)
+                slow = simon_spin_witness(lossy_channel(state, LossParams(eta)))
+                assert fast.terms == pytest.approx(slow.terms, abs=1e-12)
+                assert fast.value == pytest.approx(slow.value, abs=1e-12)
 
     def test_separable_product_states_stay_non_positive(self):
         rng = np.random.default_rng(23)
@@ -398,13 +399,15 @@ class TestStokes:
         assert mean_n == pytest.approx(expectation(rho, number), abs=1e-12)
 
     def test_pure_and_mixed_routes_agree(self):
-        state = micro_macro_state_hv(GainParams(0.6), Cutoff(12, 0.5))
-        vec = state.dense().reshape(-1)
-        rho = DensityOperator(np.outer(vec, vec.conj()), state.cutoff, state.basis, micro_dim=2)
-        pure_terms, pure_n = stokes_terms(state)
-        mixed_terms, mixed_n = stokes_terms(rho)
-        assert np.max(np.abs(pure_terms - mixed_terms)) < 1e-12
-        assert pure_n == pytest.approx(mixed_n, abs=1e-12)
+        gain, cut = GainParams(0.6), Cutoff(12, 0.5)
+        # the equatorial state has complex amplitudes
+        for state in (micro_macro_state_hv(gain, cut), micro_macro_state(0.7, gain, cut)):
+            vec = state.dense().reshape(-1)
+            rho = DensityOperator(np.outer(vec, vec.conj()), state.cutoff, state.basis, micro_dim=2)
+            pure_terms, pure_n = stokes_terms(state)
+            mixed_terms, mixed_n = stokes_terms(rho)
+            assert np.max(np.abs(pure_terms - mixed_terms)) < 1e-12
+            assert pure_n == pytest.approx(mixed_n, abs=1e-12)
 
     def test_requires_joint_state(self):
         rho = DensityOperator(np.eye(fock_space(3).dim) / fock_space(3).dim, 3, HV)

@@ -240,26 +240,36 @@ class TestSimonSpinWitness:
         for g_val in (0.3, 1.0):
             gain = GainParams(g_val)
             cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
-            state = micro_macro_state_hv(gain, cut)
-            rep = simon_spin_witness_lossy(state, LossParams(0.5))
+            rep = simon_spin_witness_lossy(gain, LossParams(0.5), cut)
             assert rep.value == pytest.approx(1.0, abs=1e-6)
             assert rep.bound == 0.0
 
     @pytest.mark.parametrize("g_val", [1.2, 1.5])
     def test_two_eta_at_high_gain_at_resolved_cutoff(self, g_val):
-        # the resolved cutoffs (131 and 239) reach sectors of up to 239
-        # photons, where the Schwinger maps must hold without any rotation
+        # the resolved cutoffs (131 and 239) reach sectors of up to 239 photons
         gain = GainParams(g_val)
         cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
-        state = micro_macro_state_hv(gain, cut)
         for eta in (0.5, 1.0):
-            rep = simon_spin_witness_lossy(state, LossParams(eta))
+            rep = simon_spin_witness_lossy(gain, LossParams(eta), cut)
             assert rep.value == pytest.approx(2.0 * eta, abs=1e-9)
+
+    @pytest.mark.parametrize("g_val", [2.0, 3.0, 4.0])
+    def test_untruncated_limits_at_high_gain(self, g_val):
+        # cutoffs 653 to 35681: term_2 = term_3 -> -eta (1 + 2 sinh^2 g) and
+        # <N> -> eta (1 + 4 sinh^2 g) up to the truncated tail
+        gain = GainParams(g_val)
+        cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
+        sinh2 = math.sinh(g_val) ** 2
+        for eta in (0.25, 1.0):
+            rep = simon_spin_witness_lossy(gain, LossParams(eta), cut)
+            assert rep.value == pytest.approx(2.0 * eta, abs=1e-9)
+            assert rep.terms[1] == rep.terms[2]
+            assert rep.terms[1] == pytest.approx(-eta * (1.0 + 2.0 * sinh2), rel=1e-7)
+            assert rep.params["mean_photons_b"] == pytest.approx(eta * (1.0 + 4.0 * sinh2), rel=1e-7)
 
     def test_zero_transmission_saturates_bound(self):
         gain = GainParams(0.6)
-        state = micro_macro_state_hv(gain, Cutoff(21, 1e-4))
-        rep = simon_spin_witness_lossy(state, LossParams(0.0))
+        rep = simon_spin_witness_lossy(gain, LossParams(0.0), Cutoff(21, 1e-4))
         assert rep.value == pytest.approx(0.0, abs=1e-12)
 
     def test_product_states_respect_bound(self):
