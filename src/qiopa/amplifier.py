@@ -263,12 +263,6 @@ def _macro_mode_populations(gain: GainParams, n_max: int) -> tuple[np.ndarray, n
     return a, b
 
 
-def _macro_mode_mass(a: np.ndarray, b: np.ndarray) -> float:
-    """Mass ``sum a_i b_j`` of the mode factors on the triangle
-    ``i + j <= a.size - 1`` (reversed cumsum: ``sum_{j <= k_max - i} b_j``)."""
-    return float(a @ np.cumsum(b)[::-1])
-
-
 def _macro_vector_unchecked(phi: float, gain: GainParams, n_max: int) -> TwoModeVector:
     """Truncated amplified equatorial seed without the tail-tolerance gate."""
     return TwoModeVector(*_macro_ladder(phi, gain, n_max), n_max, PolarizationBasis.equatorial(phi))

@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .amplifier import GainParams, required_cutoff
 from .channels import InjectionParams, LossParams, attenuated_state_with_injection
@@ -539,6 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: a build costs about 2 ms per call of main
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     experiment = args.experiment
     _, defaults, allowed = _EXPERIMENTS[experiment]
@@ -631,9 +638,8 @@ def _emit(cfg: RunConfig, meta: dict, columns, rows) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -8,10 +8,9 @@ Four measurement families are implemented:
 * the threshold filter POVM assigning +1 / -1 when the photon-number
   imbalance between the two modes of a basis exceeds a threshold ``k`` and an
   inconclusive 0 otherwise, and the fringe visibility it gives on the lossy
-  macro-qubit.  Loss acts there as binomial thinning of each mode, and in
-  the seed's own basis its populations are a product of two single-mode
-  distributions on the exact truncation triangle: the fringe and the lossy
-  threshold-filter terms are O(n_max^2) contractions with no population matrix;
+  macro-qubit.  The fringe and the lossy threshold-filter terms are tails
+  of the law of a thinned photon-number difference, one FFT of its
+  closed-form generating function on the unit circle (:func:`_difference_law`);
 * a multi-detector coincidence scheme with non-number-resolving clicks;
 * quantum Stokes operators (per-basis photon-number differences) and the
   total photon number.  Each Stokes operator is the Schwinger map
@@ -34,13 +33,11 @@ import numpy as np
 from .amplifier import (
     GainParams,
     MicroMacroState,
-    _checked_tail,
+    _gated_pair_ladder,
     _hv_macro_vector_unchecked,
-    _macro_mode_mass,
-    _macro_mode_populations,
     _macro_vector_unchecked,
 )
-from .channels import LossParams, _binomial_thinning_kernel
+from .channels import LossParams
 from .fock import (
     Cutoff,
     CutoffError,
@@ -236,52 +233,55 @@ def lossy_fringe_probabilities(
     """Threshold-filter outcome probabilities of the lossy amplified seed.
 
     The macro-qubit at ``phi`` is sent through the loss channel and measured
-    in its own equatorial basis.  Only Fock populations matter for these
-    diagonal effects, so the channel acts as independent binomial thinning of
-    the two modes, which is exact at any cutoff.  The populations on
-    ``|2i+1, 2j>`` are a product ``a_i b_j`` of two single-mode distributions
-    (:func:`qiopa.amplifier._macro_mode_populations`), kept on the exact
-    triangle ``2i+1 + 2j <= n_max`` and renormalized.  With ``K`` the thinning
-    kernel, the even mode thinned under the triangle is
-    ``T[s, i] = a_i sum_{j <= k_max-i} K[s, 2j] b_j`` and the odd mode's tails are
-    ``U[r, i] = P(thin(2i+1) >= r)``; then ``P+ = sum T[s, i] U[s+k+1, i]`` and
-    ``P- = sum T[s, i] (1 - U[s-k, i])``.  Time and memory are O(n_max^2).
-    The phase ``phi`` does not enter the populations.
+    in its own equatorial basis.  These diagonal effects see loss as binomial
+    thinning of each mode, and ``P+`` and ``P-`` are tails of the untruncated
+    law of the thinned difference ``D = r - s`` (:func:`_difference_law`).
+    ``cutoff`` sets the FFT length and runs the seed's tail gate; each value
+    is within the gated tail mass of the untruncated one.  ``phi`` does not
+    enter the populations.
     """
     if k < 0:
         raise ValueError(f"threshold must be non-negative, got {k}")
-    n_max = cutoff.n_max
-    a, b = _macro_mode_populations(gain, n_max)
-    mass = _macro_mode_mass(a, b)
-    _checked_tail(mass, gain, cutoff)
-    p_plus, p_minus = (p / mass for p in _fringe_imbalance(a, b, loss.eta, k, n_max))
-    _checked_finite((p_plus, p_minus), gain, loss, n_max)
+    _gated_pair_ladder(gain, cutoff)
+    law = _difference_law("equatorial", gain, loss.eta, cutoff.n_max)
+    p_plus, p_minus = _imbalance(law, k)
+    _checked_finite((p_plus, p_minus), gain, loss, cutoff.n_max)
     return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
 
 
-def _fringe_imbalance(a, b, eta: float, k: int, n_max: int) -> tuple[float, float]:
-    """Unnormalized ``(P+, P-)`` of the fringe, without the tail gate."""
-    kernel = _binomial_thinning_kernel(n_max, eta)
-    # T[s, i], built in place: a fresh large temporary costs about a pass over it
-    even = np.multiply(kernel[:, 0 : 2 * a.size : 2], b)
-    np.cumsum(even, axis=1, out=even)
-    even = even[:, ::-1]
-    even *= a
-    return _thinned_imbalance(kernel[:, 1::2], even, k)
+def _difference_law(seed: str, gain: GainParams, eta: float, n_max: int) -> np.ndarray:
+    """Law ``P(D = d)``, at index ``d mod N``, of ``D = r - s``, the thinned
+    photon counts of the seeded and the other mode of the ``"H"`` pair ladder
+    ``|n+1, n>`` or the ``"equatorial"`` seed ``|2i+1, 2j>``, in its own basis.
+
+    Thinning maps the seed's generating function ``G(u, v)`` to
+    ``G(1 - eta + eta u, 1 - eta + eta v)``; at ``u = z = exp(i theta)``,
+    ``v = 1/z`` that is ``E[z^D]``, and its length-``N`` DFT is the law.  With
+    ``t = tanh g``, ``C = cosh g`` the ladder's ``G`` is
+    ``u / (C^4 (1 - t^2 u v)^2)`` and the equatorial seed's
+    ``u / (C^4 (1 - t^2 u^2)^(3/2) (1 - t^2 v^2)^(1/2))``, evaluated in forms
+    that never take ``1 - t^2`` (``notes/decisions.md``).  ``N``, the smallest
+    power of two at or above ``2 (n_max + 1)``, aliases only the mass beyond
+    ``n_max`` photons; at ``eta = 0`` the law is an exact point mass.
+    """
+    size = 1 << (2 * n_max + 1).bit_length()
+    half_angle = np.pi * np.arange(size) / size
+    sin2 = np.sin(half_angle) ** 2
+    lost = eta * (2.0 * sin2 - 1j * np.sin(2.0 * half_angle))  # x = eta (1 - z)
+    sinh2 = gain.sinh_g**2
+    if seed == "H":
+        gf = (1.0 - lost) / (1.0 + 4.0 * sinh2 * eta * (1.0 - eta) * sin2) ** 2
+    else:
+        w = 1.0 + sinh2 * lost * (2.0 - lost)
+        gf = (1.0 - lost) / (w * np.abs(w))
+    return np.fft.fft(gf).real / size
 
 
-def _thinned_imbalance(seeded: np.ndarray, other: np.ndarray, k: int) -> tuple[float, float]:
-    """The fringe's ``(P+, P-)`` from ``T = other`` and the tails ``U`` of the
-    columns of ``seeded``, unnormalized; rows are thinned counts ``0 .. n_max``."""
-    # P+ pairs s with r >= s + k + 1, P- with r <= s - k - 1; none if k >= n_max
-    span = max(seeded.shape[0] - 1 - k, 0)
-    # below[r, i] = 1 - U[r+1, i], summed from the low end so that small
-    # probabilities keep their relative precision
-    below = np.cumsum(seeded, axis=0)
-    above = np.cumsum(seeded[::-1], axis=0)[::-1]  # U
-    p_plus = float(np.einsum("si,si->", other[:span], above[k + 1 :]))
-    p_minus = float(np.einsum("si,si->", other[k + 1 :], below[:span]))
-    return p_plus, p_minus
+def _imbalance(law: np.ndarray, k: int) -> tuple[float, float]:
+    """``(P+, P-) = (P(k < D < N/2), P(-N/2 <= D < -k))`` of a law from
+    :func:`_difference_law`."""
+    half = law.size // 2
+    return float(law[k + 1 : half].sum()), float(law[half : law.size - k].sum())
 
 
 def _checked_finite(values, gain: GainParams, loss: LossParams, n_max: int) -> None:

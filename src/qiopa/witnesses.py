@@ -13,8 +13,8 @@ The lossy tests never form the lossy state.  The pseudo-Pauli terms are
 differences of lossy fidelities between the two amplified seeds of each
 axis, sums over the single-mode loss amplitudes ``k_p(n)`` on the exact
 truncation triangle; the threshold-filter terms are the imbalance
-``P- - P+`` of one thinned seed; the spin terms are sums over the pair
-ladder, scaled by ``eta``.
+``P- - P+`` of one thinned seed, tails of the law of its photon-number
+difference; the spin terms are sums over the pair ladder, scaled by ``eta``.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .amplifier import (
     GainParams,
     MicroMacroState,
     _gated_pair_ladder,
-    _macro_mode_mass,
     _macro_mode_populations,
 )
-from .channels import LossParams, _binomial_thinning_kernel, _loss_amplitudes
+from .channels import LossParams, _loss_amplitudes
 from .fock import (
     Cutoff,
     DensityOperator,
@@ -43,8 +42,8 @@ from .fock import (
 from .measurement import (
     PseudoPauliOperator,
     _checked_finite,
-    _fringe_imbalance,
-    _thinned_imbalance,
+    _difference_law,
+    _imbalance,
     pauli_matrix,
     sigma_operator,
     stokes_terms,
@@ -232,7 +231,7 @@ def sigma_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> W
     # equatorial(0) with the modes exchanged, and its seed is
     # |A_1> = sum (-1)^(i+j) u_i v_j |2j, 2i+1>
     a, b = _macro_mode_populations(gain, n_max)
-    eq_mass = _macro_mode_mass(a, b)
+    eq_mass = float(a @ np.cumsum(b)[::-1])  # sum a_i b_j over i + j <= k_max
     u, v = np.sqrt(a), np.sqrt(b) * (-1.0) ** np.arange(b.size)
     parity = (-1.0) ** np.arange(a.size)
     odd, even, odd_1, even_1 = np.zeros((4, n_max + 1))
@@ -299,19 +298,18 @@ def ofilter_witness_lossy(
     arm.  In axis j's own basis the singlet is ``(|0>|A_1> - |1>|A_0>)/sqrt(2)``
     and ``A_1`` is ``A_0`` with its modes exchanged, up to signs, so each term
     is ``P- - P+`` of the lossy ``A_0``: the H-seed ladder on axis 1, the
-    fringe on axes 2 and 3 (one value).  It runs the tail gate of
-    :func:`qiopa.amplifier.micro_macro_state` and forms no state."""
+    fringe on axes 2 and 3 (one value).  Both come from the untruncated law of
+    the thinned difference (:func:`qiopa.measurement._difference_law`), as in
+    :func:`qiopa.measurement.lossy_fringe_probabilities`.  It runs the tail
+    gate of :func:`qiopa.amplifier.micro_macro_state` and forms no state."""
     if k < 0:
         raise ValueError(f"threshold must be non-negative, got {k}")
     n_max = cutoff.n_max
-    c, mass = _gated_pair_ladder(gain, cutoff)
-    # the fringe's contraction with the ladder's columns: |n+1> seeded, T[s, n] = K[s, n] c_n^2
-    kernel = _binomial_thinning_kernel(n_max, loss.eta)
-    ladder = _thinned_imbalance(kernel[:, 1 : c.size + 1], kernel[:, : c.size] * c**2, k)
-    a, b = _macro_mode_populations(gain, n_max)
-    fringe = _fringe_imbalance(a, b, loss.eta, k, n_max)
-    term_23 = (fringe[1] - fringe[0]) / _macro_mode_mass(a, b)
-    terms = ((ladder[1] - ladder[0]) / mass, term_23, term_23)
+    _gated_pair_ladder(gain, cutoff)
+    ladder, fringe = (
+        _imbalance(_difference_law(seed, gain, loss.eta, n_max), k) for seed in ("H", "equatorial")
+    )
+    terms = (ladder[1] - ladder[0], fringe[1] - fringe[0], fringe[1] - fringe[0])
     _checked_finite(terms, gain, loss, n_max)
     return WitnessReport(
         sum(abs(t) for t in terms), SEPARABLE_BOUND, terms, "micro-macro-ofilter",

@@ -16,6 +16,8 @@ from qiopa.cli import (
     EXIT_OK,
     EXIT_PIPE,
     RunConfig,
+    _parser,
+    build_parser,
     main,
     run_experiment,
 )
@@ -59,6 +61,19 @@ class TestPlumbing:
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_parser_is_built_once_and_carries_nothing_between_runs(self, capsys):
+        assert _parser() is _parser()
+        assert build_parser() is not build_parser()
+        code, first, _ = run_cli(["visibility", "--g", "0.5", "--R", "0.2", "--k", "1"], capsys)
+        assert code == EXIT_OK
+        # a run after one with other flags sees only its own flags and defaults
+        code, _, _ = run_cli(["visibility", "--g", "0.6", "--eta", "0.3", "--k", "0,2"], capsys)
+        assert code == EXIT_OK
+        code, again, _ = run_cli(["visibility", "--g", "0.5", "--R", "0.2", "--k", "1"], capsys)
+        assert again == first
+        code, out, _ = run_cli(["visibility", "--g", "0.5"], capsys)
+        assert column(out, "k") == [0.0] * 20 and len(set(column(out, "R"))) == 20
 
     def test_byte_identical_records(self, tmp_path):
         out1 = tmp_path / "a.jsonl"
@@ -228,15 +243,24 @@ class TestPlumbing:
         import qiopa.measurement
         import qiopa.witnesses
 
-        kernel = qiopa.measurement._binomial_thinning_kernel
+        # the pseudo-Pauli witness reads the thinning kernel, the fringe and
+        # the threshold-filter witness the law of the thinned difference
+        kernel = qiopa.channels._binomial_thinning_kernel
+        law = qiopa.measurement._difference_law
 
-        def poisoned(n_max, eta):
+        def poisoned_kernel(n_max, eta):
             out = kernel(n_max, eta).copy()
             out[:, 1] = np.nan
             return out
 
-        for module in (qiopa.channels, qiopa.measurement, qiopa.witnesses):
-            monkeypatch.setattr(module, "_binomial_thinning_kernel", poisoned)
+        def poisoned_law(*args):
+            out = law(*args)
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(qiopa.channels, "_binomial_thinning_kernel", poisoned_kernel)
+        for module in (qiopa.measurement, qiopa.witnesses):
+            monkeypatch.setattr(module, "_difference_law", poisoned_law)
         code, out, err = run_cli([experiment, "--g", "0.5", "--eta", "0.5"], capsys)
         assert code == EXIT_NUMERIC
         assert out == ""

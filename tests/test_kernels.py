@@ -11,14 +11,14 @@ from its equatorial ladders, against the rotated (H, V) construction; and
 the lossy pseudo-Pauli and threshold-filter terms contracted from dense
 Kraus images, built one Kraus operator and source state at a time, and the
 pseudo-Pauli terms contracted from the package's Kraus images, against the
-lossy fidelities and thinned populations the package uses; the lossy
-fringe thinned as a dense population matrix, against the contraction of the
-two single-mode factors; the binomial thinning kernel filled column by
-column, against its one-shot fill; the conditioning cutoff summed term by
-term, against its closed-form tail; and
-the vector code of the era when a vector was a ``(n, m) -> amplitude`` map
-(dense scatter, dense gather, single-survivor block), against the array
-storage.
+lossy fidelities the package uses and the truncation-triangle route of
+``fringe_oracle``; the lossy fringe thinned as a dense population matrix,
+against the same route, which in turn checks the package's law of the
+thinned difference to the cutoff's tail; the binomial thinning kernel
+filled column by column, against its one-shot fill; the conditioning cutoff
+summed term by term, against its closed-form tail; and the vector code of
+the era when a vector was a ``(n, m) -> amplitude`` map (dense scatter,
+dense gather, single-survivor block), against the array storage.
 """
 
 import math
@@ -52,6 +52,7 @@ from qiopa.amplifier import (
     pair_ladder_tail,
 )
 from qiopa.channels import (
+    _binomial_thinning_kernel,
     _conditional_tail_fraction,
     _conditioned_block,
     coherence_parameter,
@@ -66,13 +67,15 @@ from qiopa.fock import (
     transfer_matrix,
 )
 from qiopa.measurement import (
-    _binomial_thinning_kernel,
+    _difference_law,
     lossy_fringe_probabilities,
     pauli_matrix,
     sigma_operator,
     threshold_povm,
 )
 from qiopa.witnesses import ofilter_witness_lossy, sigma_witness_lossy
+
+from fringe_oracle import lossy_fringe_triangle, ofilter_terms_triangle
 
 HV = PolarizationBasis.hv()
 # a budget loose enough that any cutoff passes the tail gate
@@ -750,18 +753,24 @@ def test_lossy_sigma_tail_gate_matches_state_gate(g, n_max, tail):
 @example(state=PM_SINGLET, eta=0.4137, k=1)  # terms 2 and 3 are one value
 def test_lossy_ofilter_terms_match_dense_images(state, eta, k):
     want = ofilter_terms_from_images(state, kraus_images_loop(state, eta), k)
-    got = ofilter_witness_lossy(state.gain, LossParams(eta), k, Cutoff(state.cutoff, 0.5)).terms
+    got = ofilter_terms_triangle(state.gain, LossParams(eta), k, Cutoff(state.cutoff, 0.5))
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
 
 
 @pytest.mark.parametrize("eta, k", [(0.0, 0), (0.0, 3), (0.6, 12), (0.6, 13), (0.4137, 1), (1.0, 0)])
 def test_lossy_ofilter_exact_cases(eta, k):
-    # the equatorial axes share one value; with no photon left, or a threshold
-    # at or above the cutoff, every outcome is inconclusive
-    terms = ofilter_witness_lossy(GainParams(1.2), LossParams(eta), k, Cutoff(12, 0.5)).terms
+    # the equatorial axes share one value; with no photon left every outcome
+    # is inconclusive, and on the truncated state so is every outcome of a
+    # threshold at or above the cutoff
+    gain, loss, cutoff = GainParams(1.2), LossParams(eta), Cutoff(12, 0.5)
+    terms = ofilter_witness_lossy(gain, loss, k, cutoff).terms
+    truncated = ofilter_terms_triangle(gain, loss, k, cutoff)
     assert terms[1] == terms[2]
-    if eta == 0.0 or k >= 12:
+    assert truncated[1] == truncated[2]
+    if eta == 0.0:
         assert terms == (0.0, 0.0, 0.0)
+    if eta == 0.0 or k >= 12:
+        assert truncated == (0.0, 0.0, 0.0)
 
 
 @PROPERTY
@@ -786,7 +795,7 @@ def test_lossy_witness_terms_match_dense_images_at_cutoff_40():
     got = sigma_witness_lossy(state.gain, loss, Cutoff(40, 0.5)).terms
     assert np.max(np.abs(np.subtract(got, sigma_terms_from_images(state, images)))) < 1e-12
     for k in (0, 2):
-        got = ofilter_witness_lossy(state.gain, loss, k, Cutoff(40, 0.5)).terms
+        got = ofilter_terms_triangle(state.gain, loss, k, Cutoff(40, 0.5))
         assert np.max(np.abs(np.subtract(got, ofilter_terms_from_images(state, images, k)))) < 1e-12
 
 
@@ -801,7 +810,7 @@ fringe_gains = st.one_of(st.just(0.0), st.floats(0.05, 1.8))
 
 def assert_same_fringe(phi, gain, eta, k, cutoff):
     loss = LossParams(eta)
-    got = lossy_fringe_probabilities(phi, gain, loss, k, cutoff)
+    got = lossy_fringe_triangle(gain, loss, k, cutoff)
     want = fringe_from_population_matrix(phi, gain, loss, k, cutoff)
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12, (got, want)
 
@@ -874,6 +883,56 @@ def test_undersized_fringe_cutoff_reports_the_oracle_tail():
         fringe_from_population_matrix(0.0, gain, loss, 0, cutoff)
     assert got.value.tail_mass == pytest.approx(want.value.tail_mass, rel=1e-12, abs=0.0)
     assert got.value.tail_mass > 1e-3
+
+
+# --------------------------------------------------------------------------
+# the law of the thinned difference, against the truncation triangle
+# --------------------------------------------------------------------------
+
+@st.composite
+def converged_cases(draw):
+    """Gain, transmittivity and threshold, at a cutoff whose tail is below
+    1e-13, so that the triangle differs from the untruncated law by less."""
+    gain = GainParams(draw(fringe_gains))
+    loss = LossParams(draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+    return gain, loss, draw(st.integers(0, 8)), Cutoff(required_cutoff(gain, 1e-13), 1e-12)
+
+
+@PROPERTY
+@given(converged_cases())
+@example((GainParams(1.8), LossParams(0.5), 4, Cutoff(required_cutoff(GainParams(1.8), 1e-13), 1e-12)))
+@example((GainParams(0.0), LossParams(0.3), 0, Cutoff(1, 1e-12)))
+def test_difference_law_matches_triangle_at_converged_cutoffs(case):
+    gain, loss, k, cutoff = case
+    got = lossy_fringe_probabilities(0.0, gain, loss, k, cutoff)
+    want = lossy_fringe_triangle(gain, loss, k, cutoff)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-9, (got, want)
+    got = ofilter_witness_lossy(gain, loss, k, cutoff).terms
+    want = ofilter_terms_triangle(gain, loss, k, cutoff)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-9, (got, want)
+
+
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_difference_law_matches_triangle_at_benchmark_cutoff(k):
+    # the benchmark checks the fringe against a truncated build to 1e-9
+    gain, cutoff = GainParams(1.8), Cutoff(481, 1e-9)
+    for eta in (1.0, 0.9, 0.7, 0.35, 0.1, 0.0):
+        loss = LossParams(eta)
+        got = lossy_fringe_probabilities(0.0, gain, loss, k, cutoff)[:2]
+        want = lossy_fringe_triangle(gain, loss, k, cutoff)[:2]
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-9, (eta, got, want)
+
+
+@pytest.mark.parametrize("seed", ["H", "equatorial"])
+def test_difference_law_at_zero_gain_is_one_thinned_photon(seed):
+    # without gain both seeds are one photon in the seeded mode: D is 1 with
+    # probability eta and 0 otherwise
+    for eta in (0.0, 0.25, 1.0):
+        law = _difference_law(seed, GainParams(0.0), eta, 5)
+        assert law.size == 16
+        want = np.zeros(16)
+        want[0], want[1] = 1.0 - eta, eta
+        assert np.max(np.abs(law - want)) < 1e-15
 
 
 # --------------------------------------------------------------------------

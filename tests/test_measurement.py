@@ -34,7 +34,13 @@ from qiopa import (
     visibility,
 )
 from qiopa.fock import schwinger_operator, transfer_matrix
-from qiopa.measurement import all_detectors_click_probability
+from qiopa.measurement import (
+    _difference_law,
+    all_detectors_click_probability,
+    lossy_fringe_probabilities,
+)
+from qiopa.witnesses import ofilter_witness_lossy
+from fringe_oracle import visibility_triangle
 from test_kernels import binomial_sector_matrix
 
 HV = PolarizationBasis.hv()
@@ -212,10 +218,11 @@ class TestVisibility:
             visibility(0.0, GainParams(0.5), LossParams(0.0), 2, Cutoff(9, 0.5))
 
     def test_matches_generic_channel_route(self):
+        # the truncation triangle, on the truncated state the channel sees
         g = GainParams(0.7)
         cut = Cutoff(24, 1e-2)
         for eta, k in ((0.8, 0), (0.5, 2), (0.2, 4)):
-            fast = visibility(0.0, g, LossParams(eta), k, cut)
+            fast = visibility_triangle(g, LossParams(eta), k, cut)
             state = macro_qubit(0.0, g, cut).state.normalized()
             rho = lossy_channel(state, LossParams(eta))
             p_plus, p_minus, _ = ofilter_probabilities(rho, PM, k)
@@ -232,6 +239,41 @@ class TestVisibility:
         assert all(b < a for a, b in zip(vals, vals[1:]))
         v_low = visibility(0.0, g, LossParams(0.9), 0, cut)
         assert v_low - vals[-1] > 0.05
+
+    @pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 1.8, 3.0])
+    @pytest.mark.parametrize("seed", ["H", "equatorial"])
+    def test_difference_law_sums_to_one(self, g, seed):
+        gain = GainParams(g)
+        n_max = required_cutoff(gain, 1e-9)
+        for eta in (1.0, 0.6, 0.1):
+            law = _difference_law(seed, gain, eta, n_max)
+            assert law.sum() == pytest.approx(1.0, abs=1e-13)
+            assert law.min() > -1e-14
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_no_photon_left_is_exactly_inconclusive(self, k):
+        # at eta = 0 the law is an exact point mass at D = 0
+        gain = GainParams(1.2)
+        cut = Cutoff(required_cutoff(gain, 1e-9), 1e-9)
+        law = _difference_law("equatorial", gain, 0.0, cut.n_max)
+        assert law[0] == 1.0 and not np.any(law[1:])
+        loss = LossParams(0.0)
+        assert lossy_fringe_probabilities(0.0, gain, loss, k, cut) == (0.0, 0.0, 1.0)
+        assert ofilter_witness_lossy(gain, loss, k, cut).terms == (0.0, 0.0, 0.0)
+        with pytest.raises(UndefinedVisibilityError):
+            visibility(0.0, gain, loss, k, cut)
+
+    def test_zero_threshold_visibility_tends_to_two_over_pi(self):
+        # at high gain the seeded and the other mode carry chi^2_3 and chi^2_1
+        # shares of the photons, and after equal thinning V(k = 0) tends to
+        # 2/pi at every eta > 0
+        gaps = []
+        for g in (1.0, 2.0, 3.0, 4.0):
+            gain = GainParams(g)
+            cut = Cutoff(required_cutoff(gain, 1e-9), 1e-9)
+            gaps.append(abs(visibility(0.0, gain, LossParams(0.5), 0, cut) - 2.0 / math.pi))
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-4
 
     def test_thresholded_visibility_grows_with_loss(self):
         g = GainParams(1.0)
