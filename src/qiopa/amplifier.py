@@ -241,28 +241,6 @@ def _macro_ladder(
     return 2 * i + 1, 2 * j, amps
 
 
-def _macro_mode_populations(gain: GainParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-mode factors ``(a, b)`` of the amplified seed's populations in
-    its own equatorial basis, ``|<2i+1, 2j|A>|^2 = a_i b_j`` for
-    ``i, j <= (n_max-1)//2``:
-
-    ``a_i = (2i+1)!/(i!)^2 (tanh g / 2)^(2i) / cosh^3 g`` on the seeded mode and
-    ``b_j = (2j)!/(j!)^2 (tanh g / 2)^(2j) / cosh g`` on the orthogonal one, the
-    photon statistics of a squeezed one-photon state and of a squeezed vacuum.
-    Each factor is a whole distribution; the triangle ``2i+1 + 2j <= n_max`` is
-    left to the caller.  Evaluated in the log domain over one ``log(k!)`` table.
-    """
-    idx = np.arange((n_max - 1) // 2 + 1)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(2 * idx.size)])
-    x = gain.tanh_g / 2.0
-    # log(x^(2i)), with 0^0 = 1 at zero gain
-    log_pow = 2 * idx * math.log(x) if x > 0.0 else np.where(idx == 0, 0.0, -np.inf)
-    log_cosh = math.log(gain.cosh_g)
-    a = np.exp(log_pow + log_fact[2 * idx + 1] - 2.0 * log_fact[idx] - 3.0 * log_cosh)
-    b = np.exp(log_pow + log_fact[2 * idx] - 2.0 * log_fact[idx] - log_cosh)
-    return a, b
-
-
 def _macro_vector_unchecked(phi: float, gain: GainParams, n_max: int) -> TwoModeVector:
     """Truncated amplified equatorial seed without the tail-tolerance gate."""
     return TwoModeVector(*_macro_ladder(phi, gain, n_max), n_max, PolarizationBasis.equatorial(phi))

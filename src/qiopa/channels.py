@@ -6,9 +6,10 @@ modes through the Kraus family ``K_{pq} = K_p x K_q``, where ``K_p`` removes
 ``k_p(n) = sqrt(C(n,p) (1-eta)^p eta^(n-p))``.  On a joint micro-macro state
 the channel acts on the amplified arm only; the micro arm is lossless.  One
 single-mode table, the binomial thinning kernel ``k_p(n)^2``, serves the
-pseudo-Pauli witness, the Kraus images and the density-operator channel.
-The fringe and the threshold-filter witness thin generating functions; the
-conditioning below keeps a closed form (:func:`_conditioned_block`).
+Kraus images and the density-operator channel.  No reporting path reads it:
+the witnesses and the fringe have closed forms or thin generating
+functions, and the conditioning below keeps a closed form
+(:func:`_conditioned_block`).
 
 The highly attenuated regime is the exact conditioning of the lossy state on
 one surviving photon in the amplified arm, which yields a two-qubit density
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -118,9 +118,6 @@ def conditioning_cutoff(
 # the single-mode loss table and the Kraus channel built on it
 # --------------------------------------------------------------------------
 
-# One entry: each caller needs one kernel per (cutoff, eta), and more entries
-# only kept dense tables alive across a sweep, 186 MB each at cutoff 4,827.
-@lru_cache(maxsize=1)
 def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
     """Column-stochastic matrix ``K[a, n] = C(n, a) eta^a (1-eta)^(n-a)``.
 
@@ -146,7 +143,6 @@ def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
         entries *= lost[lag]
     entries[big] = logged
     kernel[a, n] = entries
-    kernel.setflags(write=False)
     return kernel
 
 

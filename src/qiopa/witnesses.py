@@ -11,10 +11,10 @@ diagonals; the spin (Stokes) criterion bounds separable states at zero.
 
 The lossy tests never form the lossy state.  The pseudo-Pauli terms are
 differences of lossy fidelities between the two amplified seeds of each
-axis, sums over the single-mode loss amplitudes ``k_p(n)`` on the exact
-truncation triangle; the threshold-filter terms are the imbalance
-``P- - P+`` of one thinned seed, tails of the law of its photon-number
-difference; the spin terms are sums over the pair ladder, scaled by ``eta``.
+axis, two rational functions of ``sinh^2 g`` and ``eta``; the
+threshold-filter terms are the imbalance ``P- - P+`` of one thinned seed,
+tails of the law of its photon-number difference; the spin terms are sums
+over the pair ladder, scaled by ``eta``.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplifier import (
-    GainParams,
-    MicroMacroState,
-    _gated_pair_ladder,
-    _macro_mode_populations,
-)
-from .channels import LossParams, _loss_amplitudes
+from .amplifier import GainParams, MicroMacroState, _gated_pair_ladder
+from .channels import LossParams
 from .fock import (
     Cutoff,
     DensityOperator,
@@ -177,78 +172,32 @@ def micro_macro_sigma_witness(
     )
 
 
-def _shifted(x: np.ndarray) -> np.ndarray:
-    """Square matrix ``S[p, n] = x[n - p]``, zero where ``n < p``."""
-    lag = np.arange(x.size) - np.arange(x.size)[:, None]
-    return np.where(lag >= 0, x[np.maximum(lag, 0)], 0.0)
-
-
-def _ladder_fidelities(c: np.ndarray, k: np.ndarray) -> tuple[float, float]:
-    """``F(H|H) = sum_p (sum_n c_{n-p} c_n k_p(n+1) k_p(n))^2`` and
-    ``F(V|H) = sum_q (sum_n c_{n-1-q} c_n k_{q+2}(n+1) k_q(n))^2`` of the pair
-    ladders ``sum c_n |n+1, n>`` (H) and ``sum c_n |n, n+1>`` (V)."""
-    size = c.size
-    below = _shifted(c)  # c_{n-p}
-    same = np.einsum("pn,n,pn,pn->p", below, c, k[:size, 1 : size + 1], k[:size, :size])
-    # summed over n - 1, so that below[q, n - 1] = c_{n-1-q}
-    cross = np.einsum(
-        "qn,n,qn,qn->q",
-        below[:-1, :-1], c[1:], k[2 : size + 1, 2 : size + 1], k[: size - 1, 1:size],
-    )
-    return float(same @ same), float(cross @ cross)
-
-
-def _product_fidelity(bra, ket, k: np.ndarray) -> float:
-    """``sum_pq |M[p, q]|^2`` with ``M[p, q] = <x y| K_p x K_q |s t>`` for
-    product states ``bra = (x, y)``, ``ket = (s, t)`` (single-mode amplitudes
-    by photon count) kept on the triangle ``n + m <= N``:
-    ``M[p, q] = sum_n f_p(n) G_q(N - n)``, ``f_p(n) = x(n-p) s(n) k_p(n)``,
-    ``G_q`` the cumulative sum of ``y(m-q) t(m) k_q(m)``."""
-    (x, y), (s, t) = bra, ket
-    f = _shifted(x) * s * k
-    g = np.cumsum(_shifted(y) * t * k, axis=1)
-    m = f @ g[:, ::-1].T
-    return float(np.sum(m * m))
-
-
 def sigma_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> WitnessReport:
     """Pseudo-Pauli test of the amplified singlet after loss on the macro arm.
 
-    Each term is a difference of lossy fidelities between the normalized
-    truncated seeds ``A_0``, ``A_1`` of the axis, ``term_j = F(0|1) - F(0|0)``
-    with ``F(a|b) = <A_a| L(|A_b><A_b|) |A_a>``, exact on the truncated
-    state of :func:`qiopa.amplifier.micro_macro_state`, whose tail gate it
-    shares.  Axis 1 pairs the (H, V) ladders; on axes 2 and 3, which give
-    one value, both seeds are products over the two modes.  No state, Kraus
-    image or rotation is formed; the derivation is in ``notes/decisions.md``.
+    Each term is a difference of lossy fidelities between the seeds of the
+    axis, ``term_j = F(0|1) - F(0|0)`` with ``F(a|b) = <A_a| L(|A_b><A_b|) |A_a>``,
+    summed in closed form over the untruncated (H, V) pair ladders.  With
+    ``s = sinh^2 g``, ``R = 1 - eta`` and ``w = 1 + s R (1 + eta)``,
+    ``term_1 = -eta / w^2``; loss keeps the photon-number difference, so on
+    axes 2 and 3 only ``F(H|H)`` survives, ``-eta (w + 2 R^2 s (1 + s)) / w^3``.
+    The cutoff only runs the tail gate of
+    :func:`qiopa.amplifier.micro_macro_state`; no state, table or rotation
+    is formed.  The derivation is in ``notes/decisions.md``.
     """
-    n_max = cutoff.n_max
-    c, mass = _gated_pair_ladder(gain, cutoff)
-    k = _loss_amplitudes(n_max, loss.eta)
-    same, cross = _ladder_fidelities(c, k)
-    term_1 = (cross - same) / mass**2
-    # equatorial(0) seed |A_0> = sum u_i v_j |2i+1, 2j>; equatorial(pi) is
-    # equatorial(0) with the modes exchanged, and its seed is
-    # |A_1> = sum (-1)^(i+j) u_i v_j |2j, 2i+1>
-    a, b = _macro_mode_populations(gain, n_max)
-    eq_mass = float(a @ np.cumsum(b)[::-1])  # sum a_i b_j over i + j <= k_max
-    u, v = np.sqrt(a), np.sqrt(b) * (-1.0) ** np.arange(b.size)
-    parity = (-1.0) ** np.arange(a.size)
-    odd, even, odd_1, even_1 = np.zeros((4, n_max + 1))
-    odd[1 : 2 * u.size : 2], even[: 2 * v.size : 2] = u, v
-    odd_1[1 : 2 * u.size : 2], even_1[: 2 * v.size : 2] = parity * u, parity * v
-    seed_0, seed_1 = (odd, even), (even_1, odd_1)
-    cross_eq, same_eq = (_product_fidelity(seed_0, seed, k) for seed in (seed_1, seed_0))
-    term_23 = (cross_eq - same_eq) / eq_mass**2
-    terms = (term_1, term_23, term_23)
-    _checked_finite(terms, gain, loss, n_max)
+    _gated_pair_ladder(gain, cutoff)
+    eta, r, s = loss.eta, loss.R, gain.sinh_g**2
+    w = 1.0 + s * r * (1.0 + eta)
+    term_23 = -eta * (w + 2.0 * r * r * s * (1.0 + s)) / w**3
+    terms = (-eta / w**2, term_23, term_23)
+    _checked_finite(terms, gain, loss, cutoff.n_max)
     value = sum(abs(t) for t in terms)
     return WitnessReport(
         value,
         SEPARABLE_BOUND,
         terms,
         "micro-macro-sigma",
-        {"g": gain.g, "eta": loss.eta, "cutoff": n_max},
+        {"g": gain.g, "eta": loss.eta, "cutoff": cutoff.n_max},
     )
 
 

@@ -192,9 +192,10 @@ def test_criterion_3_witness_fragility():
 
 def test_criterion_3_witness_fragility_converged():
     """Criterion 3 at converged cutoffs: each gain runs at
-    ``required_cutoff(gain, 1e-12)`` instead of the fixed cutoff 30, which
-    drops 19 % of the state's mass at g = 1.5 and puts the crossing there at
-    R<n> = 0.90 instead of the converged 0.67."""
+    ``required_cutoff(gain, 1e-12)`` instead of the fixed cutoff 30.  The
+    witness is in closed form and the cutoff only runs the tail gate, so both
+    put the crossing at R<n> = 0.67 from g = 0.9 on; the truncated state at
+    cutoff 30, which drops 19 % of its mass at g = 1.5, put it at 0.90."""
     start = time.time()
     details = []
     ok = True

@@ -239,26 +239,21 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma", "witness-ofilter"])
     def test_non_finite_probability_exits_3(self, experiment, monkeypatch, capsys):
-        import qiopa.channels
         import qiopa.measurement
         import qiopa.witnesses
 
-        # the pseudo-Pauli witness reads the thinning kernel, the fringe and
-        # the threshold-filter witness the law of the thinned difference
-        kernel = qiopa.channels._binomial_thinning_kernel
+        # the pseudo-Pauli witness reads sinh g, which its tail gate does not
+        # (the gate reads tanh g and cosh g); the fringe and the
+        # threshold-filter witness read the law of the thinned difference
         law = qiopa.measurement._difference_law
-
-        def poisoned_kernel(n_max, eta):
-            out = kernel(n_max, eta).copy()
-            out[:, 1] = np.nan
-            return out
 
         def poisoned_law(*args):
             out = law(*args)
             out[1] = np.nan
             return out
 
-        monkeypatch.setattr(qiopa.channels, "_binomial_thinning_kernel", poisoned_kernel)
+        if experiment == "witness-sigma":
+            monkeypatch.setattr(GainParams, "sinh_g", property(lambda self: math.nan))
         for module in (qiopa.measurement, qiopa.witnesses):
             monkeypatch.setattr(module, "_difference_law", poisoned_law)
         code, out, err = run_cli([experiment, "--g", "0.5", "--eta", "0.5"], capsys)
@@ -343,6 +338,18 @@ class TestExperiments:
         assert code == EXIT_OK
         assert column(out, "cutoff") == [239.0]
         assert abs(column(out, "S")[0] - 0.522500141) < 1e-8
+
+    def test_witness_sigma_runs_at_high_gain(self, capsys):
+        # cutoff 35,681 only gates the tail; the terms are in closed form
+        code, out, _ = run_cli(["witness-sigma", "--g", "4"], capsys)
+        assert code == EXIT_OK
+        assert set(column(out, "cutoff")) == {35681.0}
+        s = dict(zip(column(out, "eta"), column(out, "S")))
+        assert len(s) == 21
+        assert s[1.0] == 3.0
+        header, rows = parse_csv(out)
+        (lost,) = [r for r in rows if float(r[header.index("eta")]) == 0.0]
+        assert [lost[header.index(name)] for name in ("term_1", "term_2", "term_3", "S")] == ["0"] * 4
 
     def test_witness_ofilter_default_cutoff_is_converged(self, capsys):
         code, out, _ = run_cli(

@@ -11,9 +11,9 @@ from its equatorial ladders, against the rotated (H, V) construction; and
 the lossy pseudo-Pauli and threshold-filter terms contracted from dense
 Kraus images, built one Kraus operator and source state at a time, and the
 pseudo-Pauli terms contracted from the package's Kraus images, against the
-lossy fidelities the package uses and the truncation-triangle route of
-``fringe_oracle``; the lossy fringe thinned as a dense population matrix,
-against the same route, which in turn checks the package's law of the
+truncation-triangle routes of ``triangle_oracle``; the lossy fringe thinned
+as a dense population matrix, against the same routes, which in turn check
+the package's closed form of the pseudo-Pauli terms and its law of the
 thinned difference to the cutoff's tail; the binomial thinning kernel
 filled column by column, against its one-shot fill; the conditioning cutoff
 summed term by term, against its closed-form tail; and the vector code of
@@ -47,7 +47,6 @@ from qiopa.amplifier import (
     _checked_tail,
     _hv_macro_vector_unchecked,
     _macro_ladder,
-    _macro_mode_populations,
     _macro_vector_unchecked,
     pair_ladder_tail,
 )
@@ -75,7 +74,12 @@ from qiopa.measurement import (
 )
 from qiopa.witnesses import ofilter_witness_lossy, sigma_witness_lossy
 
-from fringe_oracle import lossy_fringe_triangle, ofilter_terms_triangle
+from triangle_oracle import (
+    lossy_fringe_triangle,
+    macro_mode_populations,
+    ofilter_terms_triangle,
+    sigma_terms_triangle,
+)
 
 HV = PolarizationBasis.hv()
 # a budget loose enough that any cutoff passes the tail gate
@@ -703,7 +707,7 @@ LOW_SINGLET = micro_macro_state(0.7, GainParams(0.4), Cutoff(3, 0.5))
 def test_lossy_sigma_terms_match_dense_images(state, eta):
     images = kraus_images_loop(state, eta)
     want = sigma_terms_from_images(state, images)
-    got = sigma_witness_lossy(state.gain, LossParams(eta), Cutoff(state.cutoff, 0.5)).terms
+    got = sigma_terms_triangle(state.gain, LossParams(eta), Cutoff(state.cutoff, 0.5))
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
     assert np.max(np.abs(loss_kraus_images(state, LossParams(eta)) - images)) < 1e-14
 
@@ -718,14 +722,15 @@ def test_lossy_sigma_terms_match_dense_images(state, eta):
 @example(g=1.5, n_max=24, phi=0.0, eta=0.4137)
 @example(g=0.0, n_max=1, phi=0.0, eta=0.0)
 def test_lossy_sigma_fidelities_match_kraus_images(g, n_max, phi, eta):
-    # the lossy-fidelity route against the contraction of Kraus images with
-    # the rotated pseudo-Pauli vectors, on both cutoff parities
+    # the triangle's lossy fidelities against the contraction of Kraus images
+    # with the rotated pseudo-Pauli vectors, on both cutoff parities
     cutoff = Cutoff(n_max, ANY_TAIL)
     gain, loss = GainParams(g), LossParams(eta)
     want = sigma_terms_from_kraus_images(micro_macro_state(phi, gain, cutoff), loss)
-    got = sigma_witness_lossy(gain, loss, cutoff).terms
+    got = sigma_terms_triangle(gain, loss, cutoff)
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
-    assert got[1] == got[2]
+    terms = sigma_witness_lossy(gain, loss, cutoff).terms
+    assert terms[1] == terms[2]
 
 
 @PROPERTY
@@ -792,7 +797,7 @@ def test_lossy_witness_terms_match_dense_images_at_cutoff_40():
     state = micro_macro_state(0.0, GainParams(1.2), Cutoff(40, 0.5))
     loss = LossParams(0.5417)
     images = kraus_images_loop(state, loss.eta)
-    got = sigma_witness_lossy(state.gain, loss, Cutoff(40, 0.5)).terms
+    got = sigma_terms_triangle(state.gain, loss, Cutoff(40, 0.5))
     assert np.max(np.abs(np.subtract(got, sigma_terms_from_images(state, images)))) < 1e-12
     for k in (0, 2):
         got = ofilter_terms_triangle(state.gain, loss, k, Cutoff(40, 0.5))
@@ -848,7 +853,7 @@ def assert_same_populations(gain, n_max):
     """``a_i b_j`` equals the squared ladder amplitudes, to the rounding of a
     log-domain evaluation whose terms reach ``log(n_max!)``."""
     n, m, amps = _macro_ladder(0.0, gain, n_max)
-    a, b = _macro_mode_populations(gain, n_max)
+    a, b = macro_mode_populations(gain, n_max)
     rtol = 4.0 * np.finfo(float).eps * (1.0 + math.lgamma(n_max + 1.0))
     np.testing.assert_allclose(a[(n - 1) // 2] * b[m // 2], np.abs(amps) ** 2, rtol=rtol, atol=0.0)
 
@@ -868,7 +873,7 @@ def test_mode_populations_are_single_mode_distributions(g):
     """Each factor alone sums to one: the squeezed one-photon state carries
     ``1/cosh^3 g`` and the squeezed vacuum ``1/cosh g``, not only their product."""
     gain = GainParams(g)
-    a, b = _macro_mode_populations(gain, required_cutoff(gain, 1e-14))
+    a, b = macro_mode_populations(gain, required_cutoff(gain, 1e-14))
     assert a[0] == pytest.approx(1.0 / gain.cosh_g**3, rel=1e-15)
     assert b[0] == pytest.approx(1.0 / gain.cosh_g, rel=1e-15)
     assert a.sum() == pytest.approx(1.0, abs=1e-12)
@@ -933,6 +938,40 @@ def test_difference_law_at_zero_gain_is_one_thinned_photon(seed):
         want = np.zeros(16)
         want[0], want[1] = 1.0 - eta, eta
         assert np.max(np.abs(law - want)) < 1e-15
+
+
+# --------------------------------------------------------------------------
+# the closed-form pseudo-Pauli terms, against the truncation triangle
+# --------------------------------------------------------------------------
+
+@PROPERTY
+@given(fringe_gains, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+@example(g=1.8, eta=0.5)
+@example(g=0.6, eta=0.9)
+def test_closed_form_sigma_terms_match_triangle_at_converged_cutoffs(g, eta):
+    # the triangle's tail is below 1e-13, so the two routes differ by less
+    gain, loss = GainParams(g), LossParams(eta)
+    cutoff = Cutoff(required_cutoff(gain, 1e-13), 1e-12)
+    got = sigma_witness_lossy(gain, loss, cutoff).terms
+    want = sigma_terms_triangle(gain, loss, cutoff)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-11, (got, want)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.6, 1.5, 4.0])
+def test_closed_form_sigma_terms_are_exact_without_loss_and_with_every_photon_lost(g):
+    gain = GainParams(g)
+    cutoff = Cutoff(required_cutoff(gain, 1e-9), 0.5)
+    assert sigma_witness_lossy(gain, LossParams(1.0), cutoff).terms == (-1.0, -1.0, -1.0)
+    lost = sigma_witness_lossy(gain, LossParams(0.0), cutoff)
+    assert lost.terms == (0.0, 0.0, 0.0)
+    assert lost.value == 0.0
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.25, 0.9, 1.0])
+def test_closed_form_sigma_terms_at_zero_gain_are_minus_eta(eta):
+    # one photon, kept with probability eta
+    terms = sigma_witness_lossy(GainParams(0.0), LossParams(eta), Cutoff(1, 0.5)).terms
+    assert terms == (-eta, -eta, -eta)
 
 
 # --------------------------------------------------------------------------
@@ -1056,5 +1095,5 @@ def test_thinning_kernel_matches_loop_bitwise(n_max, eta):
 @PROPERTY
 @given(st.integers(1, 300), st.floats(0.0, 1.0))
 def test_thinning_kernel_matches_loop_bitwise_anywhere(n_max, eta):
-    got = _binomial_thinning_kernel.__wrapped__(n_max, eta)
+    got = _binomial_thinning_kernel(n_max, eta)
     assert np.array_equal(got.view(np.int64), binomial_kernel_loop(n_max, eta).view(np.int64))

@@ -40,7 +40,7 @@ from qiopa.measurement import (
     lossy_fringe_probabilities,
 )
 from qiopa.witnesses import ofilter_witness_lossy
-from fringe_oracle import visibility_triangle
+from triangle_oracle import visibility_triangle
 from test_kernels import binomial_sector_matrix
 
 HV = PolarizationBasis.hv()

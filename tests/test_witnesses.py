@@ -27,7 +27,7 @@ from qiopa import (
     simon_spin_witness_lossy,
 )
 from qiopa import micro_macro_state_hv, required_cutoff
-from fringe_oracle import ofilter_terms_triangle
+from triangle_oracle import ofilter_terms_triangle, sigma_terms_triangle
 
 HV = PolarizationBasis.hv()
 
@@ -104,11 +104,12 @@ class TestSigmaWitness:
         gain = GainParams(0.9)
         cutoff = Cutoff(18, 0.5)
         state = micro_macro_state(0.0, gain, cutoff)
+        # the truncated state's terms, from the triangle's lossy fidelities
         for eta in (1.0, 0.7, 0.3):
-            fast = sigma_witness_lossy(gain, LossParams(eta), cutoff)
+            fast = sigma_terms_triangle(gain, LossParams(eta), cutoff)
             slow = micro_macro_sigma_witness(lossy_channel(state, LossParams(eta)), gain)
-            assert fast.value == pytest.approx(slow.value, abs=1e-12)
-            for a, b in zip(fast.terms, slow.terms):
+            assert sum(abs(t) for t in fast) == pytest.approx(slow.value, abs=1e-12)
+            for a, b in zip(fast, slow.terms):
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_falls_below_dichotomic_bound_near_one_lost_photon(self):
@@ -120,6 +121,37 @@ class TestSigmaWitness:
         # crossing sits where the expected number of lost photons is order one
         r_cross = 1.0 - 0.95
         assert 0.3 < r_cross * gain.mean_photon_number < 3.0
+
+    def test_crossing_tends_to_two_thirds_of_a_lost_photon(self):
+        """``R <n>`` at ``S = sqrt(3)`` tends to ``4 x*``, with ``x*`` the root
+        of ``1/(1+2x)^2 + 2(1+2x+2x^2)/(1+2x)^3 = sqrt(3)``: about 0.67 lost
+        photons defeat the witness, however large the macro state."""
+
+        def root(f, lo, hi):
+            rising = f(lo) < 0.0
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if (f(mid) < 0.0) == rising else (lo, mid)
+            return 0.5 * (lo + hi)
+
+        x = root(
+            lambda x: 1 / (1 + 2 * x) ** 2 + 2 * (1 + 2 * x + 2 * x * x) / (1 + 2 * x) ** 3
+            - DICHOTOMIC_BOUND,
+            0.0, 1.0,
+        )
+        assert 4 * x == pytest.approx(0.668642, abs=1e-6)
+        distances = []
+        for g in (2.0, 3.0, 4.0):
+            gain = GainParams(g)
+            cutoff = Cutoff(required_cutoff(gain, 1e-9), 1e-9)
+            eta = root(
+                lambda e: sigma_witness_lossy(gain, LossParams(e), cutoff).value
+                - DICHOTOMIC_BOUND,
+                0.0, 1.0,
+            )
+            distances.append(abs((1.0 - eta) * gain.mean_photon_number - 4 * x))
+        assert distances[0] > distances[1] > distances[2]
+        assert distances[0] < 2e-3
 
     def test_mismatched_operators_rejected(self):
         gain = GainParams(0.8)
