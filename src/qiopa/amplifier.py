@@ -7,8 +7,9 @@ in the orthogonal one.  Seeding with H or V instead produces photon-pair
 ladders on top of the seed photon.  Amplifying one photon of a polarization
 singlet yields the joint micro-macro state used throughout this package.
 
-All constructors truncate at a total photon number ``n_max`` and check the
-dropped probability mass against ``Cutoff.tail_tolerance``.
+All constructors truncate at a total photon number ``n_max`` and, before
+building anything, check the closed-form probability mass beyond it against
+``Cutoff.tail_tolerance``.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class GainParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.g) and self.g >= 0.0):
             raise ValueError(f"gain must be finite and non-negative, got {self.g}")
-
-    @classmethod
-    def from_coupling(cls, chi: float, t: float) -> "GainParams":
-        return cls(chi * t)
 
     @property
     def tanh_g(self) -> float:
@@ -207,10 +204,9 @@ def _first_below(tail, threshold: float, hi: int) -> int:
 # amplified states
 # --------------------------------------------------------------------------
 
-def _checked_tail(mass: float, gain: GainParams, cutoff: Cutoff) -> None:
-    """Raise :class:`CutoffError` if a truncated state of squared norm
-    ``mass`` dropped ``cutoff.tail_tolerance`` or more of its probability."""
-    tail = max(0.0, 1.0 - mass)
+def _checked_tail(tail: float, gain: GainParams, cutoff: Cutoff) -> None:
+    """Raise :class:`CutoffError` if ``tail``, the exact probability mass a
+    truncation at ``cutoff`` drops, reaches ``cutoff.tail_tolerance``."""
     if tail >= cutoff.tail_tolerance:
         raise CutoffError(
             f"cutoff {cutoff.n_max} keeps tail mass {tail:.3e} at g={gain.g}, "
@@ -219,13 +215,10 @@ def _checked_tail(mass: float, gain: GainParams, cutoff: Cutoff) -> None:
         )
 
 
-def _gated_pair_ladder(gain: GainParams, cutoff: Cutoff) -> tuple[np.ndarray, float]:
-    """Pair amplitudes ``c_n`` of the seeded ladders kept by ``cutoff`` and
-    their mass ``sum c_n^2``, after the tail gate."""
-    c = seed_pair_amplitude(np.arange((cutoff.n_max - 1) // 2 + 1), gain)
-    mass = float(np.sum(c**2))
-    _checked_tail(mass, gain, cutoff)
-    return c, mass
+def _checked_seeded_tail(gain: GainParams, cutoff: Cutoff) -> None:
+    """The tail gate of every single-photon-seeded output, on the closed-form
+    mass beyond the ``(n_max - 1) // 2`` pairs that ``cutoff`` keeps."""
+    _checked_tail(pair_ladder_tail((cutoff.n_max - 1) // 2, gain), gain, cutoff)
 
 
 def _macro_ladder(
@@ -254,9 +247,8 @@ def macro_qubit(phi: float, gain: GainParams, cutoff: Cutoff) -> MacroQubit:
     mode.  Its norm falls short of one by the truncated tail, which must stay
     below ``cutoff.tail_tolerance``.
     """
-    state = _macro_vector_unchecked(phi, gain, cutoff.n_max)
-    _checked_tail(state.norm() ** 2, gain, cutoff)
-    return MacroQubit(phi, gain, state)
+    _checked_seeded_tail(gain, cutoff)
+    return MacroQubit(phi, gain, _macro_vector_unchecked(phi, gain, cutoff.n_max))
 
 
 def _hv_macro_vector_unchecked(seed: str, gain: GainParams, n_max: int) -> TwoModeVector:
@@ -275,18 +267,16 @@ def hv_macro_state(seed: str, gain: GainParams, cutoff: Cutoff) -> TwoModeVector
     ``sum_n c_n |n+1, n>`` for H and ``sum_n c_n |n, n+1>`` for V, with
     ``c_n`` from :func:`seed_pair_amplitude`.
     """
-    state = _hv_macro_vector_unchecked(seed, gain, cutoff.n_max)
-    _checked_tail(state.norm() ** 2, gain, cutoff)
-    return state
+    _checked_seeded_tail(gain, cutoff)
+    return _hv_macro_vector_unchecked(seed, gain, cutoff.n_max)
 
 
 def amplified_vacuum(gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
     """Unseeded output: a two-mode squeezed vacuum ``sum_n (tanh g)^n |n, n> / cosh g``."""
+    _checked_tail(gain.tanh_g ** (2 * (cutoff.n_max // 2 + 1)), gain, cutoff)
     n = np.arange(cutoff.n_max // 2 + 1)
     amps = (1.0 / gain.cosh_g) * gain.tanh_g**n
-    state = TwoModeVector(n, n, amps, cutoff.n_max, PolarizationBasis.hv())
-    _checked_tail(state.norm() ** 2, gain, cutoff)
-    return state
+    return TwoModeVector(n, n, amps, cutoff.n_max, PolarizationBasis.hv())
 
 
 def micro_macro_state(phi: float, gain: GainParams, cutoff: Cutoff) -> MicroMacroState:
@@ -319,9 +309,10 @@ def micro_macro_state_hv(gain: GainParams, cutoff: Cutoff) -> MicroMacroState:
     weight exactly.  It needs no basis rotation, which keeps large-cutoff
     pipelines cheap.
     """
-    amps, mass = _gated_pair_ladder(gain, cutoff)
-    n = np.arange(amps.size)
-    scale = 1.0 / math.sqrt(2.0 * mass)
+    _checked_seeded_tail(gain, cutoff)
+    n = np.arange((cutoff.n_max - 1) // 2 + 1)
+    amps = seed_pair_amplitude(n, gain)
+    scale = 1.0 / math.sqrt(2.0 * float(np.sum(amps**2)))
     hv = PolarizationBasis.hv()
     components = (
         TwoModeVector(n, n + 1, amps * scale, cutoff.n_max, hv),

@@ -53,10 +53,6 @@ class LossParams:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"transmittivity must lie in [0, 1], got {self.eta}")
 
-    @classmethod
-    def from_losses(cls, r: float) -> "LossParams":
-        return cls(1.0 - r)
-
     @property
     def R(self) -> float:
         return 1.0 - self.eta

@@ -229,9 +229,7 @@ def _run_visibility(cfg: RunConfig):
         for k in _threshold_grid(values):
             for eta in etas:
                 loss = LossParams(eta)
-                p_plus, p_minus, p_zero = lossy_fringe_probabilities(
-                    0.0, gain, loss, k, cutoff
-                )
+                p_plus, p_minus, p_zero = lossy_fringe_probabilities(gain, loss, k, cutoff)
                 v = visibility_ratio(p_plus, p_minus, loss, k)
                 rows.append(
                     (loss.R, eta, g, k, cutoff.n_max, p_plus, p_minus, p_zero, v)

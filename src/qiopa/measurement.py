@@ -33,7 +33,7 @@ import numpy as np
 from .amplifier import (
     GainParams,
     MicroMacroState,
-    _gated_pair_ladder,
+    _checked_seeded_tail,
     _hv_macro_vector_unchecked,
     _macro_vector_unchecked,
 )
@@ -46,7 +46,6 @@ from .fock import (
     Tridiagonal,
     TwoModeVector,
     UndefinedVisibilityError,
-    _sector_rotation,
     fock_space,
     rotate_dense,
     schwinger_operator,
@@ -184,26 +183,14 @@ def _fock_populations(
     state: TwoModeVector | DensityOperator, basis: PolarizationBasis
 ) -> np.ndarray:
     """Diagonal of a state in the photon-number basis of ``basis``, with the
-    micro factor (if any) traced out.  Computed sector by sector."""
+    micro factor (if any) traced out."""
     space = fock_space(state.cutoff)
     if isinstance(state, TwoModeVector):
         dense = rotate_dense(space, state.dense(space), state.basis, basis)
         return np.abs(dense) ** 2
-    d = space.dim
     md = state.micro_dim
-    mat = state.matrix.reshape(md, d, md, d)
-    pops = np.zeros(d)
-    if basis == state.basis:
-        for s in range(md):
-            pops += mat[s, :, s, :].diagonal().real
-        return pops
-    for total, sl in enumerate(space.sector_slices):
-        r = _sector_rotation(total, state.basis, basis)
-        for s in range(md):
-            pops[sl] += np.einsum(
-                "pn,nm,pm->p", r, mat[s, sl, s, sl], r.conj()
-            ).real
-    return pops
+    mat = state.rotated(basis).matrix.reshape(md, space.dim, md, space.dim)
+    return sum(mat[s, :, s, :].diagonal().real for s in range(md))
 
 
 def ofilter_probabilities(
@@ -228,21 +215,21 @@ def ofilter_probabilities(
 # --------------------------------------------------------------------------
 
 def lossy_fringe_probabilities(
-    phi: float, gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff
+    gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff
 ) -> tuple[float, float, float]:
     """Threshold-filter outcome probabilities of the lossy amplified seed.
 
-    The macro-qubit at ``phi`` is sent through the loss channel and measured
-    in its own equatorial basis.  These diagonal effects see loss as binomial
-    thinning of each mode, and ``P+`` and ``P-`` are tails of the untruncated
-    law of the thinned difference ``D = r - s`` (:func:`_difference_law`).
-    ``cutoff`` sets the FFT length and runs the seed's tail gate; each value
-    is within the gated tail mass of the untruncated one.  ``phi`` does not
-    enter the populations.
+    The macro-qubit is sent through the loss channel and measured in its own
+    equatorial basis, where its seed phase does not enter the populations.
+    These diagonal effects see loss as binomial thinning of each mode, and
+    ``P+`` and ``P-`` are tails of the untruncated law of the thinned
+    difference ``D = r - s`` (:func:`_difference_law`).
+    ``cutoff`` sets the FFT length and runs the seeded tail gate; each value
+    is within the gated tail mass of the untruncated one.
     """
     if k < 0:
         raise ValueError(f"threshold must be non-negative, got {k}")
-    _gated_pair_ladder(gain, cutoff)
+    _checked_seeded_tail(gain, cutoff)
     law = _difference_law("equatorial", gain, loss.eta, cutoff.n_max)
     p_plus, p_minus = _imbalance(law, k)
     _checked_finite((p_plus, p_minus), gain, loss, cutoff.n_max)
@@ -306,12 +293,10 @@ def visibility_ratio(p_plus: float, p_minus: float, loss: LossParams, k: int) ->
     return (p_plus - p_minus) / (p_plus + p_minus)
 
 
-def visibility(
-    phi: float, gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff
-) -> float:
+def visibility(gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff) -> float:
     """Fringe visibility of the amplified seed after loss, measured with
     threshold ``k`` in its own equatorial basis (see :func:`visibility_ratio`)."""
-    p_plus, p_minus, _ = lossy_fringe_probabilities(phi, gain, loss, k, cutoff)
+    p_plus, p_minus, _ = lossy_fringe_probabilities(gain, loss, k, cutoff)
     return visibility_ratio(p_plus, p_minus, loss, k)
 
 

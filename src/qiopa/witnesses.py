@@ -13,8 +13,10 @@ The lossy tests never form the lossy state.  The pseudo-Pauli terms are
 differences of lossy fidelities between the two amplified seeds of each
 axis, two rational functions of ``sinh^2 g`` and ``eta``; the
 threshold-filter terms are the imbalance ``P- - P+`` of one thinned seed,
-tails of the law of its photon-number difference; the spin terms are sums
-over the pair ladder, scaled by ``eta``.
+tails of the law of its photon-number difference; the spin terms are the
+pair ladder's untruncated Stokes correlations, scaled by ``eta``.  A cutoff
+only runs the seeded tail gate (and sets the FFT length of the
+threshold-filter terms); every reported value is the untruncated one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplifier import GainParams, MicroMacroState, _gated_pair_ladder
+from .amplifier import GainParams, MicroMacroState, _checked_seeded_tail
 from .channels import LossParams
 from .fock import (
     Cutoff,
@@ -181,11 +183,10 @@ def sigma_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> W
     ``s = sinh^2 g``, ``R = 1 - eta`` and ``w = 1 + s R (1 + eta)``,
     ``term_1 = -eta / w^2``; loss keeps the photon-number difference, so on
     axes 2 and 3 only ``F(H|H)`` survives, ``-eta (w + 2 R^2 s (1 + s)) / w^3``.
-    The cutoff only runs the tail gate of
-    :func:`qiopa.amplifier.micro_macro_state`; no state, table or rotation
-    is formed.  The derivation is in ``notes/decisions.md``.
+    The cutoff only runs the seeded tail gate; no array is formed.  The
+    derivation is in ``notes/decisions.md``.
     """
-    _gated_pair_ladder(gain, cutoff)
+    _checked_seeded_tail(gain, cutoff)
     eta, r, s = loss.eta, loss.R, gain.sinh_g**2
     w = 1.0 + s * r * (1.0 + eta)
     term_23 = -eta * (w + 2.0 * r * r * s * (1.0 + s)) / w**3
@@ -249,12 +250,12 @@ def ofilter_witness_lossy(
     is ``P- - P+`` of the lossy ``A_0``: the H-seed ladder on axis 1, the
     fringe on axes 2 and 3 (one value).  Both come from the untruncated law of
     the thinned difference (:func:`qiopa.measurement._difference_law`), as in
-    :func:`qiopa.measurement.lossy_fringe_probabilities`.  It runs the tail
-    gate of :func:`qiopa.amplifier.micro_macro_state` and forms no state."""
+    :func:`qiopa.measurement.lossy_fringe_probabilities`.  It runs the seeded
+    tail gate and forms no state."""
     if k < 0:
         raise ValueError(f"threshold must be non-negative, got {k}")
     n_max = cutoff.n_max
-    _gated_pair_ladder(gain, cutoff)
+    _checked_seeded_tail(gain, cutoff)
     ladder, fringe = (
         _imbalance(_difference_law(seed, gain, loss.eta, n_max), k) for seed in ("H", "equatorial")
     )
@@ -372,27 +373,22 @@ def simon_spin_witness(
 
 def simon_spin_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> WitnessReport:
     """Spin-criterion test of the amplified singlet after loss on the macro
-    arm, on the (H, V) pair ladders ``sum c_n |n, n+1>`` and
-    ``sum c_n |n+1, n>`` of :func:`qiopa.amplifier.micro_macro_state_hv`,
-    whose tail gate it shares.
+    arm, on the untruncated (H, V) pair ladders ``sum c_n |n, n+1>`` and
+    ``sum c_n |n+1, n>`` of :func:`qiopa.amplifier.micro_macro_state_hv`.
 
     ``J_1`` gives -1; ``J_2`` and ``J_3`` move ``|n+1, n>`` to ``|n, n+1>``
-    with weight ``n + 1``, so both terms are ``-sum c_n^2 (n+1) / mass``, and
-    ``<N> = sum c_n^2 (2n+1) / mass``.  Equal-transmittivity loss maps
-    ``J -> eta J`` and ``N -> eta N`` at any cutoff, so the value is
-    ``2 eta`` exactly.  No state or Schwinger map is formed; the derivation
-    is in ``notes/decisions.md``.
+    with weight ``n + 1``, so both terms are
+    ``-sum c_n^2 (n+1) = -(1 + 2 sinh^2 g)``, and
+    ``<N> = sum c_n^2 (2n+1) = 1 + 4 sinh^2 g``.  Equal-transmittivity loss
+    maps ``J -> eta J`` and ``N -> eta N``, so the value is ``2 eta``.
+    The cutoff only runs the seeded tail gate; no array is formed.  The
+    derivation is in ``notes/decisions.md``.
     """
-    c, mass = _gated_pair_ladder(gain, cutoff)
-    weights = c**2 / mass
-    rungs = np.arange(c.size)
-    hop = -float(weights @ (rungs + 1.0))
-    mean_n = float(weights @ (2.0 * rungs + 1.0))
-    lossless = (-1.0, hop, hop)
+    _checked_seeded_tail(gain, cutoff)
+    eta = loss.eta
+    hop = -eta * (1.0 + 2.0 * gain.sinh_g**2)
+    mean_n = eta * gain.mean_photon_number
     return WitnessReport(
-        loss.eta * (abs(sum(lossless)) - mean_n),
-        0.0,
-        tuple(loss.eta * t for t in lossless),
-        "simon-spin",
-        {"g": gain.g, "eta": loss.eta, "cutoff": cutoff.n_max, "mean_photons_b": loss.eta * mean_n},
+        2.0 * eta, 0.0, (-eta, hop, hop), "simon-spin",
+        {"g": gain.g, "eta": eta, "cutoff": cutoff.n_max, "mean_photons_b": mean_n},
     )

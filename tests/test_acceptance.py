@@ -248,7 +248,7 @@ def test_criterion_4_visibility_trends_as_specified():
         gain = GainParams(g_val)
         cut = Cutoff(required_cutoff(gain, 1e-10), 1e-9)
         for k in (0, 4, 8):
-            vals = [visibility(0.0, gain, LossParams(1 - r), k, cut) for r in rs]
+            vals = [visibility(gain, LossParams(1 - r), k, cut) for r in rs]
             diffs = np.diff(vals)
             if k == 0:
                 verdicts[(g_val, k)] = bool(np.all(diffs < 0))

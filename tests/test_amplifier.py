@@ -31,9 +31,6 @@ class TestGainParams:
         assert g.cosh_g**2 - g.sinh_g**2 == pytest.approx(1.0, abs=1e-12)
         assert g.mean_photon_number == pytest.approx(1 + 4 * math.sinh(1.3) ** 2)
 
-    def test_from_coupling(self):
-        assert GainParams.from_coupling(0.5, 3.0).g == pytest.approx(1.5)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             GainParams(-0.1)
@@ -146,6 +143,24 @@ class TestMacroQubit:
 
     def test_high_gain_mean_photons_near_35(self):
         assert GainParams(1.8).mean_photon_number == pytest.approx(35.6, abs=0.1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda gain, cut: macro_qubit(0.4, gain, cut).state,
+    lambda gain, cut: hv_macro_state("H", gain, cut),
+    lambda gain, cut: hv_macro_state("V", gain, cut),
+    lambda gain, cut: amplified_vacuum(gain, cut),
+], ids=["macro-qubit", "H-seed", "V-seed", "vacuum"])
+@pytest.mark.parametrize("g, n_max", [(0.5, 4), (1.0, 9), (1.5, 20), (1.5, 21)])
+def test_closed_form_gate_reports_the_dropped_mass(build, g, n_max):
+    # the gate reads the tail in closed form; it is the mass the truncated
+    # state lacks, and the state is built only once the gate has passed
+    gain = GainParams(g)
+    dropped = 1.0 - build(gain, Cutoff(n_max, 0.99)).norm() ** 2
+    with pytest.raises(CutoffError) as err:
+        build(gain, Cutoff(n_max, dropped * (1.0 - 1e-9)))
+    assert err.value.tail_mass == pytest.approx(dropped, rel=1e-12)
+    build(gain, Cutoff(n_max, dropped * (1.0 + 1e-9)))
 
 
 class TestRequiredCutoff:

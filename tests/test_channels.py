@@ -62,7 +62,6 @@ class TestLossParams:
 
     def test_losses_parameter(self):
         assert LossParams(0.3).R == pytest.approx(0.7)
-        assert LossParams.from_losses(0.25).eta == pytest.approx(0.75)
 
     def test_injection_validation(self):
         with pytest.raises(ValueError):

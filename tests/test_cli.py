@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qiopa import GainParams, InjectionParams, LossParams, attenuated_state_with_injection
+from qiopa import GainParams, InjectionParams, LossParams, attenuated_state_with_injection, required_cutoff
 from qiopa.cli import (
     _EXPERIMENTS,
     EXIT_CONFIG,
@@ -243,7 +243,7 @@ class TestPlumbing:
         import qiopa.witnesses
 
         # the pseudo-Pauli witness reads sinh g, which its tail gate does not
-        # (the gate reads tanh g and cosh g); the fringe and the
+        # (the gate reads tanh g); the fringe and the
         # threshold-filter witness read the law of the thinned difference
         law = qiopa.measurement._difference_law
 
@@ -350,6 +350,25 @@ class TestExperiments:
         header, rows = parse_csv(out)
         (lost,) = [r for r in rows if float(r[header.index("eta")]) == 0.0]
         assert [lost[header.index(name)] for name in ("term_1", "term_2", "term_3", "S")] == ["0"] * 4
+
+    def test_tight_tail_runs_on_the_cutoff_it_resolves(self, capsys):
+        # the cutoff rule and the tail gate read the same closed-form tail, so
+        # a tail that rounding in a summed mass would exceed still passes
+        code, out, _ = run_cli(["witness-sigma", "--g", "4", "--eta", "1", "--tail-tol", "1e-12"], capsys)
+        assert code == EXIT_OK
+        assert column(out, "S") == [3.0]
+        code, out, _ = run_cli(["witness-stokes", "--g", "3.5", "--tail-tol", "1e-12"], capsys)
+        assert code == EXIT_OK
+        assert column(out, "value") == [2.0 * eta for eta in column(out, "eta")]
+
+    @pytest.mark.parametrize("experiment, g", [("witness-sigma", 4.0), ("witness-stokes", 3.5)])
+    def test_undersized_cutoff_exits_3_with_one_line(self, experiment, g, capsys):
+        n_max = required_cutoff(GainParams(g), 1e-12) - 2
+        args = [experiment, "--g", str(g), "--eta", "1", "--cutoff", str(n_max), "--tail-tol", "1e-12"]
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.count("\n") == 1 and f"cutoff {n_max} keeps tail mass" in err
 
     def test_witness_ofilter_default_cutoff_is_converged(self, capsys):
         code, out, _ = run_cli(

@@ -26,7 +26,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qiopa import (
@@ -72,7 +72,7 @@ from qiopa.measurement import (
     sigma_operator,
     threshold_povm,
 )
-from qiopa.witnesses import ofilter_witness_lossy, sigma_witness_lossy
+from qiopa.witnesses import ofilter_witness_lossy, sigma_witness_lossy, simon_spin_witness_lossy
 
 from triangle_oracle import (
     lossy_fringe_triangle,
@@ -298,7 +298,7 @@ def fringe_from_population_matrix(phi, gain, loss, k, cutoff):
     q = np.zeros((n_max + 1, n_max + 1))
     q[n, m] = np.abs(amps) ** 2
     mass = q.sum()
-    _checked_tail(mass, gain, cutoff)
+    _checked_tail(1.0 - mass, gain, cutoff)  # the summed tail, not the package's closed form
     q /= mass
     kernel = _binomial_thinning_kernel(n_max, loss.eta)
     q = kernel @ q @ kernel.T
@@ -474,6 +474,22 @@ def test_required_cutoff_raises_at_the_cap_like_the_scan(n_cap):
 @given(st.floats(0.0, 8.0), st.floats(1e-16, 0.5), st.integers(0, 40_001))
 def test_required_cutoff_matches_scan(g, tol, n_cap):
     assert_same_cutoff(GainParams(g), tol, n_cap)
+
+
+@PROPERTY
+@given(st.floats(0.1, 4.5), st.floats(1e-13, 1e-3))
+@example(g=4.0, tol=1e-12)
+@example(g=3.5, tol=1e-12)
+def test_tail_gate_passes_at_the_required_cutoff_and_raises_below(g, tol):
+    # the gate and the cutoff rule read one closed-form tail, so the rule's
+    # own cutoff always passes and the next odd cutoff below never does
+    gain, n_max = GainParams(g), required_cutoff(GainParams(g), tol)
+    assume(n_max - 2 >= 1)
+    for witness in (sigma_witness_lossy, simon_spin_witness_lossy):
+        witness(gain, LossParams(1.0), Cutoff(n_max, tol))
+        with pytest.raises(CutoffError) as caught:
+            witness(gain, LossParams(1.0), Cutoff(n_max - 2, tol))
+        assert caught.value.tail_mass >= tol
 
 
 # --------------------------------------------------------------------------
@@ -883,7 +899,7 @@ def test_mode_populations_are_single_mode_distributions(g):
 def test_undersized_fringe_cutoff_reports_the_oracle_tail():
     gain, loss, cutoff = GainParams(1.8), LossParams(0.5), Cutoff(101, 1e-9)
     with pytest.raises(CutoffError) as got:
-        lossy_fringe_probabilities(0.0, gain, loss, 0, cutoff)
+        lossy_fringe_probabilities(gain, loss, 0, cutoff)
     with pytest.raises(CutoffError) as want:
         fringe_from_population_matrix(0.0, gain, loss, 0, cutoff)
     assert got.value.tail_mass == pytest.approx(want.value.tail_mass, rel=1e-12, abs=0.0)
@@ -909,7 +925,7 @@ def converged_cases(draw):
 @example((GainParams(0.0), LossParams(0.3), 0, Cutoff(1, 1e-12)))
 def test_difference_law_matches_triangle_at_converged_cutoffs(case):
     gain, loss, k, cutoff = case
-    got = lossy_fringe_probabilities(0.0, gain, loss, k, cutoff)
+    got = lossy_fringe_probabilities(gain, loss, k, cutoff)
     want = lossy_fringe_triangle(gain, loss, k, cutoff)
     assert np.max(np.abs(np.subtract(got, want))) < 1e-9, (got, want)
     got = ofilter_witness_lossy(gain, loss, k, cutoff).terms
@@ -923,7 +939,7 @@ def test_difference_law_matches_triangle_at_benchmark_cutoff(k):
     gain, cutoff = GainParams(1.8), Cutoff(481, 1e-9)
     for eta in (1.0, 0.9, 0.7, 0.35, 0.1, 0.0):
         loss = LossParams(eta)
-        got = lossy_fringe_probabilities(0.0, gain, loss, k, cutoff)[:2]
+        got = lossy_fringe_probabilities(gain, loss, k, cutoff)[:2]
         want = lossy_fringe_triangle(gain, loss, k, cutoff)[:2]
         assert np.max(np.abs(np.subtract(got, want))) < 1e-9, (eta, got, want)
 

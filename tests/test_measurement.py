@@ -40,7 +40,7 @@ from qiopa.measurement import (
     lossy_fringe_probabilities,
 )
 from qiopa.witnesses import ofilter_witness_lossy
-from triangle_oracle import visibility_triangle
+from triangle_oracle import spin_terms_ladder, visibility_triangle
 from test_kernels import binomial_sector_matrix
 
 HV = PolarizationBasis.hv()
@@ -192,6 +192,17 @@ class TestThresholdPOVM:
         for a, b in zip(p_joint, p_marg):
             assert a == pytest.approx(b, abs=1e-12)
 
+    def test_density_route_matches_vector_route(self):
+        # a pure state, its density operator and its product with a micro
+        # qubit give one set of populations in a rotated basis
+        state = macro_qubit(0.0, GainParams(0.7), Cutoff(10, 0.5)).state.normalized()
+        vec = np.kron(np.array([0.6, 0.8j]), state.dense())
+        joint = DensityOperator(np.outer(vec, vec.conj()), 10, state.basis, micro_dim=2)
+        for k in (0, 2):
+            want = ofilter_probabilities(state, RL, k)
+            for rho in (DensityOperator.from_pure(state), joint):
+                assert ofilter_probabilities(rho, RL, k) == pytest.approx(want, abs=1e-12)
+
     def test_basis_dependent_filtering(self):
         # conclusive in the aligned basis for every k < n, binomial-tail
         # suppressed in the rotated basis
@@ -210,12 +221,12 @@ class TestThresholdPOVM:
 
 class TestVisibility:
     def test_unamplified_seed_is_fully_visible(self):
-        v = visibility(0.0, GainParams(0.0), LossParams(1.0), 0, Cutoff(2, 0.5))
+        v = visibility(GainParams(0.0), LossParams(1.0), 0, Cutoff(2, 0.5))
         assert v == pytest.approx(1.0, abs=1e-14)
 
     def test_all_inconclusive_raises(self):
         with pytest.raises(UndefinedVisibilityError):
-            visibility(0.0, GainParams(0.5), LossParams(0.0), 2, Cutoff(9, 0.5))
+            visibility(GainParams(0.5), LossParams(0.0), 2, Cutoff(9, 0.5))
 
     def test_matches_generic_channel_route(self):
         # the truncation triangle, on the truncated state the channel sees
@@ -235,9 +246,9 @@ class TestVisibility:
         g = GainParams(1.0)
         cut = Cutoff(required_cutoff(g, 1e-10), 1e-9)
         rs = np.linspace(0.25, 0.95, 15)
-        vals = [visibility(0.0, g, LossParams(1 - r), 0, cut) for r in rs]
+        vals = [visibility(g, LossParams(1 - r), 0, cut) for r in rs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-        v_low = visibility(0.0, g, LossParams(0.9), 0, cut)
+        v_low = visibility(g, LossParams(0.9), 0, cut)
         assert v_low - vals[-1] > 0.05
 
     @pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 1.8, 3.0])
@@ -258,10 +269,10 @@ class TestVisibility:
         law = _difference_law("equatorial", gain, 0.0, cut.n_max)
         assert law[0] == 1.0 and not np.any(law[1:])
         loss = LossParams(0.0)
-        assert lossy_fringe_probabilities(0.0, gain, loss, k, cut) == (0.0, 0.0, 1.0)
+        assert lossy_fringe_probabilities(gain, loss, k, cut) == (0.0, 0.0, 1.0)
         assert ofilter_witness_lossy(gain, loss, k, cut).terms == (0.0, 0.0, 0.0)
         with pytest.raises(UndefinedVisibilityError):
-            visibility(0.0, gain, loss, k, cut)
+            visibility(gain, loss, k, cut)
 
     def test_zero_threshold_visibility_tends_to_two_over_pi(self):
         # at high gain the seeded and the other mode carry chi^2_3 and chi^2_1
@@ -271,7 +282,7 @@ class TestVisibility:
         for g in (1.0, 2.0, 3.0, 4.0):
             gain = GainParams(g)
             cut = Cutoff(required_cutoff(gain, 1e-9), 1e-9)
-            gaps.append(abs(visibility(0.0, gain, LossParams(0.5), 0, cut) - 2.0 / math.pi))
+            gaps.append(abs(visibility(gain, LossParams(0.5), 0, cut) - 2.0 / math.pi))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-4
 
@@ -280,7 +291,7 @@ class TestVisibility:
         cut = Cutoff(required_cutoff(g, 1e-10), 1e-9)
         for k in (4, 8):
             vals = [
-                visibility(0.0, g, LossParams(1 - r), k, cut)
+                visibility(g, LossParams(1 - r), k, cut)
                 for r in np.linspace(0.1, 0.9, 9)
             ]
             assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -392,15 +403,19 @@ class TestStokes:
                 assert value == pytest.approx(2 * eta, abs=1e-9)
 
     def test_lossy_shortcut_matches_explicit_kraus(self):
-        # odd and even cutoffs: the ladder's last rung sits at n_max or n_max - 1
+        # odd and even cutoffs: the ladder's last rung sits at n_max or n_max - 1;
+        # the package reports the untruncated terms, so only its value is compared
         for g_val, n_max in ((0.0, 1), (0.6, 16), (1.0, 17), (1.2, 24)):
             gain = GainParams(g_val)
             cut = Cutoff(n_max, 0.5)
             state = micro_macro_state_hv(gain, cut)
             for eta in (0.0, 0.3, 0.7, 1.0):
-                fast = simon_spin_witness_lossy(gain, LossParams(eta), cut)
+                terms, mean_n, value = spin_terms_ladder(gain, LossParams(eta), cut)
                 slow = simon_spin_witness(lossy_channel(state, LossParams(eta)))
-                assert fast.terms == pytest.approx(slow.terms, abs=1e-12)
+                assert terms == pytest.approx(slow.terms, abs=1e-12)
+                assert mean_n == pytest.approx(slow.params["mean_photons_b"], abs=1e-12)
+                assert value == pytest.approx(slow.value, abs=1e-12)
+                fast = simon_spin_witness_lossy(gain, LossParams(eta), cut)
                 assert fast.value == pytest.approx(slow.value, abs=1e-12)
 
     def test_separable_product_states_stay_non_positive(self):

@@ -27,7 +27,7 @@ from qiopa import (
     simon_spin_witness_lossy,
 )
 from qiopa import micro_macro_state_hv, required_cutoff
-from triangle_oracle import ofilter_terms_triangle, sigma_terms_triangle
+from triangle_oracle import ofilter_terms_triangle, sigma_terms_triangle, spin_terms_ladder
 
 HV = PolarizationBasis.hv()
 
@@ -289,8 +289,8 @@ class TestSimonSpinWitness:
 
     @pytest.mark.parametrize("g_val", [2.0, 3.0, 4.0])
     def test_untruncated_limits_at_high_gain(self, g_val):
-        # cutoffs 653 to 35681: term_2 = term_3 -> -eta (1 + 2 sinh^2 g) and
-        # <N> -> eta (1 + 4 sinh^2 g) up to the truncated tail
+        # cutoffs 653 to 35681 only gate the tail: term_2 = term_3 is
+        # -eta (1 + 2 sinh^2 g) and <N> is eta (1 + 4 sinh^2 g)
         gain = GainParams(g_val)
         cut = Cutoff(required_cutoff(gain, 1e-9), 1e-8)
         sinh2 = math.sinh(g_val) ** 2
@@ -300,6 +300,19 @@ class TestSimonSpinWitness:
             assert rep.terms[1] == rep.terms[2]
             assert rep.terms[1] == pytest.approx(-eta * (1.0 + 2.0 * sinh2), rel=1e-7)
             assert rep.params["mean_photons_b"] == pytest.approx(eta * (1.0 + 4.0 * sinh2), rel=1e-7)
+
+    @pytest.mark.parametrize("g_val", [0.3, 1.0, 2.0, 3.0, 4.0])
+    def test_closed_form_is_the_limit_of_the_ladder_sums(self, g_val):
+        # at a tail below 1e-13 the renormalized truncated sums sit within
+        # about the tail of the untruncated terms the package reports
+        gain = GainParams(g_val)
+        cut = Cutoff(required_cutoff(gain, 1e-13), 1e-12)
+        for eta in (0.25, 1.0):
+            rep = simon_spin_witness_lossy(gain, LossParams(eta), cut)
+            terms, mean_n, value = spin_terms_ladder(gain, LossParams(eta), cut)
+            assert rep.terms == pytest.approx(terms, rel=1e-9)
+            assert rep.params["mean_photons_b"] == pytest.approx(mean_n, rel=1e-9)
+            assert rep.value == pytest.approx(value, rel=1e-9)
 
     def test_zero_transmission_saturates_bound(self):
         gain = GainParams(0.6)

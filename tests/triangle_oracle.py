@@ -3,11 +3,12 @@ kept as test oracles.
 
 The package reads the fringe and the threshold-filter terms from the
 untruncated law of the thinned photon-number difference
-(``qiopa.measurement._difference_law``), and the pseudo-Pauli terms from
-their closed form.  This module holds the routes they replaced: the
-truncated seeds, kept on the exact triangle ``n + m <= n_max`` and
+(``qiopa.measurement._difference_law``), and the pseudo-Pauli and spin
+terms from their closed forms.  This module holds the routes they replaced:
+the truncated seeds, kept on the exact triangle ``n + m <= n_max`` and
 renormalized, thinned by the dense binomial kernel or by its square roots,
-the single-mode loss amplitudes, and contracted in O(n_max^2).  Each is
+the single-mode loss amplitudes, and contracted in O(n_max^2); and the
+spin terms as O(n_max) sums over the renormalized pair ladder.  Each is
 exact on the truncated state at any cutoff, so the dense-image and
 density-operator oracles check it to rounding, and it checks the package's
 route to the cutoff's tail.
@@ -17,8 +18,16 @@ import math
 
 import numpy as np
 
-from qiopa.amplifier import _checked_tail, _gated_pair_ladder
+from qiopa.amplifier import _checked_seeded_tail, seed_pair_amplitude
 from qiopa.channels import _binomial_thinning_kernel, _loss_amplitudes
+
+
+def pair_ladder(gain, cutoff):
+    """Pair amplitudes ``c_n`` of the seeded ladders kept by ``cutoff`` and
+    their mass ``sum c_n^2``, after the tail gate."""
+    _checked_seeded_tail(gain, cutoff)
+    c = seed_pair_amplitude(np.arange((cutoff.n_max - 1) // 2 + 1), gain)
+    return c, float(np.sum(c**2))
 
 
 def macro_mode_populations(gain, n_max):
@@ -71,8 +80,8 @@ def fringe_imbalance(gain, eta, k, n_max):
 def lossy_fringe_triangle(gain, loss, k, cutoff):
     """``(P+, P-, P0)`` of the lossy truncated seed, renormalized, after the
     seed's tail gate."""
+    _checked_seeded_tail(gain, cutoff)
     (p_plus, p_minus), mass = fringe_imbalance(gain, loss.eta, k, cutoff.n_max)
-    _checked_tail(mass, gain, cutoff)
     p_plus, p_minus = p_plus / mass, p_minus / mass
     return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
 
@@ -86,7 +95,7 @@ def ofilter_terms_triangle(gain, loss, k, cutoff):
     """Threshold-filter terms ``P- - P+`` of the lossy truncated H-seed ladder
     (axis 1) and equatorial seed (axes 2 and 3), each renormalized."""
     n_max = cutoff.n_max
-    c, mass = _gated_pair_ladder(gain, cutoff)
+    c, mass = pair_ladder(gain, cutoff)
     # the ladder's columns: |n+1> seeded, T[s, n] = K[s, n] c_n^2
     kernel = _binomial_thinning_kernel(n_max, loss.eta)
     ladder = thinned_imbalance(kernel[:, 1 : c.size + 1], kernel[:, : c.size] * c**2, k)
@@ -123,6 +132,22 @@ def sigma_terms_triangle(gain, loss, cutoff):
     fidelities of the truncated pair ladders renormalized.  On the equatorial
     axes loss keeps the photon-number difference, so only the charge-balanced
     cross fidelity ``<A_H| L(|A_H><A_V|) |A_V> = F(H|H)`` survives."""
-    c, mass = _gated_pair_ladder(gain, cutoff)
+    c, mass = pair_ladder(gain, cutoff)
     same, cross = ladder_fidelities(c, _loss_amplitudes(cutoff.n_max, loss.eta))
     return ((cross - same) / mass**2, -same / mass**2, -same / mass**2)
+
+
+def spin_terms_ladder(gain, loss, cutoff):
+    """Spin-criterion terms, ``<N>`` and value of the lossy truncated singlet
+    ``(|H>|A_V> - |V>|A_H>)/sqrt(2)`` on the renormalized pair ladders, after
+    the tail gate.  With ``w_n = c_n^2 / mass``, ``J_1`` gives -1, ``J_2`` and
+    ``J_3`` give ``-sum w_n (n+1)``, ``<N> = sum w_n (2n+1)``, and loss scales
+    each by ``eta``; the value is ``eta (|sum terms| - <N>)``."""
+    c, mass = pair_ladder(gain, cutoff)
+    weights = c**2 / mass
+    rungs = np.arange(c.size)
+    hop = -float(weights @ (rungs + 1.0))
+    mean_n = float(weights @ (2.0 * rungs + 1.0))
+    lossless = (-1.0, hop, hop)
+    terms = tuple(loss.eta * t for t in lossless)
+    return terms, loss.eta * mean_n, loss.eta * (abs(sum(lossless)) - mean_n)
