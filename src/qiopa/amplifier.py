@@ -209,8 +209,8 @@ def _checked_tail(tail: float, gain: GainParams, cutoff: Cutoff) -> None:
     truncation at ``cutoff`` drops, reaches ``cutoff.tail_tolerance``."""
     if tail >= cutoff.tail_tolerance:
         raise CutoffError(
-            f"cutoff {cutoff.n_max} keeps tail mass {tail:.3e} at g={gain.g}, "
-            f"above the allowed {cutoff.tail_tolerance:.3e}",
+            f"cutoff {cutoff.n_max} keeps tail mass {tail:.6e} at g={gain.g}, "
+            f"above the allowed {cutoff.tail_tolerance:.6e}",
             tail_mass=tail,
         )
 

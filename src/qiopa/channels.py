@@ -11,10 +11,10 @@ the witnesses and the fringe have closed forms or thin generating
 functions, and the conditioning below keeps a closed form
 (:func:`_conditioned_block`).
 
-The highly attenuated regime is the exact conditioning of the lossy state on
-one surviving photon in the amplified arm, which yields a two-qubit density
-matrix in the basis (HH, HV, VH, VV).  Imperfect injection mixes the singlet
-seed with a vacuum seed before amplification.
+The highly attenuated regime conditions the lossy state on one surviving
+photon in the amplified arm: a two-qubit density matrix over (HH, HV, VH, VV),
+summed as overlaps of the components, sorted by flat index, shifted by -1, 0
+and +1.  Imperfect injection mixes the singlet with a vacuum seed beforehand.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .fock import (
     DensityOperator,
     PolarizationBasis,
     TwoModeVector,
+    _flat_index,
     fock_space,
 )
 
@@ -236,40 +237,39 @@ def _conditioned_block(
     """Unnormalized two-qubit block of an ensemble after loss, conditioned on
     exactly one photon surviving on the amplified arm.
 
-    Each ensemble member is a pure joint state given by its two micro
-    components in the (H, V) representation.  A Kraus term that leaves one
-    photon in mode ``q`` of ``|n, m>`` has amplitude
-    ``c sqrt(n_q) R^((n+m-1)/2) sqrt(eta)`` and lost-photon pattern
-    ``(n-1, m)`` or ``(n, m-1)``.  Every pattern of a member gets an integer
-    key and one row of a ``(patterns, 4)`` matrix ``V``, whose column is
-    ``2 s + q`` for micro component ``s``; the amplitudes are scattered into
-    it.  Terms within a row add coherently and rows add incoherently, so the
-    member contributes ``weight V^T V^*``.  The amplitude stays in closed
-    form rather than read from the loss table: the attenuated pipelines run
-    cutoffs to tens of thousands, where a dense table would not fit in memory.
+    Each member is a pure joint state given by its two micro components in the
+    (H, V) representation.  The photon surviving in mode ``q`` of ``c |n, m>`` has
+    amplitude ``c sqrt(n_q) R^((n+m-1)/2) sqrt(eta)``, and column ``(s, q)`` at flat
+    index ``f`` shares its lost-photon pattern with ``(s', q')`` at ``f + q - q'``:
+    the block is ``eta`` times overlaps of the components, sorted by flat index,
+    shifted by -1, 0 and +1 (``notes/decisions.md``).  The amplitude stays in
+    closed form; no dense loss table fits at the attenuated pipelines' cutoffs.
     """
-    sqrt_eta = math.sqrt(loss.eta)
     rho = np.zeros((4, 4), dtype=complex)
     for weight, comps in ensemble:
-        stride = max(comp.cutoff for comp in comps) + 1
-        keys, cols, amps = [], [], []
+        block, cols = np.zeros((4, 4), dtype=complex), []
         for s, comp in enumerate(comps):
-            for q, count in enumerate((comp.n, comp.m)):
-                hit = count >= 1
-                a, b = comp.n[hit] - (1 - q), comp.m[hit] - q
-                # numpy power keeps 0^0 = 1, covering the eta = 1 edge
-                decay = np.power(loss.R, 0.5 * (a + b))
-                amps.append(comp.amps[hit] * np.sqrt(count[hit]) * decay * sqrt_eta)
-                keys.append(a * stride + b)
-                cols.append(np.full(a.size, 2 * s + q))
-        patterns, rows = np.unique(np.concatenate(keys), return_inverse=True)
-        v = np.zeros((patterns.size, 4), dtype=complex)
-        # a component's keys are distinct, so each (row, column) slot is
-        # written at most once
-        v[rows, np.concatenate(cols)] = np.concatenate(amps)
-        rho += weight * (v.T @ v.conj())
-    prob = float(np.trace(rho).real)
-    return rho, prob
+            flat = _flat_index(comp.n, comp.m)
+            order = np.argsort(flat, kind="stable")  # one pass on the ladders, stored sorted
+            f, n, m = flat[order], comp.n[order], comp.m[order]
+            # numpy power keeps 0^0 = 1 at eta = 1; |0, 0> has no survivor: exponent 0, not -1/2
+            scaled = comp.amps[order] * np.power(loss.R, 0.5 * np.maximum(n + m - 1, 0))
+            h, v = scaled * np.sqrt(n), scaled * np.sqrt(m)
+            pair = np.diff(f) == 1  # the H survivor at f meets the V survivor at f - 1
+            block[2 * s, 2 * s : 2 * s + 2] = np.vdot(h, h), np.vdot(v[:-1][pair], h[1:][pair])
+            block[2 * s + 1, 2 * s + 1] = np.vdot(v, v)
+            cols.append((f, h, v))
+        (f0, h0, v0), (f1, h1, v1) = cols
+        # component 1 at f - 1, f and f + 1 for each f of component 0; -1 reads an appended 0
+        at = np.searchsorted(f1, f0)
+        f1, h1, v1 = np.append(f1, -1), np.append(h1, 0.0), np.append(v1, 0.0)
+        same = f1[at] == f0
+        below, equal = np.where(f1[at - 1] == f0 - 1, at - 1, -1), np.where(same, at, -1)
+        above = np.where(f1[at + same] == f0 + 1, at + same, -1)
+        block[0, 2:] = np.vdot(h1[equal], h0), np.vdot(v1[below], h0)
+        block[1, 2:] = np.vdot(h1[above], v0), np.vdot(v1[equal], v0)
+        rho += weight * loss.eta * (block + np.triu(block, 1).conj().T)
+    return rho, float(np.trace(rho).real)
 
 
 def attenuate_to_single_photon(

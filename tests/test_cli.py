@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -369,6 +370,9 @@ class TestExperiments:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert err.count("\n") == 1 and f"cutoff {n_max} keeps tail mass" in err
+        # the tail sits just above the tolerance, and the line shows by how much
+        match = re.search(r"keeps tail mass (\S+) at .* above the allowed (\S+)$", err.strip())
+        assert float(match[1]) > float(match[2]) == 1e-12
 
     def test_witness_ofilter_default_cutoff_is_converged(self, capsys):
         code, out, _ = run_cli(

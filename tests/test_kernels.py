@@ -360,8 +360,11 @@ def map_from_dense(vec, cutoff):
 
 def conditioned_block_dict(ensemble, loss):
     """Single-survivor block with each component's pairs and amplitudes read
-    back from its ``(n, m) -> amplitude`` map, then keyed, grouped and
-    scattered as in the package."""
+    back from its ``(n, m) -> amplitude`` map.  Every lost-photon pattern
+    gets an integer key and one row of a ``(patterns, 4)`` matrix ``V``; the
+    block is ``V^T V^*``.  The package sums the same block as overlaps of the
+    components, sorted by flat index, shifted by -1, 0 and +1, and forms no
+    key."""
     sqrt_eta = math.sqrt(loss.eta)
     rho = np.zeros((4, 4), dtype=complex)
     for weight, comps in ensemble:
@@ -558,6 +561,30 @@ def test_conditioning_matches_loop_on_arbitrary_members(members, eta):
 def test_conditioning_matches_loop_at_the_largest_benchmark_cutoff():
     gain, loss = GainParams(4.0), LossParams(1e-3)
     assert_same_block(injection_ensemble(0.9995, gain, 35681), loss)
+
+
+def reversed_vector(vec):
+    """The same vector with its entries stored in descending flat order."""
+    return TwoModeVector(vec.n[::-1], vec.m[::-1], vec.amps[::-1], vec.cutoff, vec.basis)
+
+
+def test_conditioning_ignores_entry_order_at_the_largest_benchmark_cutoff():
+    # the shuffled ensembles reach cutoff 12 only; the ladders are stored in
+    # ascending order, so reversed storage makes the sort reorder every entry
+    loss = LossParams(1e-3)
+    comps = micro_macro_state_hv(GainParams(4.0), Cutoff(35681, ANY_TAIL)).components
+    rho, prob = _conditioned_block([(1.0, comps)], loss)
+    rho_rev, prob_rev = _conditioned_block([(1.0, tuple(map(reversed_vector, comps)))], loss)
+    assert np.max(np.abs(rho_rev - rho)) <= 1e-13
+    assert abs(prob_rev - prob) <= 1e-13
+
+
+def test_conditioning_at_eta_1_raises_no_floating_point_warning():
+    # R = 0 and a |0, 0> vacuum entry: no 0^(-1/2), 0 * inf or 0 / 0
+    ensemble = injection_ensemble(0.7, GainParams(4.0), 41)
+    with np.errstate(all="raise"):
+        rho, prob = _conditioned_block(ensemble, LossParams(1.0))
+    assert np.all(np.isfinite(rho)) and prob > 0.0
 
 
 def shuffled_vector(amplitudes, order, cutoff):
