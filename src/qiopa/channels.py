@@ -30,7 +30,7 @@ from .amplifier import (
     _first_below,
     amplified_vacuum,
     micro_macro_state_hv,
-    required_cutoff,
+    pair_ladder_tail,
 )
 from .fock import (
     ConditioningError,
@@ -95,8 +95,16 @@ def conditioning_cutoff(
     pair-index weights, so truncating at pair index ``p`` leaves a relative
     residual of order ``(p+1)(p+2) t^(2p)``.  The pair count is the smallest
     ``p <= 100000`` whose remaining fraction of the heaviest series
-    (:func:`_conditional_tail_fraction`) is two orders below ``tol``.  The
-    result also keeps the truncated state mass itself below ``tol``.
+    (:func:`_conditional_tail_fraction`) is two orders below ``tol``.
+
+    That residual, not the raw photon-number tail, is the error of the
+    conditioned block, so the cutoff may drop much of the state's mass: 30 %
+    of it at g = 5, eta = 1e-3.  The returned ``tail_tolerance`` states that
+    mass, ``pair_ladder_tail((n_max - 1) // 2, g)``, with a margin: twice it,
+    at most halfway to one and at least ``tol``.  The ladder constructors
+    gate on it.  Raises :class:`CutoffError` when the series does not
+    converge below ``p = 100000`` or the cutoff drops all of the mass to
+    rounding.
     """
     x = coherence_parameter(gain, loss) ** 2
     n_max = 3
@@ -107,8 +115,12 @@ def conditioning_cutoff(
             )
         pairs = _first_below(lambda p: _conditional_tail_fraction(p, x), 0.01 * tol, 100_000)
         n_max = 2 * pairs + 3
-    n_max = max(n_max, required_cutoff(gain, min(tol, 1e-9)))
-    return Cutoff(n_max, tol)
+    dropped = pair_ladder_tail((n_max - 1) // 2, gain)
+    if dropped >= 1.0:
+        raise CutoffError(
+            f"cutoff {n_max} drops all of the mass at g={gain.g}", tail_mass=dropped
+        )
+    return Cutoff(n_max, max(tol, min(2.0 * dropped, 0.5 * (1.0 + dropped))))
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +242,25 @@ def _lossy_density(rho: DensityOperator, loss: LossParams) -> DensityOperator:
 # single-photon conditioning (highly attenuated regime)
 # --------------------------------------------------------------------------
 
+def _survivor_columns(
+    comp: TwoModeVector, loss: LossParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices ``f`` of one component, sorted, with the amplitudes ``h``,
+    ``v`` of a photon surviving in mode H or V at each ``f`` (the common
+    ``sqrt(eta)`` left out), and the component's upper 2x2 diagonal block:
+    ``|h|^2``, ``|v|^2`` and the H survivor at ``f`` against the V survivor
+    at ``f - 1``."""
+    flat = _flat_index(comp.n, comp.m)
+    order = np.argsort(flat, kind="stable")  # one pass on the ladders, stored sorted
+    f, n, m = flat[order], comp.n[order], comp.m[order]
+    # numpy power keeps 0^0 = 1 at eta = 1; |0, 0> has no survivor: exponent 0, not -1/2
+    scaled = comp.amps[order] * np.power(loss.R, 0.5 * np.maximum(n + m - 1, 0))
+    h, v = scaled * np.sqrt(n), scaled * np.sqrt(m)
+    pair = np.diff(f) == 1
+    own = np.array([[np.vdot(h, h), np.vdot(v[:-1][pair], h[1:][pair])], [0.0, np.vdot(v, v)]])
+    return f, h, v, own
+
+
 def _conditioned_block(
     ensemble: list[tuple[float, tuple[TwoModeVector, TwoModeVector]]],
     loss: LossParams,
@@ -242,32 +273,31 @@ def _conditioned_block(
     amplitude ``c sqrt(n_q) R^((n+m-1)/2) sqrt(eta)``, and column ``(s, q)`` at flat
     index ``f`` shares its lost-photon pattern with ``(s', q')`` at ``f + q - q'``:
     the block is ``eta`` times overlaps of the components, sorted by flat index,
-    shifted by -1, 0 and +1 (``notes/decisions.md``).  The amplitude stays in
-    closed form; no dense loss table fits at the attenuated pipelines' cutoffs.
+    shifted by -1, 0 and +1 (``notes/decisions.md``).  Each distinct component
+    is sorted once per call, and a member with an empty component has no cross
+    overlaps.  The amplitude stays in closed form; no dense loss table fits at
+    the attenuated pipelines' cutoffs.
     """
     rho = np.zeros((4, 4), dtype=complex)
+    columns = {}
     for weight, comps in ensemble:
         block, cols = np.zeros((4, 4), dtype=complex), []
         for s, comp in enumerate(comps):
-            flat = _flat_index(comp.n, comp.m)
-            order = np.argsort(flat, kind="stable")  # one pass on the ladders, stored sorted
-            f, n, m = flat[order], comp.n[order], comp.m[order]
-            # numpy power keeps 0^0 = 1 at eta = 1; |0, 0> has no survivor: exponent 0, not -1/2
-            scaled = comp.amps[order] * np.power(loss.R, 0.5 * np.maximum(n + m - 1, 0))
-            h, v = scaled * np.sqrt(n), scaled * np.sqrt(m)
-            pair = np.diff(f) == 1  # the H survivor at f meets the V survivor at f - 1
-            block[2 * s, 2 * s : 2 * s + 2] = np.vdot(h, h), np.vdot(v[:-1][pair], h[1:][pair])
-            block[2 * s + 1, 2 * s + 1] = np.vdot(v, v)
+            if id(comp) not in columns:
+                columns[id(comp)] = _survivor_columns(comp, loss)
+            f, h, v, own = columns[id(comp)]
+            block[2 * s : 2 * s + 2, 2 * s : 2 * s + 2] = own
             cols.append((f, h, v))
         (f0, h0, v0), (f1, h1, v1) = cols
-        # component 1 at f - 1, f and f + 1 for each f of component 0; -1 reads an appended 0
-        at = np.searchsorted(f1, f0)
-        f1, h1, v1 = np.append(f1, -1), np.append(h1, 0.0), np.append(v1, 0.0)
-        same = f1[at] == f0
-        below, equal = np.where(f1[at - 1] == f0 - 1, at - 1, -1), np.where(same, at, -1)
-        above = np.where(f1[at + same] == f0 + 1, at + same, -1)
-        block[0, 2:] = np.vdot(h1[equal], h0), np.vdot(v1[below], h0)
-        block[1, 2:] = np.vdot(h1[above], v0), np.vdot(v1[equal], v0)
+        if len(f0) and len(f1):
+            # component 1 at f - 1, f and f + 1 for each f of component 0; -1 reads an appended 0
+            at = np.searchsorted(f1, f0)
+            f1, h1, v1 = np.append(f1, -1), np.append(h1, 0.0), np.append(v1, 0.0)
+            same = f1[at] == f0
+            below, equal = np.where(f1[at - 1] == f0 - 1, at - 1, -1), np.where(same, at, -1)
+            above = np.where(f1[at + same] == f0 + 1, at + same, -1)
+            block[0, 2:] = np.vdot(h1[equal], h0), np.vdot(v1[below], h0)
+            block[1, 2:] = np.vdot(h1[above], v0), np.vdot(v1[equal], v0)
         rho += weight * loss.eta * (block + np.triu(block, 1).conj().T)
     return rho, float(np.trace(rho).real)
 
@@ -319,17 +349,25 @@ def attenuated_state_with_injection(
     vacuum-seeded block, normalized by its trace; ``p = 1`` recovers the
     perfectly injected attenuated state.  Basis order (HH, HV, VH, VV).
     """
-    t = coherence_parameter(gain, loss)
-    seeded = _seeded_conditional_matrix(t)
-    a = 2.0 * p.p / (gain.cosh_g**2 * (1.0 - t * t)) if t < 1.0 else 0.0
-    b = (1.0 - p.p) * gain.tanh_g * t
-    mat = a * seeded + b * np.eye(4)
-    trace = float(np.trace(mat).real)
-    if trace <= 0.0:
+    mats, traces = _injection_blocks(np.array([p.p]), gain, loss)
+    if traces[0] <= 0.0:
         raise ConditioningError(
             "conditional state undefined: no photon ever reaches the lossy arm"
         )
-    return mat / trace
+    return mats[0] / traces[0]
+
+
+def _injection_blocks(
+    ps: np.ndarray, gain: GainParams, loss: LossParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized closed-form attenuated blocks at the injection
+    probabilities ``ps``, stacked, with their real traces."""
+    t = coherence_parameter(gain, loss)
+    seeded = _seeded_conditional_matrix(t)
+    a = 2.0 * ps / (gain.cosh_g**2 * (1.0 - t * t)) if t < 1.0 else np.zeros_like(ps)
+    b = (1.0 - ps) * gain.tanh_g * t
+    mats = a[:, None, None] * seeded + b[:, None, None] * np.eye(4)
+    return mats, np.trace(mats, axis1=1, axis2=2).real
 
 
 def _seeded_conditional_matrix(t: float) -> np.ndarray:
@@ -356,14 +394,19 @@ def attenuated_injection_pipeline(
 
     Amplifies the mixed seed as an ensemble of pure states, pushes each
     branch through the loss channel and conditions on a single surviving
-    photon.  Converges to :func:`attenuated_state_with_injection` as the
-    cutoff grows.
+    photon.  Every member keeps its exact truncated amplitudes: the unit-norm
+    singlet is weighed by its kept mass ``1 - pair_ladder_tail``, and the
+    vacuum ladder is not normalized, so the members' different tails do not
+    bias the ``p : (1 - p)`` mixture.  Converges to
+    :func:`attenuated_state_with_injection` like the conditional tail of
+    :func:`conditioning_cutoff`.
     """
     singlet = micro_macro_state_hv(gain, cutoff)
-    vac = amplified_vacuum(gain, cutoff).normalized()
+    kept = 1.0 - pair_ladder_tail((cutoff.n_max - 1) // 2, gain)
+    vac = amplified_vacuum(gain, cutoff)
     zero = TwoModeVector([], [], [], cutoff.n_max, PolarizationBasis.hv())
     ensemble = [
-        (p.p, singlet.components),
+        (p.p * kept, singlet.components),
         ((1.0 - p.p) / 2.0, (vac, zero)),
         ((1.0 - p.p) / 2.0, (zero, vac)),
     ]

@@ -18,10 +18,9 @@ from .amplifier import GainParams
 from .channels import (
     InjectionParams,
     LossParams,
-    attenuated_state_with_injection,
+    _injection_blocks,
     coherence_parameter,
 )
-from .fock import ConditioningError
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -126,6 +125,9 @@ def critical_injection_probability(gain: GainParams, loss: LossParams) -> float:
     return x / (1.0 + x)
 
 
+_SCAN_BITS = 4  # bisection steps per stacked eigvalsh
+
+
 def critical_injection_scan(
     gain: GainParams,
     loss: LossParams,
@@ -135,40 +137,64 @@ def critical_injection_scan(
 
     Bisects the sign change of the minimal partial-transpose eigenvalue of
     the closed-form attenuated matrix over ``p``; independent of the
-    analytic formula above.
+    analytic formula above.  Each round evaluates, with one stacked
+    ``eigvalsh``, the ``2^b - 1`` dyadic points that the next ``b``
+    bisection steps can visit, and walks them as the bisection would, so the
+    result is the plain bisection's, bit for bit.
     """
-    def npt(p: float) -> bool:
-        try:
-            rho = attenuated_state_with_injection(InjectionParams(p), gain, loss)
-        except ConditioningError:
-            # no photon ever reaches the detector (p = 0 at zero gain)
-            return False
-        return not ppt_test(rho, (2, 2)).separable
+    def npt(ps: np.ndarray) -> np.ndarray:
+        mats, traces = _injection_blocks(ps, gain, loss)
+        # no photon ever reaches the detector (p = 0 at zero gain): not NPT
+        defined = traces > 0.0
+        out = np.zeros(len(ps), dtype=bool)
+        spectra = _pt_spectra(mats[defined] / traces[defined, None, None], (2, 2))
+        out[defined] = ~(spectra[:, 0] >= -1e-9)  # not separable by ppt_test's verdict
+        return out
 
     lo, hi = 0.0, 1.0
-    if npt(lo):
+    ends = npt(np.array([lo, hi]))
+    if ends[0]:
         return 0.0
-    if not npt(hi):
+    if not ends[1]:
         return 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if npt(mid):
-            hi = mid
-        else:
-            lo = mid
+    steps = 0
+    while 0.5**steps > tol:  # hi - lo halves exactly with every step
+        steps += 1
+    while steps:
+        bits = min(_SCAN_BITS, steps)
+        steps -= bits
+        size = 2**bits
+        grid = lo + (hi - lo) * np.arange(size + 1) / size  # dyadic, so exact
+        inside = npt(grid[1:-1])
+        i, j = 0, size
+        while j - i > 1:
+            mid = (i + j) // 2
+            if inside[mid - 1]:
+                j = mid
+            else:
+                i = mid
+        lo, hi = float(grid[i]), float(grid[j])
     return 0.5 * (lo + hi)
 
 
 def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Transpose the second factor of a bipartite density matrix."""
+    """Transpose the second factor of a bipartite density matrix, or of each
+    matrix of a stack."""
     da, db = dims
     rho = np.asarray(rho)
-    if rho.shape != (da * db, da * db):
+    if rho.shape[-2:] != (da * db, da * db):
         raise ValueError(
             f"matrix of shape {rho.shape} does not factor as {da} x {db}"
         )
-    blocks = rho.reshape(da, db, da, db)
-    return blocks.transpose(0, 3, 2, 1).reshape(da * db, da * db)
+    blocks = rho.reshape(rho.shape[:-2] + (da, db, da, db))
+    return blocks.swapaxes(-3, -1).reshape(rho.shape)
+
+
+def _pt_spectra(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of the partial transpose,
+    per matrix of a stack."""
+    pt = partial_transpose(rho, dims)
+    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-2, -1)) / 2.0)
 
 
 def ppt_test(rho: np.ndarray, dims: tuple[int, int], tol: float = 1e-9) -> PptReport:
@@ -178,7 +204,6 @@ def ppt_test(rho: np.ndarray, dims: tuple[int, int], tol: float = 1e-9) -> PptRe
     negative partial transpose still certifies entanglement while positivity
     remains inconclusive.
     """
-    pt = partial_transpose(rho, dims)
-    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
+    evals = _pt_spectra(rho, dims)
     negativity = float(-np.sum(evals[evals < 0.0]))
     return PptReport(evals, negativity, bool(evals[0] >= -tol))

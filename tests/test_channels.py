@@ -363,6 +363,26 @@ class TestAttenuatedInjection:
         closed = attenuated_state_with_injection(InjectionParams(p), gain, loss)
         assert np.max(np.abs(numeric - closed)) < 1e-8
 
+    @pytest.mark.parametrize("eta", [1e-3, 1e-2])
+    def test_pipeline_runs_at_g5_on_the_conditioned_cutoff(self, eta):
+        # the cutoff drops 30 % (eta = 1e-3) and 97 % (eta = 1e-2) of the
+        # raw mass; the members keep their exact weights, so the mixture stays
+        gain, loss, p = GainParams(5.0), LossParams(eta), InjectionParams(0.9)
+        cut = conditioning_cutoff(gain, loss)
+        numeric = attenuated_injection_pipeline(p, gain, loss, cut)
+        closed = attenuated_state_with_injection(p, gain, loss)
+        assert np.max(np.abs(numeric - closed)) < 1e-7
+
+    def test_doubling_the_conditioned_cutoff_moves_nothing(self):
+        gain, loss, p = GainParams(4.0), LossParams(1e-2), InjectionParams(0.9)
+        cut = conditioning_cutoff(gain, loss)
+        double = Cutoff(2 * cut.n_max, cut.tail_tolerance)
+        for build in (
+            lambda c: attenuate_to_single_photon(micro_macro_state_hv(gain, c), loss),
+            lambda c: attenuated_injection_pipeline(p, gain, loss, c),
+        ):
+            assert np.max(np.abs(build(cut) - build(double))) < 1e-10
+
     def test_degenerate_seed_raises(self):
         with pytest.raises(ConditioningError):
             attenuated_state_with_injection(

@@ -325,7 +325,9 @@ def binomial_kernel_loop(n_max, eta):
 def conditioning_cutoff_loop(gain, loss, tol=1e-8):
     """``conditioning_cutoff`` by summing the heaviest conditional series
     ``sum_p (p+1)(p+2) t^(2p)`` term by term until the remainder ``full -
-    partial`` falls two orders below ``tol``."""
+    partial`` falls two orders below ``tol``.  The cutoff stops there, not at
+    the raw photon-number tail; its stated tolerance is twice the closed-form
+    mass it drops, at most halfway to one and at least ``tol``."""
     x = coherence_parameter(gain, loss) ** 2
     n_max = 3
     if x > 0.0:
@@ -338,7 +340,8 @@ def conditioning_cutoff_loop(gain, loss, tol=1e-8):
             if p > 100_000:
                 raise CutoffError(f"conditional series does not converge to {tol} at t^2={x}")
         n_max = 2 * p + 3
-    return Cutoff(max(n_max, required_cutoff(gain, min(tol, 1e-9))), tol)
+    dropped = pair_ladder_tail((n_max - 1) // 2, gain)
+    return Cutoff(n_max, max(tol, min(2.0 * dropped, 0.5 * (1.0 + dropped))))
 
 
 def dense_from_map(amplitudes, space):
@@ -503,10 +506,10 @@ def injection_ensemble(p, gain, n_max):
     """The ensemble that ``attenuated_injection_pipeline`` conditions."""
     cutoff = Cutoff(n_max, ANY_TAIL)
     singlet = micro_macro_state_hv(gain, cutoff)
-    vac = amplified_vacuum(gain, cutoff).normalized()
+    vac = amplified_vacuum(gain, cutoff)
     zero = TwoModeVector.from_amplitudes({}, n_max, HV)
     return [
-        (p, singlet.components),
+        (p * (1.0 - pair_ladder_tail((n_max - 1) // 2, gain)), singlet.components),
         ((1.0 - p) / 2.0, (vac, zero)),
         ((1.0 - p) / 2.0, (zero, vac)),
     ]
@@ -559,8 +562,33 @@ def test_conditioning_matches_loop_on_arbitrary_members(members, eta):
 
 
 def test_conditioning_matches_loop_at_the_largest_benchmark_cutoff():
-    gain, loss = GainParams(4.0), LossParams(1e-3)
-    assert_same_block(injection_ensemble(0.9995, gain, 35681), loss)
+    gain, loss = GainParams(4.0), LossParams(1e-4)
+    assert_same_block(injection_ensemble(0.9995, gain, 37809), loss)
+
+
+def vacuum_member_weight(gain, loss, n_max):
+    """``x`` of the vacuum members' blocks ``diag(x, x, 0, 0)`` and
+    ``diag(0, 0, x, x)``: ``eta R tanh^2 g / cosh^2 g`` times the finite
+    geometric sum ``sum_{n=1}^{N} n y^(n-1)``, ``y = (R tanh g)^2`` and
+    ``N = n_max // 2`` pairs."""
+    y, big_n = coherence_parameter(gain, loss) ** 2, n_max // 2
+    series = (1.0 - (big_n + 1) * y**big_n + big_n * y ** (big_n + 1)) / (1.0 - y) ** 2
+    return loss.eta * loss.R * gain.tanh_g**2 / gain.cosh_g**2 * series
+
+
+@pytest.mark.parametrize(
+    "g,eta,n_max", [(4.0, 1e-3, 17439), (4.0, 1e-2, 2721), (2.0, 0.5, 41), (1.0, 0.9, 9), (1.0, 1.0, 9), (0.0, 0.3, 5)]
+)
+def test_vacuum_members_give_their_diagonal_closed_form(g, eta, n_max):
+    gain, loss = GainParams(g), LossParams(eta)
+    vac = amplified_vacuum(gain, Cutoff(n_max, ANY_TAIL))
+    zero = TwoModeVector.from_amplitudes({}, n_max, HV)
+    x = vacuum_member_weight(gain, loss, n_max)
+    for members, diagonal in (([(vac, zero)], [x, x, 0, 0]), ([(zero, vac)], [0, 0, x, x]),
+                              ([(vac, zero), (zero, vac)], [x, x, x, x])):
+        rho, prob = _conditioned_block([(1.0, comps) for comps in members], loss)
+        assert np.max(np.abs(rho - np.diag(diagonal))) <= 1e-13 * max(x, 1e-300)
+        assert prob == pytest.approx(sum(diagonal), rel=1e-13, abs=0.0)
 
 
 def reversed_vector(vec):
@@ -571,8 +599,8 @@ def reversed_vector(vec):
 def test_conditioning_ignores_entry_order_at_the_largest_benchmark_cutoff():
     # the shuffled ensembles reach cutoff 12 only; the ladders are stored in
     # ascending order, so reversed storage makes the sort reorder every entry
-    loss = LossParams(1e-3)
-    comps = micro_macro_state_hv(GainParams(4.0), Cutoff(35681, ANY_TAIL)).components
+    loss = LossParams(1e-4)
+    comps = micro_macro_state_hv(GainParams(4.0), Cutoff(37809, ANY_TAIL)).components
     rho, prob = _conditioned_block([(1.0, comps)], loss)
     rho_rev, prob_rev = _conditioned_block([(1.0, tuple(map(reversed_vector, comps)))], loss)
     assert np.max(np.abs(rho_rev - rho)) <= 1e-13
@@ -1091,6 +1119,38 @@ def test_vector_algebra_matches_dict_era(first, second):
 def test_conditioning_cutoff_matches_loop_on_benchmark_grid(g, eta):
     gain, loss = GainParams(g), LossParams(eta)
     assert conditioning_cutoff(gain, loss) == conditioning_cutoff_loop(gain, loss)
+
+
+@pytest.mark.parametrize(
+    "g,eta,n_max",
+    [(2.0, 1e-2, 627), (3.0, 1e-2, 1945), (4.0, 1e-4, 37809), (4.0, 1e-3, 17439), (4.0, 1e-2, 2721),
+     (5.0, 1e-3, 26709), (5.0, 1e-2, 2877)],
+)
+def test_conditioning_cutoff_follows_the_conditional_tail(g, eta, n_max):
+    # below the raw tail's required_cutoff(g, 1e-9): 35,681 at g = 4 and
+    # above the 200,001-photon cap at g = 5
+    assert conditioning_cutoff(GainParams(g), LossParams(eta)).n_max == n_max
+
+
+def dropped_mass_sum(gain, n_max):
+    """Mass of the seeded ladder beyond the kept pairs, ``sum_{n > P} (n+1)
+    x^n / cosh^4 g`` with ``x = tanh^2 g``, summed until the terms fall below
+    1e-25 of the first."""
+    x, first = gain.tanh_g**2, (n_max - 1) // 2 + 1
+    count = int(60.0 / -math.log(x)) + first + 10 if x > 0.0 else 1
+    n = np.arange(first, first + count, dtype=float)
+    return math.fsum((n + 1.0) * x**n) / gain.cosh_g**4
+
+
+@pytest.mark.parametrize("g", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("eta", [1e-4, 1e-3, 1e-2])
+def test_conditioning_cutoff_states_the_mass_it_drops_on_benchmark_grid(g, eta):
+    gain = GainParams(g)
+    cut = conditioning_cutoff(gain, LossParams(eta))
+    dropped = dropped_mass_sum(gain, cut.n_max)
+    assert dropped <= cut.tail_tolerance
+    want = max(1e-8, min(2.0 * dropped, 0.5 * (1.0 + dropped)))
+    assert cut.tail_tolerance == pytest.approx(want, rel=1e-12)
 
 
 @PROPERTY

@@ -20,6 +20,7 @@ from qiopa import (
     partial_transpose,
     ppt_test,
 )
+from qiopa.fock import ConditioningError
 
 SINGLET = np.outer(
     np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2),
@@ -156,6 +157,29 @@ class TestInjectionConcurrence:
         assert death[1.0] == np.inf  # perfect injection never dies
 
 
+def ppt_bisection(gain, loss, tol):
+    """Plain bisection of the PPT verdict over ``p``, one matrix at a time."""
+    def npt(p):
+        try:
+            rho = attenuated_state_with_injection(InjectionParams(p), gain, loss)
+        except ConditioningError:
+            return False
+        return not ppt_test(rho, (2, 2)).separable
+
+    lo, hi = 0.0, 1.0
+    if npt(lo):
+        return 0.0
+    if not npt(hi):
+        return 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if npt(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestCriticalInjection:
     def test_zero_gain_is_exactly_zero(self):
         assert critical_injection_probability(GainParams(0.0), LossParams(0.5)) == 0.0
@@ -173,6 +197,15 @@ class TestCriticalInjection:
         closed = critical_injection_probability(gain, loss)
         scanned = critical_injection_scan(gain, loss, tol=1e-7)
         assert abs(closed - scanned) < 1e-4
+
+    @pytest.mark.parametrize("g", [0.0, 0.5, 2.0, 4.0, 5.0])
+    @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.3, 1.0])
+    @pytest.mark.parametrize("tol", [1e-6, 3e-4, 0.2])
+    def test_stacked_scan_is_the_plain_bisection(self, g, eta, tol):
+        gain, loss = GainParams(g), LossParams(eta)
+        scanned = critical_injection_scan(gain, loss, tol)
+        assert type(scanned) is float
+        assert scanned == ppt_bisection(gain, loss, tol)
 
 
 class TestPpt:
@@ -200,6 +233,13 @@ class TestPpt:
         rho /= np.trace(rho).real
         pt = partial_transpose(rho, (2, 3))
         assert np.max(np.abs(partial_transpose(pt, (2, 3)) - rho)) < 1e-14
+
+    def test_partial_transpose_acts_on_each_matrix_of_a_stack(self):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+        pts = partial_transpose(stack, (3, 2))
+        for rho, pt in zip(stack, pts):
+            assert np.array_equal(pt, partial_transpose(rho, (3, 2)))
 
     def test_agrees_with_concurrence_on_random_two_qubit_states(self):
         rng = np.random.default_rng(47)
