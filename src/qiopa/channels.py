@@ -15,6 +15,8 @@ The highly attenuated regime conditions the lossy state on one surviving
 photon in the amplified arm: a two-qubit density matrix over (HH, HV, VH, VV),
 summed as overlaps of the components, sorted by flat index, shifted by -1, 0
 and +1.  Imperfect injection mixes the singlet with a vacuum seed beforehand.
+At 10^4 to 10^5 photons the full-length temporaries, not the flops, set that
+kernel's cost (``notes/decisions.md``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .fock import (
     DensityOperator,
     PolarizationBasis,
     TwoModeVector,
-    _flat_index,
+    _MAX_CUTOFF,
     fock_space,
 )
 
@@ -94,8 +96,9 @@ def conditioning_cutoff(
     The conditional matrix entries are power series in ``t^2`` with quadratic
     pair-index weights, so truncating at pair index ``p`` leaves a relative
     residual of order ``(p+1)(p+2) t^(2p)``.  The pair count is the smallest
-    ``p <= 100000`` whose remaining fraction of the heaviest series
-    (:func:`_conditional_tail_fraction`) is two orders below ``tol``.
+    ``p`` whose remaining fraction of the heaviest series
+    (:func:`_conditional_tail_fraction`) is two orders below ``tol``: the
+    pair count doubles until the fraction falls below that, then bisects.
 
     That residual, not the raw photon-number tail, is the error of the
     conditioned block, so the cutoff may drop much of the state's mass: 30 %
@@ -103,17 +106,22 @@ def conditioning_cutoff(
     mass, ``pair_ladder_tail((n_max - 1) // 2, g)``, with a margin: twice it,
     at most halfway to one and at least ``tol``.  The ladder constructors
     gate on it.  Raises :class:`CutoffError` when the series does not
-    converge below ``p = 100000`` or the cutoff drops all of the mass to
-    rounding.
+    converge below the largest cutoff whose flat indices fit int64
+    (3,037,000,499 photons; ``t = 1`` never converges) or the cutoff drops
+    all of the mass to rounding.
     """
     x = coherence_parameter(gain, loss) ** 2
     n_max = 3
     if x > 0.0:
-        if _conditional_tail_fraction(100_000, x) >= 0.01 * tol:
-            raise CutoffError(
-                f"conditional series does not converge to {tol} at t^2={x}"
-            )
-        pairs = _first_below(lambda p: _conditional_tail_fraction(p, x), 0.01 * tol, 100_000)
+        threshold, limit, hi = 0.01 * tol, (_MAX_CUTOFF - 3) // 2, 1
+        while x >= 1.0 or _conditional_tail_fraction(hi, x) >= threshold:  # t = 1 diverges
+            if hi == limit:
+                raise CutoffError(
+                    f"conditional series does not converge to {tol} at t^2={x} "
+                    f"below cutoff {_MAX_CUTOFF}"
+                )
+            hi = min(2 * hi, limit)
+        pairs = _first_below(lambda p: _conditional_tail_fraction(p, x), threshold, hi)
         n_max = 2 * pairs + 3
     dropped = pair_ladder_tail((n_max - 1) // 2, gain)
     if dropped >= 1.0:
@@ -245,18 +253,34 @@ def _lossy_density(rho: DensityOperator, loss: LossParams) -> DensityOperator:
 def _survivor_columns(
     comp: TwoModeVector, loss: LossParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices ``f`` of one component, sorted, with the amplitudes ``h``,
-    ``v`` of a photon surviving in mode H or V at each ``f`` (the common
-    ``sqrt(eta)`` left out), and the component's upper 2x2 diagonal block:
-    ``|h|^2``, ``|v|^2`` and the H survivor at ``f`` against the V survivor
-    at ``f - 1``."""
-    flat = _flat_index(comp.n, comp.m)
-    order = np.argsort(flat, kind="stable")  # one pass on the ladders, stored sorted
-    f, n, m = flat[order], comp.n[order], comp.m[order]
-    # numpy power keeps 0^0 = 1 at eta = 1; |0, 0> has no survivor: exponent 0, not -1/2
-    scaled = comp.amps[order] * np.power(loss.R, 0.5 * np.maximum(n + m - 1, 0))
-    h, v = scaled * np.sqrt(n), scaled * np.sqrt(m)
-    pair = np.diff(f) == 1
+    """Flat indices ``f`` of one component, ascending, with the amplitudes
+    ``h``, ``v`` of a photon surviving in mode H or V at each ``f`` (the
+    common ``sqrt(eta)`` left out), and the component's upper 2x2 diagonal
+    block: ``|h|^2``, ``|v|^2`` and the H survivor at ``f`` against the V
+    survivor at ``f - 1``.  The stored keys are sorted only when they do not
+    ascend (the ladders do), and a component whose imaginary parts are all
+    exactly 0 stays real."""
+    f, n, m, amps = comp.keys, comp.n, comp.m, comp.amps
+    if not comp._ascending:
+        order = np.argsort(f, kind="stable")
+        f, n, m, amps = f[order], n[order], m[order], amps[order]
+    exponent = n + m
+    exponent -= 1
+    if loss.R > 0.0:
+        # at |0, 0> the weight R^(-1/2) stays finite and meets sqrt(n) = sqrt(m) = 0
+        scaled = exponent * (0.5 * math.log(loss.R))
+        np.exp(scaled, out=scaled)
+    else:
+        scaled = (exponent <= 0).astype(float)  # 0^0 = 1, and |0, 0> has no survivor
+    if amps.imag.any():
+        scaled = scaled * amps
+    else:
+        scaled *= amps.real
+    h = np.sqrt(n).astype(scaled.dtype, copy=False)
+    h *= scaled
+    v = np.sqrt(m).astype(scaled.dtype, copy=False)
+    v *= scaled
+    pair = f[1:] == f[:-1] + 1
     own = np.array([[np.vdot(h, h), np.vdot(v[:-1][pair], h[1:][pair])], [0.0, np.vdot(v, v)]])
     return f, h, v, own
 
@@ -274,31 +298,45 @@ def _conditioned_block(
     index ``f`` shares its lost-photon pattern with ``(s', q')`` at ``f + q - q'``:
     the block is ``eta`` times overlaps of the components, sorted by flat index,
     shifted by -1, 0 and +1 (``notes/decisions.md``).  Each distinct component
-    is sorted once per call, and a member with an empty component has no cross
-    overlaps.  The amplitude stays in closed form; no dense loss table fits at
-    the attenuated pipelines' cutoffs.
+    gets its survivor columns once per call, and a member with an empty
+    component has no cross overlaps.  The amplitude stays in closed form; no
+    dense loss table fits at the attenuated pipelines' cutoffs.
     """
-    rho = np.zeros((4, 4), dtype=complex)
+    upper = np.zeros((4, 4), dtype=complex)  # the block's upper triangle
     columns = {}
     for weight, comps in ensemble:
-        block, cols = np.zeros((4, 4), dtype=complex), []
+        scale, cols = weight * loss.eta, []
         for s, comp in enumerate(comps):
             if id(comp) not in columns:
                 columns[id(comp)] = _survivor_columns(comp, loss)
             f, h, v, own = columns[id(comp)]
-            block[2 * s : 2 * s + 2, 2 * s : 2 * s + 2] = own
+            upper[2 * s : 2 * s + 2, 2 * s : 2 * s + 2] += scale * own
             cols.append((f, h, v))
         (f0, h0, v0), (f1, h1, v1) = cols
         if len(f0) and len(f1):
-            # component 1 at f - 1, f and f + 1 for each f of component 0; -1 reads an appended 0
-            at = np.searchsorted(f1, f0)
-            f1, h1, v1 = np.append(f1, -1), np.append(h1, 0.0), np.append(v1, 0.0)
-            same = f1[at] == f0
-            below, equal = np.where(f1[at - 1] == f0 - 1, at - 1, -1), np.where(same, at, -1)
-            above = np.where(f1[at + same] == f0 + 1, at + same, -1)
-            block[0, 2:] = np.vdot(h1[equal], h0), np.vdot(v1[below], h0)
-            block[1, 2:] = np.vdot(h1[above], v0), np.vdot(v1[equal], v0)
-        rho += weight * loss.eta * (block + np.triu(block, 1).conj().T)
+            # at[i] keys of component 1 lie below f0[i]: read off one stable
+            # merge of the two ascending key lists, f0 first on ties
+            order = np.argsort(np.concatenate((f0, f1)), kind="stable")
+            at = np.flatnonzero(order < len(f0))
+            at -= np.arange(len(f0))
+            # component 1 at f - 1, f and f + 1 for each f of component 0; an
+            # index clipped into range fails its key comparison
+            last = len(f1) - 1
+            equal = np.minimum(at, last)
+            same = f1[equal] == f0
+            below = at - 1
+            np.maximum(below, 0, out=below)
+            down = f1[below] == f0 - 1
+            above = at  # past f itself where component 1 holds it
+            above += same
+            np.minimum(above, last, out=above)
+            up = f1[above] == f0 + 1
+            equal = equal[same]
+            upper[0, 2] += scale * np.vdot(h1[equal], h0[same])
+            upper[0, 3] += scale * np.vdot(v1[below[down]], h0[down])
+            upper[1, 2] += scale * np.vdot(h1[above[up]], v0[up])
+            upper[1, 3] += scale * np.vdot(v1[equal], v0[same])
+    rho = upper + np.triu(upper, 1).conj().T
     return rho, float(np.trace(rho).real)
 
 

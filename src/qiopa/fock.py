@@ -19,7 +19,7 @@ concurrently; the rotation cache is write-once-read-many.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -33,6 +33,10 @@ TWO_PI = 2.0 * math.pi
 DROP_THRESHOLD = 1e-14
 
 _NORM_TOL = 1e-8
+
+# The largest cutoff whose flat indices t (t + 1) / 2 + n (:func:`_flat_index`)
+# fit int64, intermediate t (t + 1) included.
+_MAX_CUTOFF = math.isqrt(2**63 - 1)
 
 
 class CutoffError(ValueError):
@@ -322,7 +326,9 @@ class TwoModeVector:
     squared-amplitude sum may fall below one (truncated states); it must
     never exceed one beyond numerical tolerance.  Hand-written states come
     in through :meth:`from_amplitudes`, dense ones through :meth:`from_dense`,
-    which leaves out amplitudes below :data:`DROP_THRESHOLD`.
+    which leaves out amplitudes below :data:`DROP_THRESHOLD`.  The flat
+    indices of the entries (:func:`_flat_index`), which the validation
+    computes, are kept read-only in storage order as ``keys``.
     """
 
     n: np.ndarray
@@ -330,6 +336,8 @@ class TwoModeVector:
     amps: np.ndarray
     cutoff: int
     basis: PolarizationBasis
+    keys: np.ndarray = field(init=False, repr=False)
+    _ascending: bool = field(init=False, repr=False)  # keys strictly ascending
 
     def __post_init__(self) -> None:
         n = np.array(self.n, dtype=np.int64).reshape(-1)
@@ -337,23 +345,26 @@ class TwoModeVector:
         amps = np.array(self.amps, dtype=complex).reshape(-1)
         if not n.size == m.size == amps.size:
             raise ValueError("index and amplitude arrays differ in length")
-        # m > cutoff - n is n + m > cutoff without an int64 overflow
-        outside = (n < 0) | (m < 0) | (m > self.cutoff - n)
-        if np.any(outside):
-            i = int(np.argmax(outside))
+        total = n + m
+        # an int64 sum of two non-negative counts that wraps around is negative
+        if n.size and (min(n.min(), m.min(), total.min()) < 0 or total.max() > self.cutoff):
+            # m > cutoff - n is n + m > cutoff without an int64 overflow
+            i = int(np.argmax((n < 0) | (m < 0) | (m > self.cutoff - n)))
             raise ValueError(f"index ({n[i]}, {m[i]}) outside cutoff {self.cutoff}")
-        keys = _flat_index(n, m)
-        if np.any(np.diff(keys) <= 0) and np.unique(keys).size < keys.size:
+        keys = _flat_index(n, total)
+        ascending = bool((keys[1:] > keys[:-1]).all())
+        if not ascending and np.unique(keys).size < keys.size:
             raise ValueError("repeated (n, m) index")
-        total = float(np.vdot(amps, amps).real)
-        if total > 1.0 + _NORM_TOL:
-            raise ValueError(f"squared-amplitude sum {total} exceeds 1")
-        keep = amps != 0.0
-        if not keep.all():
-            n, m, amps = n[keep], m[keep], amps[keep]
-        for name, arr in (("n", n), ("m", m), ("amps", amps)):
+        mass = float(np.vdot(amps, amps).real)
+        if mass > 1.0 + _NORM_TOL:
+            raise ValueError(f"squared-amplitude sum {mass} exceeds 1")
+        if not amps.all():
+            keep = amps != 0.0
+            n, m, amps, keys = n[keep], m[keep], amps[keep], keys[keep]
+        for name, arr in (("n", n), ("m", m), ("amps", amps), ("keys", keys)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_ascending", ascending)
 
     @classmethod
     def from_amplitudes(
@@ -390,7 +401,7 @@ class TwoModeVector:
         if n_max < self.cutoff:
             raise ValueError("target space smaller than the state's cutoff")
         out = np.zeros((n_max + 1) * (n_max + 2) // 2, dtype=complex)
-        out[_flat_index(self.n, self.m)] = self.amps
+        out[self.keys] = self.amps
         return out
 
     def norm(self) -> float:
@@ -410,8 +421,7 @@ class TwoModeVector:
         if self.basis != other.basis:
             raise ValueError("overlap requires a common basis")
         _, mine, theirs = np.intersect1d(
-            _flat_index(self.n, self.m), _flat_index(other.n, other.m),
-            assume_unique=True, return_indices=True,
+            self.keys, other.keys, assume_unique=True, return_indices=True
         )
         return complex(np.vdot(self.amps[mine], other.amps[theirs]))
 
@@ -419,11 +429,14 @@ class TwoModeVector:
         return float(np.dot(self.n + self.m, np.abs(self.amps) ** 2))
 
 
-def _flat_index(n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Index ``t (t + 1) / 2 + n`` of ``|n, m>``, ``t = n + m``, in the
-    ordering of :class:`FockSpace`."""
-    total = n + m
-    return total * (total + 1) // 2 + n
+def _flat_index(n: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Index ``t (t + 1) / 2 + n`` of ``|n, m>`` in the ordering of
+    :class:`FockSpace`, from ``n`` and the total ``t = n + m``."""
+    keys = total + 1
+    keys *= total
+    keys >>= 1  # t (t + 1) is even and, for t >= 0, non-negative
+    keys += n
+    return keys
 
 
 def rotate_basis(state: TwoModeVector, target: PolarizationBasis) -> TwoModeVector:

@@ -140,7 +140,9 @@ def critical_injection_scan(
     analytic formula above.  Each round evaluates, with one stacked
     ``eigvalsh``, the ``2^b - 1`` dyadic points that the next ``b``
     bisection steps can visit, and walks them as the bisection would, so the
-    result is the plain bisection's, bit for bit.
+    result is the plain bisection's, bit for bit.  The first round also
+    evaluates the end points ``p = 0`` and ``p = 1``: five ``eigvalsh`` calls
+    at ``tol = 1e-6``.
     """
     def npt(ps: np.ndarray) -> np.ndarray:
         mats, traces = _injection_blocks(ps, gain, loss)
@@ -151,21 +153,22 @@ def critical_injection_scan(
         out[defined] = ~(spectra[:, 0] >= -1e-9)  # not separable by ppt_test's verdict
         return out
 
-    lo, hi = 0.0, 1.0
-    ends = npt(np.array([lo, hi]))
-    if ends[0]:
-        return 0.0
-    if not ends[1]:
-        return 1.0
     steps = 0
     while 0.5**steps > tol:  # hi - lo halves exactly with every step
         steps += 1
-    while steps:
+    lo, hi, ends = 0.0, 1.0, True
+    while ends or steps:
         bits = min(_SCAN_BITS, steps)
         steps -= bits
         size = 2**bits
         grid = lo + (hi - lo) * np.arange(size + 1) / size  # dyadic, so exact
-        inside = npt(grid[1:-1])
+        inside = npt(grid if ends else grid[1:-1])
+        if ends:  # the end points ride in the first round's stacked eigvalsh
+            if inside[0]:
+                return 0.0
+            if not inside[-1]:
+                return 1.0
+            inside, ends = inside[1:-1], False
         i, j = 0, size
         while j - i > 1:
             mid = (i + j) // 2

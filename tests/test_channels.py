@@ -363,10 +363,11 @@ class TestAttenuatedInjection:
         closed = attenuated_state_with_injection(InjectionParams(p), gain, loss)
         assert np.max(np.abs(numeric - closed)) < 1e-8
 
-    @pytest.mark.parametrize("eta", [1e-3, 1e-2])
+    @pytest.mark.parametrize("eta", [1e-5, 1e-3, 1e-2])
     def test_pipeline_runs_at_g5_on_the_conditioned_cutoff(self, eta):
         # the cutoff drops 30 % (eta = 1e-3) and 97 % (eta = 1e-2) of the
-        # raw mass; the members keep their exact weights, so the mixture stays
+        # raw mass; the members keep their exact weights, so the mixture stays.
+        # At eta = 1e-5 the cutoff is 289,149, beyond 100,000 pairs
         gain, loss, p = GainParams(5.0), LossParams(eta), InjectionParams(0.9)
         cut = conditioning_cutoff(gain, loss)
         numeric = attenuated_injection_pipeline(p, gain, loss, cut)

@@ -21,6 +21,7 @@ the era when a vector was a ``(n, m) -> amplitude`` map (dense scatter,
 dense gather, single-survivor block), against the array storage.
 """
 
+import cmath
 import math
 from collections import defaultdict
 
@@ -59,6 +60,7 @@ from qiopa.channels import (
 )
 from qiopa.fock import (
     DROP_THRESHOLD,
+    _flat_index,
     _sector_matrix,
     _sector_rotation,
     fock_space,
@@ -615,6 +617,35 @@ def test_conditioning_at_eta_1_raises_no_floating_point_warning():
     assert np.all(np.isfinite(rho)) and prob > 0.0
 
 
+def test_conditioning_ignores_a_global_phase_at_the_largest_benchmark_cutoff():
+    # the ladders are real and take the real path; the phase sends both
+    # components down the complex one
+    loss = LossParams(1e-4)
+    comps = micro_macro_state_hv(GainParams(4.0), Cutoff(37809, ANY_TAIL)).components
+    turned = tuple(c.scaled(cmath.exp(0.7j)) for c in comps)
+    assert not any(c.amps.imag.any() for c in comps) and all(c.amps.imag.any() for c in turned)
+    rho, prob = _conditioned_block([(1.0, comps)], loss)
+    rho_turned, prob_turned = _conditioned_block([(1.0, turned)], loss)
+    assert np.max(np.abs(rho_turned - rho)) <= 1e-13
+    assert abs(prob_turned - prob) <= 1e-13
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.4, 1.0])
+def test_conditioning_mixes_a_real_and_a_complex_component(eta):
+    # one component real, the other turned by a phase: the coherences between
+    # the two halves of the block turn with it, the rest stays
+    loss, phase = LossParams(eta), cmath.exp(1.1j)
+    real, other = micro_macro_state_hv(GainParams(2.0), Cutoff(41, ANY_TAIL)).components
+    ensemble = [(1.0, (real, other.scaled(phase)))]
+    assert_same_block(ensemble, loss)
+    with np.errstate(all="raise"):
+        rho, _ = _conditioned_block(ensemble, loss)
+    plain, _ = _conditioned_block([(1.0, (real, other))], loss)
+    plain[:2, 2:] *= phase.conjugate()
+    plain[2:, :2] *= phase
+    assert np.max(np.abs(rho - plain)) <= 1e-15
+
+
 def shuffled_vector(amplitudes, order, cutoff):
     """Vector whose arrays list the map's entries in the given order."""
     keys = list(amplitudes)
@@ -667,6 +698,17 @@ def test_conditioning_matches_dict_oracle(ensemble, eta):
     want_rho, want_prob = conditioned_block_dict(ensemble, loss)
     assert np.max(np.abs(rho - want_rho)) <= 1e-13
     assert abs(prob - want_prob) <= 1e-13
+
+
+@PROPERTY
+@given(conditioning_ensembles(), st.floats(1e-9, 1.0), st.floats(0.0, 2.0 * math.pi))
+def test_conditioning_ignores_a_global_phase(ensemble, eta, theta):
+    loss, phase = LossParams(eta), cmath.exp(1j * theta)
+    rho, prob = _conditioned_block(ensemble, loss)
+    turned = [(weight, tuple(c.scaled(phase) for c in comps)) for weight, comps in ensemble]
+    rho_turned, prob_turned = _conditioned_block(turned, loss)
+    assert np.max(np.abs(rho_turned - rho)) <= 1e-13
+    assert abs(prob_turned - prob) <= 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -1074,9 +1116,12 @@ def test_dense_round_trip_matches_dict_era(amps, cutoff, data):
         ([0, 1], [0, 0], [0.8, 0.8], r"squared-amplitude sum 1\.28\d* exceeds 1"),
         ([1, 0, 1], [0, 1, 0], [0.5, 0.5, 0.5], "repeated"),
         ([2, 2], [1, 1], [0.5, 0.0], "repeated"),  # adjacent, one of them zero
+        ([0, 1, 1], [1, 0, 0], [0.5, 0.5, 0.5], "repeated"),  # ascending but for the repeat
+        ([1, 1, 0], [0, 0, 1], [0.5, 0.5, 0.5], "repeated"),  # descending
         ([0, 1], [0, 0], [0.5], "differ in length"),
     ],
-    ids=["negative-n", "negative-m", "above-cutoff", "int64-overflow", "norm", "duplicate", "adjacent-duplicate", "length"],
+    ids=["negative-n", "negative-m", "above-cutoff", "int64-overflow", "norm", "duplicate", "adjacent-duplicate",
+         "ascending-duplicate", "descending-duplicate", "length"],
 )
 def test_vector_validation_raises(n, m, amps, message):
     with pytest.raises(ValueError, match=message):
@@ -1095,6 +1140,19 @@ def test_vector_storage_is_a_read_only_copy():
     with pytest.raises(TypeError):
         vec.amplitudes[(1, 0)] = 1.0
     assert vec.amplitudes == {(1, 0): 0.6, (2, 0): 0.8j}
+
+
+@PROPERTY
+@given(normalized_maps(), st.data())
+def test_vector_keeps_its_flat_indices_read_only_in_storage_order(amps, data):
+    order = data.draw(st.permutations(range(len(amps))))
+    # halved: a subnormal amplitude normalizes only roughly
+    vec = shuffled_vector({k: a / 2.0 for k, a in amps.items()}, order, 12)
+    space = fock_space(12)
+    assert vec.keys.dtype == np.int64
+    assert np.array_equal(vec.keys, _flat_index(vec.n, vec.n + vec.m))
+    assert np.array_equal(space.n[vec.keys], vec.n) and np.array_equal(space.m[vec.keys], vec.m)
+    assert not vec.keys.flags.writeable
 
 
 @PROPERTY
@@ -1124,11 +1182,12 @@ def test_conditioning_cutoff_matches_loop_on_benchmark_grid(g, eta):
 @pytest.mark.parametrize(
     "g,eta,n_max",
     [(2.0, 1e-2, 627), (3.0, 1e-2, 1945), (4.0, 1e-4, 37809), (4.0, 1e-3, 17439), (4.0, 1e-2, 2721),
-     (5.0, 1e-3, 26709), (5.0, 1e-2, 2877)],
+     (5.0, 1e-3, 26709), (5.0, 1e-2, 2877), (5.0, 1e-5, 289149), (6.0, 1e-4, 259553)],
 )
 def test_conditioning_cutoff_follows_the_conditional_tail(g, eta, n_max):
     # below the raw tail's required_cutoff(g, 1e-9): 35,681 at g = 4 and
-    # above the 200,001-photon cap at g = 5
+    # above the 200,001-photon cap at g = 5; the last two need more than
+    # 100,000 pairs
     assert conditioning_cutoff(GainParams(g), LossParams(eta)).n_max == n_max
 
 
@@ -1151,6 +1210,15 @@ def test_conditioning_cutoff_states_the_mass_it_drops_on_benchmark_grid(g, eta):
     assert dropped <= cut.tail_tolerance
     want = max(1e-8, min(2.0 * dropped, 0.5 * (1.0 + dropped)))
     assert cut.tail_tolerance == pytest.approx(want, rel=1e-12)
+
+
+def test_conditioning_cutoff_states_the_mass_it_drops_at_g6():
+    gain = GainParams(6.0)
+    cut = conditioning_cutoff(gain, LossParams(1e-4))
+    dropped = dropped_mass_sum(gain, cut.n_max)
+    assert dropped == pytest.approx(0.17, abs=0.005)
+    # the closed form (p+2) - (p+1) x cancels five digits at p = 129,775
+    assert dropped <= cut.tail_tolerance == pytest.approx(2.0 * dropped, rel=1e-9)
 
 
 @PROPERTY
@@ -1176,11 +1244,19 @@ def test_conditional_tail_fraction_matches_direct_sum(x, p):
 
 
 def test_conditioning_cutoff_raises_where_the_loop_does():
+    # the series needs about 5.7e9 photons here: more than the loop's 100,000
+    # pairs, and beyond the largest cutoff whose flat indices fit int64
     gain, loss = GainParams(10.0), LossParams(1e-9)
     with pytest.raises(CutoffError, match="does not converge"):
         conditioning_cutoff_loop(gain, loss)
     with pytest.raises(CutoffError, match="does not converge"):
         conditioning_cutoff(gain, loss)
+
+
+def test_conditioning_cutoff_raises_at_t_1():
+    # tanh(20) rounds to 1: without loss the series is sum (q+1)(q+2), which diverges
+    with pytest.raises(CutoffError, match="does not converge"):
+        conditioning_cutoff(GainParams(20.0), LossParams(0.0))
 
 
 # --------------------------------------------------------------------------

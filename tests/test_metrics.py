@@ -20,6 +20,7 @@ from qiopa import (
     partial_transpose,
     ppt_test,
 )
+from qiopa import metrics
 from qiopa.fock import ConditioningError
 
 SINGLET = np.outer(
@@ -200,12 +201,19 @@ class TestCriticalInjection:
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 2.0, 4.0, 5.0])
     @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.3, 1.0])
-    @pytest.mark.parametrize("tol", [1e-6, 3e-4, 0.2])
+    @pytest.mark.parametrize("tol", [1e-6, 3e-4, 0.2, 2.0])
     def test_stacked_scan_is_the_plain_bisection(self, g, eta, tol):
         gain, loss = GainParams(g), LossParams(eta)
         scanned = critical_injection_scan(gain, loss, tol)
         assert type(scanned) is float
         assert scanned == ppt_bisection(gain, loss, tol)
+
+    def test_scan_evaluates_its_end_points_in_the_first_round(self, monkeypatch):
+        sizes, spectra = [], metrics._pt_spectra
+        monkeypatch.setattr(metrics, "_pt_spectra", lambda rho, dims: sizes.append(len(rho)) or spectra(rho, dims))
+        critical_injection_scan(GainParams(2.0), LossParams(1e-3), tol=1e-6)
+        # 20 bisection steps in rounds of 4; p = 0 and p = 1 join the first
+        assert sizes == [17, 15, 15, 15, 15]
 
 
 class TestPpt:
