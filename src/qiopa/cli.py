@@ -42,7 +42,7 @@ from .fock import (
     fock_space,
     photon_distribution,
 )
-from .measurement import lossy_fringe_probabilities, threshold_povm, visibility_ratio
+from .measurement import _fringe_grid, threshold_povm, visibility_ratio
 from .metrics import (
     concurrence_of_t,
     concurrence_with_injection,
@@ -52,7 +52,7 @@ from .metrics import (
 from .witnesses import (
     DICHOTOMIC_BOUND,
     SEPARABLE_BOUND,
-    ofilter_witness_lossy,
+    _ofilter_grid,
     sigma_witness_lossy,
     simon_spin_witness_lossy,
 )
@@ -226,10 +226,10 @@ def _run_visibility(cfg: RunConfig):
     for g in _gain_grid(values):
         gain = GainParams(g)
         cutoff = _resolve_cutoff(values, gain, 1e-9)
-        for k in _threshold_grid(values):
-            for eta in etas:
+        ks = _threshold_grid(values)
+        for k, probabilities in zip(ks, _fringe_grid(gain, etas, ks, cutoff).tolist()):
+            for eta, (p_plus, p_minus, p_zero) in zip(etas, probabilities):
                 loss = LossParams(eta)
-                p_plus, p_minus, p_zero = lossy_fringe_probabilities(gain, loss, k, cutoff)
                 v = visibility_ratio(p_plus, p_minus, loss, k)
                 rows.append(
                     (loss.R, eta, g, k, cutoff.n_max, p_plus, p_minus, p_zero, v)
@@ -266,9 +266,9 @@ def _run_witness_ofilter(cfg: RunConfig):
     for g in _gain_grid(values):
         gain = GainParams(g)
         cutoff = _resolve_cutoff(values, gain, 0.5)
-        for k in _threshold_grid(values):
-            for eta in etas:
-                rep = ofilter_witness_lossy(gain, LossParams(eta), k, cutoff)
+        ks = _threshold_grid(values)
+        for k, reports in zip(ks, _ofilter_grid(gain, etas, ks, cutoff)):
+            for eta, rep in zip(etas, reports):
                 rows.append(
                     (1.0 - eta, eta, g, k, cutoff.n_max)
                     + tuple(rep.terms)

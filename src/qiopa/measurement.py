@@ -9,8 +9,11 @@ Four measurement families are implemented:
   imbalance between the two modes of a basis exceeds a threshold ``k`` and an
   inconclusive 0 otherwise, and the fringe visibility it gives on the lossy
   macro-qubit.  The fringe and the lossy threshold-filter terms are tails
-  of the law of a thinned photon-number difference, one FFT of its
-  closed-form generating function on the unit circle (:func:`_difference_law`);
+  of the law of a thinned photon-number difference, the FFT of its
+  closed-form generating function on the unit circle (:func:`_difference_law`).
+  The law does not depend on the threshold, so each gain takes one stacked
+  FFT over its whole eta grid, in chunks of at most ``2**16`` complex
+  entries, and reads every threshold's tails from it (:func:`_tail_grid`);
 * a multi-detector coincidence scheme with non-number-resolving clicks;
 * quantum Stokes operators (per-basis photon-number differences) and the
   total photon number.  Each Stokes operator is the Schwinger map
@@ -225,18 +228,57 @@ def lossy_fringe_probabilities(
     ``P+`` and ``P-`` are tails of the untruncated law of the thinned
     difference ``D = r - s`` (:func:`_difference_law`).
     ``cutoff`` sets the FFT length and runs the seeded tail gate; each value
-    is within the gated tail mass of the untruncated one.
+    is within the gated tail mass of the untruncated one.  One row of
+    :func:`_fringe_grid`.
     """
-    if k < 0:
-        raise ValueError(f"threshold must be non-negative, got {k}")
+    return tuple(_fringe_grid(gain, [loss.eta], [k], cutoff)[0, 0].tolist())
+
+
+def _fringe_grid(gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
+    """``(P+, P-, P0)`` of :func:`lossy_fringe_probabilities` for every
+    threshold and transmittivity, shape ``(len(ks), len(etas), 3)``."""
+    p_plus, p_minus = _tail_grid(("equatorial",), gain, etas, ks, cutoff)[0]
+    return np.stack([p_plus, p_minus, np.maximum(0.0, 1.0 - p_plus - p_minus)], axis=-1)
+
+
+# complex entries per stacked FFT; an unbounded stack grows with the grid
+# (notes/decisions.md, "One stacked FFT per gain")
+_STACK_ENTRIES = 1 << 16
+
+
+def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
+    """``P+ = P(k < D < N/2)`` and ``P- = P(-N/2 <= D < -k)`` of each seed's
+    :func:`_difference_law`, shape ``(len(seeds), 2, len(ks), len(etas))``.
+
+    The seeded tail gate runs once.  Each seed's laws are stacked over the
+    eta grid in chunks of at most ``_STACK_ENTRIES`` complex entries, and
+    every threshold's tails are row sums of the same chunk.  A non-finite
+    tail raises :class:`CutoffError` naming the first such row in
+    ``(k, eta)`` order.
+    """
+    for k in ks:
+        if k < 0:
+            raise ValueError(f"threshold must be non-negative, got {k}")
+    n_max = cutoff.n_max
     _checked_seeded_tail(gain, cutoff)
-    law = _difference_law("equatorial", gain, loss.eta, cutoff.n_max)
-    p_plus, p_minus = _imbalance(law, k)
-    _checked_finite((p_plus, p_minus), gain, loss, cutoff.n_max)
-    return p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus)
+    size = 1 << (2 * n_max + 1).bit_length()
+    half, rows = size // 2, max(1, _STACK_ENTRIES // size)
+    tails = np.empty((len(seeds), 2, len(ks), len(etas)))
+    for lo in range(0, len(etas), rows):
+        chunk = slice(lo, lo + rows)
+        for out, seed in zip(tails, seeds):
+            law = _difference_law(seed, gain, etas[chunk], n_max)
+            for j, k in enumerate(ks):
+                out[0, j, chunk] = law[:, k + 1 : half].sum(axis=1)
+                out[1, j, chunk] = law[:, half : size - k].sum(axis=1)
+    bad = np.argwhere(~np.isfinite(tails).all(axis=(0, 1)))  # (k, eta) order
+    if bad.size:
+        j, i = bad[0]
+        _checked_finite(tails[:, :, j, i], gain, etas[i], n_max)
+    return tails
 
 
-def _difference_law(seed: str, gain: GainParams, eta: float, n_max: int) -> np.ndarray:
+def _difference_law(seed: str, gain: GainParams, eta, n_max: int) -> np.ndarray:
     """Law ``P(D = d)``, at index ``d mod N``, of ``D = r - s``, the thinned
     photon counts of the seeded and the other mode of the ``"H"`` pair ladder
     ``|n+1, n>`` or the ``"equatorial"`` seed ``|2i+1, 2j>``, in its own basis.
@@ -250,11 +292,16 @@ def _difference_law(seed: str, gain: GainParams, eta: float, n_max: int) -> np.n
     that never take ``1 - t^2`` (``notes/decisions.md``).  ``N``, the smallest
     power of two at or above ``2 (n_max + 1)``, aliases only the mass beyond
     ``n_max`` photons; at ``eta = 0`` the law is an exact point mass.
+
+    A sequence of etas gives one law per row, shape ``(len(eta), N)``, from
+    one stacked FFT over half-angle tables computed once; every row is
+    bit-identical to the law of its scalar eta, which is 1-D.
     """
     size = 1 << (2 * n_max + 1).bit_length()
     half_angle = np.pi * np.arange(size) / size
     sin2 = np.sin(half_angle) ** 2
-    lost = eta * (2.0 * sin2 - 1j * np.sin(2.0 * half_angle))  # x = eta (1 - z)
+    eta = np.asarray(eta, dtype=float)[..., None]
+    lost = eta * (2.0 * sin2 - 1j * np.sin(2.0 * half_angle))  # x = eta (1 - z), a row per eta
     sinh2 = gain.sinh_g**2
     if seed == "H":
         gf = (1.0 - lost) / (1.0 + 4.0 * sinh2 * eta * (1.0 - eta) * sin2) ** 2
@@ -264,18 +311,11 @@ def _difference_law(seed: str, gain: GainParams, eta: float, n_max: int) -> np.n
     return np.fft.fft(gf).real / size
 
 
-def _imbalance(law: np.ndarray, k: int) -> tuple[float, float]:
-    """``(P+, P-) = (P(k < D < N/2), P(-N/2 <= D < -k))`` of a law from
-    :func:`_difference_law`."""
-    half = law.size // 2
-    return float(law[k + 1 : half].sum()), float(law[half : law.size - k].sum())
-
-
-def _checked_finite(values, gain: GainParams, loss: LossParams, n_max: int) -> None:
+def _checked_finite(values, gain: GainParams, eta: float, n_max: int) -> None:
     """Raise :class:`CutoffError` if a reported probability is not finite."""
     if not np.all(np.isfinite(values)):
         raise CutoffError(
-            f"non-finite probability at cutoff {n_max}, g={gain.g}, eta={loss.eta}"
+            f"non-finite probability at cutoff {n_max}, g={gain.g}, eta={eta}"
         )
 
 

@@ -16,7 +16,8 @@ threshold-filter terms are the imbalance ``P- - P+`` of one thinned seed,
 tails of the law of its photon-number difference; the spin terms are the
 pair ladder's untruncated Stokes correlations, scaled by ``eta``.  A cutoff
 only runs the seeded tail gate (and sets the FFT length of the
-threshold-filter terms); every reported value is the untruncated one.
+threshold-filter terms, one stacked FFT per seed over a whole eta grid);
+every reported value is the untruncated one.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .fock import (
 from .measurement import (
     PseudoPauliOperator,
     _checked_finite,
-    _difference_law,
-    _imbalance,
+    _tail_grid,
     pauli_matrix,
     sigma_operator,
     stokes_terms,
@@ -191,7 +191,7 @@ def sigma_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> W
     w = 1.0 + s * r * (1.0 + eta)
     term_23 = -eta * (w + 2.0 * r * r * s * (1.0 + s)) / w**3
     terms = (-eta / w**2, term_23, term_23)
-    _checked_finite(terms, gain, loss, cutoff.n_max)
+    _checked_finite(terms, gain, loss.eta, cutoff.n_max)
     value = sum(abs(t) for t in terms)
     return WitnessReport(
         value,
@@ -251,20 +251,27 @@ def ofilter_witness_lossy(
     fringe on axes 2 and 3 (one value).  Both come from the untruncated law of
     the thinned difference (:func:`qiopa.measurement._difference_law`), as in
     :func:`qiopa.measurement.lossy_fringe_probabilities`.  It runs the seeded
-    tail gate and forms no state."""
-    if k < 0:
-        raise ValueError(f"threshold must be non-negative, got {k}")
-    n_max = cutoff.n_max
-    _checked_seeded_tail(gain, cutoff)
-    ladder, fringe = (
-        _imbalance(_difference_law(seed, gain, loss.eta, n_max), k) for seed in ("H", "equatorial")
+    tail gate and forms no state.  One row of :func:`_ofilter_grid`."""
+    return _ofilter_grid(gain, [loss.eta], [k], cutoff)[0][0]
+
+
+def _ofilter_grid(gain: GainParams, etas, ks, cutoff: Cutoff) -> list[list[WitnessReport]]:
+    """:func:`ofilter_witness_lossy` for every threshold (outer) and
+    transmittivity (inner), from one stacked law per seed and chunk of the
+    eta grid (:func:`qiopa.measurement._tail_grid`)."""
+    (ladder_plus, ladder_minus), (fringe_plus, fringe_minus) = _tail_grid(
+        ("H", "equatorial"), gain, etas, ks, cutoff
     )
-    terms = (ladder[1] - ladder[0], fringe[1] - fringe[0], fringe[1] - fringe[0])
-    _checked_finite(terms, gain, loss, n_max)
-    return WitnessReport(
-        sum(abs(t) for t in terms), SEPARABLE_BOUND, terms, "micro-macro-ofilter",
-        {"k": k, "eta": loss.eta, "g": gain.g, "cutoff": n_max}, note=_OFILTER_NOTE,
-    )
+    grid = np.stack([ladder_minus - ladder_plus, fringe_minus - fringe_plus], axis=-1)
+
+    def report(k: int, eta: float, ladder: float, fringe: float) -> WitnessReport:
+        terms = (ladder, fringe, fringe)
+        return WitnessReport(
+            sum(abs(t) for t in terms), SEPARABLE_BOUND, terms, "micro-macro-ofilter",
+            {"k": k, "eta": eta, "g": gain.g, "cutoff": cutoff.n_max}, note=_OFILTER_NOTE,
+        )
+
+    return [[report(k, eta, *pair) for eta, pair in zip(etas, row)] for k, row in zip(ks, grid.tolist())]
 
 
 # --------------------------------------------------------------------------

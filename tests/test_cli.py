@@ -241,7 +241,6 @@ class TestPlumbing:
     @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma", "witness-ofilter"])
     def test_non_finite_probability_exits_3(self, experiment, monkeypatch, capsys):
         import qiopa.measurement
-        import qiopa.witnesses
 
         # the pseudo-Pauli witness reads sinh g, which its tail gate does not
         # (the gate reads tanh g); the fringe and the
@@ -250,13 +249,12 @@ class TestPlumbing:
 
         def poisoned_law(*args):
             out = law(*args)
-            out[1] = np.nan
+            out[..., 1] = np.nan  # a law is one row per eta
             return out
 
         if experiment == "witness-sigma":
             monkeypatch.setattr(GainParams, "sinh_g", property(lambda self: math.nan))
-        for module in (qiopa.measurement, qiopa.witnesses):
-            monkeypatch.setattr(module, "_difference_law", poisoned_law)
+        monkeypatch.setattr(qiopa.measurement, "_difference_law", poisoned_law)
         code, out, err = run_cli([experiment, "--g", "0.5", "--eta", "0.5"], capsys)
         assert code == EXIT_NUMERIC
         assert out == ""
@@ -268,7 +266,7 @@ class TestPlumbing:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(qiopa.cli, "lossy_fringe_probabilities", exhausted)
+        monkeypatch.setattr(qiopa.cli, "_fringe_grid", exhausted)
         code, out, err = run_cli(["visibility", "--g", "0.5", "--R", "0.1"], capsys)
         assert code == EXIT_NUMERIC
         assert out == ""
@@ -415,6 +413,25 @@ class TestExperiments:
         assert etas == [0.0, 0.5, 1.0]
         for eta, value in zip(etas, column(out, "value")):
             assert value == pytest.approx(2 * eta, abs=1e-9)
+
+    @pytest.mark.parametrize("experiment", ["witness-ofilter", "visibility"])
+    def test_threshold_grid_rows_equal_separate_runs(self, experiment, capsys):
+        # one law per gain serves every threshold of the grid
+        grid = ["--g", "1.2,4", "--eta", "0.05,0.35,1"]  # eta = 0 leaves V undefined at k = 2
+        code, out, _ = run_cli([experiment, "--k", "0,2"] + grid, capsys)
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        separate = {}
+        for k in ("0", "2"):
+            code, single, _ = run_cli([experiment, "--k", k] + grid, capsys)
+            assert code == EXIT_OK
+            separate[k] = parse_csv(single)
+            assert separate[k][0] == header
+        k_col = header.index("k")
+        want = [row for g in ("1.2", "4") for k in ("0", "2")
+                for row in separate[k][1] if row[header.index("g")] == g]
+        assert len(rows) == 12 and {row[k_col] for row in rows} == {"0", "2"}
+        assert rows == want
 
     def test_pcrit_scan_matches_closed_form(self, capsys):
         code, out, _ = run_cli(["pcrit", "--g", "0.5,1.5", "--eta", "0.01"], capsys)

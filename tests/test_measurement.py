@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,12 +35,15 @@ from qiopa import (
     visibility,
 )
 from qiopa.fock import schwinger_operator, transfer_matrix
+import qiopa.measurement
+from qiopa.fock import CutoffError
 from qiopa.measurement import (
     _difference_law,
+    _fringe_grid,
     all_detectors_click_probability,
     lossy_fringe_probabilities,
 )
-from qiopa.witnesses import ofilter_witness_lossy
+from qiopa.witnesses import _ofilter_grid, ofilter_witness_lossy
 from triangle_oracle import spin_terms_ladder, visibility_triangle
 from test_kernels import binomial_sector_matrix
 
@@ -295,6 +299,110 @@ class TestVisibility:
                 for r in np.linspace(0.1, 0.9, 9)
             ]
             assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def tails_of_one_law(law, k):
+    """``(P+, P-)`` of a 1-D law, slice by slice, as each row is read."""
+    half = law.size // 2
+    return float(law[k + 1 : half].sum()), float(law[half : law.size - k].sum())
+
+
+class TestStackedLaw:
+    """One stacked FFT per gain gives every row bit for bit as one law per
+    eta would, whatever the chunking of the eta grid."""
+
+    ETAS = [0.0, 0.05, 0.3, 0.5, 0.77, 0.95, 1.0]
+    KS = [0, 1, 2, 5]
+
+    @pytest.mark.parametrize(
+        "g, n_max", [(0.0, None), (1.2, None), (1.8, None), (1.2, 20_000)],
+        ids=["g0", "g1.2", "g1.8", "N=2**16"],  # 2**16 bins: a whole chunk for one row
+    )
+    @pytest.mark.parametrize("seed", ["H", "equatorial"])
+    def test_stacked_law_is_the_per_eta_law(self, g, n_max, seed):
+        gain = GainParams(g)
+        n_max = n_max or required_cutoff(gain, 1e-9)
+        stacked = _difference_law(seed, gain, self.ETAS, n_max)
+        assert stacked.shape == (len(self.ETAS), 1 << (2 * n_max + 1).bit_length())
+        for eta, row in zip(self.ETAS, stacked):
+            law = _difference_law(seed, gain, eta, n_max)
+            assert law.ndim == 1
+            assert np.array_equal(row, law), eta
+
+    @pytest.mark.parametrize("n_max", [5_000, 20_000], ids=["4-rows-a-chunk", "1-row-a-chunk"])
+    def test_grid_helpers_span_chunks_row_by_row(self, n_max):
+        gain, cutoff = GainParams(1.2), Cutoff(n_max, 1e-9)
+        assert max(1, qiopa.measurement._STACK_ENTRIES // (1 << (2 * n_max + 1).bit_length())) < len(self.ETAS)
+        self.assert_grids_match_rows(gain, cutoff)
+
+    @pytest.mark.parametrize("g", [0.0, 1.2, 1.8])
+    def test_grid_helpers_match_the_scalar_functions(self, g):
+        gain = GainParams(g)
+        self.assert_grids_match_rows(gain, Cutoff(required_cutoff(gain, 1e-9), 1e-9))
+
+    def assert_grids_match_rows(self, gain, cutoff):
+        fringe = _fringe_grid(gain, self.ETAS, self.KS, cutoff)
+        reports = _ofilter_grid(gain, self.ETAS, self.KS, cutoff)
+        assert fringe.shape == (len(self.KS), len(self.ETAS), 3)
+        assert [len(row) for row in reports] == [len(self.ETAS)] * len(self.KS)
+        for i, eta in enumerate(self.ETAS):
+            loss = LossParams(eta)
+            ladder_law = _difference_law("H", gain, eta, cutoff.n_max)
+            fringe_law = _difference_law("equatorial", gain, eta, cutoff.n_max)
+            for j, k in enumerate(self.KS):
+                want = lossy_fringe_probabilities(gain, loss, k, cutoff)
+                assert tuple(fringe[j, i].tolist()) == want, (eta, k)
+                p_plus, p_minus = tails_of_one_law(fringe_law, k)
+                assert want == (p_plus, p_minus, max(0.0, 1.0 - p_plus - p_minus))
+                rep = ofilter_witness_lossy(gain, loss, k, cutoff)
+                assert reports[j][i] == rep, (eta, k)
+                ladder = tails_of_one_law(ladder_law, k)
+                term = p_minus - p_plus
+                assert rep.terms == (ladder[1] - ladder[0], term, term)
+
+    def test_negative_threshold_raises_before_the_gate(self):
+        # a cutoff of 1 fails the tail gate at g = 1.2; the threshold is
+        # checked first
+        for grid in (_fringe_grid, _ofilter_grid):
+            with pytest.raises(ValueError, match="threshold"):
+                grid(GainParams(1.2), [0.5], [0, -1], Cutoff(1, 1e-9))
+            with pytest.raises(CutoffError):
+                grid(GainParams(1.2), [0.5], [0], Cutoff(1, 1e-9))
+
+    def test_non_finite_row_is_named_in_threshold_then_eta_order(self, monkeypatch):
+        law = qiopa.measurement._difference_law
+
+        def poisoned_law(*args):
+            out = law(*args)
+            out[1, 1] = np.nan  # second eta: only the k = 0 tail
+            out[2, 5] = np.nan  # third eta: the k = 0 and the k = 2 tails
+            return out
+
+        monkeypatch.setattr(qiopa.measurement, "_difference_law", poisoned_law)
+        gain, cutoff = GainParams(0.5), Cutoff(required_cutoff(GainParams(0.5), 1e-9), 1e-9)
+        etas = [0.25, 0.5, 0.75]
+        for grid in (_fringe_grid, _ofilter_grid):
+            with pytest.raises(CutoffError, match=r"non-finite .* eta=0\.5$"):
+                grid(gain, etas, [0], cutoff)
+            # k = 2 comes first and sees only the third row
+            with pytest.raises(CutoffError, match=r"non-finite .* eta=0\.75$"):
+                grid(gain, etas, [2, 0], cutoff)
+
+    @pytest.mark.parametrize("grid", [_fringe_grid, _ofilter_grid])
+    def test_stacking_stays_bounded_at_high_gain(self, grid):
+        # g = 4 takes N = 2**17: one row a chunk; a whole-grid stack would
+        # hold twenty
+        gain = GainParams(4.0)
+        cutoff = Cutoff(required_cutoff(gain, 1e-9), 1e-9)
+        peaks = []
+        for etas in ([0.5], list(np.linspace(0.0, 1.0, 20))):
+            tracemalloc.start()
+            try:
+                grid(gain, etas, [0, 1, 2], cutoff)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_parity_expectation_decays_with_loss():
