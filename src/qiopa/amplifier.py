@@ -25,6 +25,7 @@ from .fock import (
     FockSpace,
     PolarizationBasis,
     TwoModeVector,
+    _MAX_CUTOFF,
     fock_space,
     rotate_basis,
     transfer_matrix,
@@ -169,27 +170,27 @@ def pair_ladder_tail(n_pairs: int, gain: GainParams) -> float:
     return x ** (p + 1) * ((p + 2) - (p + 1) * x)
 
 
-def required_cutoff(gain: GainParams, tail_tolerance: float, n_cap: int = 200_001) -> int:
+def required_cutoff(gain: GainParams, tail_tolerance: float) -> int:
     """Smallest odd ``n_max`` whose truncated seeded output loses less than
-    ``tail_tolerance`` of its probability mass.
-
-    Bisects the monotone :func:`pair_ladder_tail` over the pair counts below
-    ``n_cap // 2``.
-    """
+    ``tail_tolerance`` of its probability mass, by :func:`_first_below` on the
+    monotone :func:`pair_ladder_tail`, uncapped: 263,653 at g = 5, tail 1e-9.
+    Only the FFT bounds its length (:func:`qiopa.measurement._tail_grid`)."""
     if gain.g == 0.0:
         return 1
-    hi = n_cap // 2 - 1
-    if hi < 0 or pair_ladder_tail(hi, gain) >= tail_tolerance:
-        raise CutoffError(
-            f"no cutoff below {n_cap} reaches tail {tail_tolerance} at g={gain.g}",
-            tail_mass=pair_ladder_tail(hi, gain),
-        )
-    return 2 * _first_below(lambda p: pair_ladder_tail(p, gain), tail_tolerance, hi) + 1
+    failure = f"no cutoff reaches tail {tail_tolerance} at g={gain.g}"
+    return 2 * _first_below(lambda p: pair_ladder_tail(p, gain), tail_tolerance, failure) + 1
 
 
-def _first_below(tail, threshold: float, hi: int) -> int:
-    """Smallest ``p`` in ``[0, hi]`` with ``tail(p) < threshold``, by
-    bisection, for a decreasing ``tail`` that is below ``threshold`` at ``hi``."""
+def _first_below(tail, threshold: float, failure: str) -> int:
+    """Smallest pair count ``p`` with ``tail(p) < threshold`` for a decreasing
+    ``tail``: the count doubles from 1 until the tail is below the threshold,
+    then bisects.  Raises :class:`CutoffError` with ``failure`` when no count
+    whose cutoff ``2 p + 3`` fits the flat index (``_MAX_CUTOFF``) gets there."""
+    limit, hi = (_MAX_CUTOFF - 3) // 2, 1
+    while tail(hi) >= threshold:
+        if hi == limit:
+            raise CutoffError(f"{failure} below cutoff {_MAX_CUTOFF}")
+        hi = min(2 * hi, limit)
     lo = 0
     while lo < hi:  # invariant: the tail at hi is below the threshold
         mid = (lo + hi) // 2

@@ -97,8 +97,8 @@ def conditioning_cutoff(
     pair-index weights, so truncating at pair index ``p`` leaves a relative
     residual of order ``(p+1)(p+2) t^(2p)``.  The pair count is the smallest
     ``p`` whose remaining fraction of the heaviest series
-    (:func:`_conditional_tail_fraction`) is two orders below ``tol``: the
-    pair count doubles until the fraction falls below that, then bisects.
+    (:func:`_conditional_tail_fraction`) is two orders below ``tol``, found
+    by the search of ``required_cutoff`` (:func:`qiopa.amplifier._first_below`).
 
     That residual, not the raw photon-number tail, is the error of the
     conditioned block, so the cutoff may drop much of the state's mass: 30 %
@@ -113,15 +113,10 @@ def conditioning_cutoff(
     x = coherence_parameter(gain, loss) ** 2
     n_max = 3
     if x > 0.0:
-        threshold, limit, hi = 0.01 * tol, (_MAX_CUTOFF - 3) // 2, 1
-        while x >= 1.0 or _conditional_tail_fraction(hi, x) >= threshold:  # t = 1 diverges
-            if hi == limit:
-                raise CutoffError(
-                    f"conditional series does not converge to {tol} at t^2={x} "
-                    f"below cutoff {_MAX_CUTOFF}"
-                )
-            hi = min(2 * hi, limit)
-        pairs = _first_below(lambda p: _conditional_tail_fraction(p, x), threshold, hi)
+        failure = f"conditional series does not converge to {tol} at t^2={x}"
+        if x >= 1.0:  # t = 1 diverges
+            raise CutoffError(f"{failure} below cutoff {_MAX_CUTOFF}")
+        pairs = _first_below(lambda p: _conditional_tail_fraction(p, x), 0.01 * tol, failure)
         n_max = 2 * pairs + 3
     dropped = pair_ladder_tail((n_max - 1) // 2, gain)
     if dropped >= 1.0:

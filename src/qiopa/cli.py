@@ -13,10 +13,11 @@ and command-line flags override file values.  Loss grids accept either
 ``eta`` or ``R = 1 - eta``; rows echo both.  Exit codes: 0 on success, 2 on
 configuration errors (including a non-finite or negative gain, a negative
 threshold, a probability outside [0, 1], a tail tolerance outside (0, 1)
-and an unwritable output), 3 on numeric failures (unreachable cutoff,
-all-inconclusive visibility, vanishing conditional probability, overflow at
-extreme gain, memory exhausted), 141 (a shell's status for SIGPIPE) when
-the reader of stdout closes it early, as in ``qiopa pcrit | head -1``.
+and an unwritable output), 3 on numeric failures (unreachable cutoff, an
+FFT longer than 2^23 entries, all-inconclusive visibility, vanishing
+conditional probability, overflow at extreme gain, memory exhausted), 141
+(a shell's status for SIGPIPE) when the reader of stdout closes it early,
+as in ``qiopa pcrit | head -1``.
 """
 
 from __future__ import annotations
@@ -124,13 +125,10 @@ def _floats(values: dict, key: str) -> list[float]:
 
 
 def _ints(values: dict, key: str) -> list[int]:
-    out = []
-    for v in values[key]:
-        try:
-            out.append(int(v))
-        except ValueError as exc:
-            raise ConfigError(f"parameter {key!r} expects integers: {exc}") from exc
-    return out
+    try:
+        return [int(v) for v in values[key]]
+    except ValueError as exc:
+        raise ConfigError(f"parameter {key!r} expects integers: {exc}") from exc
 
 
 def _scalar(values: dict, key: str, convert) -> object:
@@ -356,13 +354,10 @@ def _run_ofilter_dist(cfg: RunConfig):
     dist = photon_distribution(state, target)
     povm = threshold_povm(target, k, total)
     space = fock_space(total)
-    rows = []
     # rotations conserve the total photon number, so only this sector carries weight
-    for idx in range(space.dim):
-        if int(space.total[idx]) != total:
-            continue
-        key = (int(space.n[idx]), int(space.m[idx]))
-        rows.append((key[0], key[1], dist.get(key, 0.0), int(povm.signs[idx])))
+    sector = space.sector_slices[total]
+    photons = zip(space.n[sector].tolist(), space.m[sector].tolist(), povm.signs[sector].tolist())
+    rows = [(a, b, dist.get((a, b), 0.0), sign) for a, b, sign in photons]
     meta = {"state": f"|{n},{m}> in {prep.label}", "measured_in": target.label}
     return meta, ["n", "m", "probability", "outcome"], rows
 
@@ -600,10 +595,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("the concurrence experiment needs eta (or R) grids when t is absent")
         if "g" not in values:
             raise ConfigError("the concurrence experiment needs a gain grid when t is absent")
-    if args.fmt is not None:
-        fmt = args.fmt
-    if fmt is None:
-        fmt = "csv"
+    fmt = args.fmt or fmt or "csv"
     if fmt not in ("csv", "records"):
         raise ConfigError(f"unknown output format {fmt!r}")
     for key, entries in values.items():
@@ -615,8 +607,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def run_experiment(cfg: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     """Evaluate an experiment grid; deterministic for a fixed configuration."""
     runner, _, _ = _EXPERIMENTS[cfg.experiment]
-    meta, columns, rows = runner(cfg)
-    return meta, columns, rows
+    return runner(cfg)
 
 
 def _emit(cfg: RunConfig, meta: dict, columns, rows) -> int:

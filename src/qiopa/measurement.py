@@ -245,15 +245,27 @@ def _fringe_grid(gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
 # (notes/decisions.md, "One stacked FFT per gain")
 _STACK_ENTRIES = 1 << 16
 
+# the longest FFT of a law: a run peaks near 120 bytes per entry, about
+# 1 GB at this length (notes/decisions.md, "One cutoff search")
+_MAX_FFT = 1 << 23
+
+
+def _fft_length(n_max: int) -> int:
+    """The smallest power of two at or above ``2 (n_max + 1)``: only the mass
+    beyond ``n_max`` photons aliases in a law of that length."""
+    return 1 << (2 * n_max + 1).bit_length()
+
 
 def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
     """``P+ = P(k < D < N/2)`` and ``P- = P(-N/2 <= D < -k)`` of each seed's
     :func:`_difference_law`, shape ``(len(seeds), 2, len(ks), len(etas))``.
 
-    The seeded tail gate runs once.  Each seed's laws are stacked over the
-    eta grid in chunks of at most ``_STACK_ENTRIES`` complex entries, and
-    every threshold's tails are row sums of the same chunk.  A non-finite
-    tail raises :class:`CutoffError` naming the first such row in
+    The seeded tail gate runs once.  Then an FFT longer than ``_MAX_FFT``,
+    the one cost that grows with the cutoff, raises :class:`CutoffError`
+    naming its length before anything is allocated.  Each seed's laws are
+    stacked over the eta grid in chunks of at most ``_STACK_ENTRIES`` complex
+    entries, and every threshold's tails are row sums of the same chunk.  A
+    non-finite tail raises :class:`CutoffError` naming the first such row in
     ``(k, eta)`` order.
     """
     for k in ks:
@@ -261,7 +273,9 @@ def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
             raise ValueError(f"threshold must be non-negative, got {k}")
     n_max = cutoff.n_max
     _checked_seeded_tail(gain, cutoff)
-    size = 1 << (2 * n_max + 1).bit_length()
+    size = _fft_length(n_max)
+    if size > _MAX_FFT:
+        raise CutoffError(f"cutoff {n_max} at g={gain.g} needs an FFT of length {size} > {_MAX_FFT}")
     half, rows = size // 2, max(1, _STACK_ENTRIES // size)
     tails = np.empty((len(seeds), 2, len(ks), len(etas)))
     for lo in range(0, len(etas), rows):
@@ -289,15 +303,14 @@ def _difference_law(seed: str, gain: GainParams, eta, n_max: int) -> np.ndarray:
     ``t = tanh g``, ``C = cosh g`` the ladder's ``G`` is
     ``u / (C^4 (1 - t^2 u v)^2)`` and the equatorial seed's
     ``u / (C^4 (1 - t^2 u^2)^(3/2) (1 - t^2 v^2)^(1/2))``, evaluated in forms
-    that never take ``1 - t^2`` (``notes/decisions.md``).  ``N``, the smallest
-    power of two at or above ``2 (n_max + 1)``, aliases only the mass beyond
-    ``n_max`` photons; at ``eta = 0`` the law is an exact point mass.
+    that never take ``1 - t^2`` (``notes/decisions.md``).  ``N`` is
+    :func:`_fft_length`; at ``eta = 0`` the law is an exact point mass.
 
     A sequence of etas gives one law per row, shape ``(len(eta), N)``, from
     one stacked FFT over half-angle tables computed once; every row is
     bit-identical to the law of its scalar eta, which is 1-D.
     """
-    size = 1 << (2 * n_max + 1).bit_length()
+    size = _fft_length(n_max)
     half_angle = np.pi * np.arange(size) / size
     sin2 = np.sin(half_angle) ** 2
     eta = np.asarray(eta, dtype=float)[..., None]

@@ -339,16 +339,17 @@ class TestExperiments:
         assert abs(column(out, "S")[0] - 0.522500141) < 1e-8
 
     def test_witness_sigma_runs_at_high_gain(self, capsys):
-        # cutoff 35,681 only gates the tail; the terms are in closed form
-        code, out, _ = run_cli(["witness-sigma", "--g", "4"], capsys)
-        assert code == EXIT_OK
-        assert set(column(out, "cutoff")) == {35681.0}
-        s = dict(zip(column(out, "eta"), column(out, "S")))
-        assert len(s) == 21
-        assert s[1.0] == 3.0
-        header, rows = parse_csv(out)
-        (lost,) = [r for r in rows if float(r[header.index("eta")]) == 0.0]
-        assert [lost[header.index(name)] for name in ("term_1", "term_2", "term_3", "S")] == ["0"] * 4
+        # the cutoff only gates the tail; the terms are in closed form
+        for g, n_max in (("4", 35681.0), ("5", 263653.0)):
+            code, out, _ = run_cli(["witness-sigma", "--g", g], capsys)
+            assert code == EXIT_OK
+            assert set(column(out, "cutoff")) == {n_max}
+            s = dict(zip(column(out, "eta"), column(out, "S")))
+            assert len(s) == 21
+            assert s[1.0] == 3.0
+            header, rows = parse_csv(out)
+            (lost,) = [r for r in rows if float(r[header.index("eta")]) == 0.0]
+            assert [lost[header.index(name)] for name in ("term_1", "term_2", "term_3", "S")] == ["0"] * 4
 
     def test_tight_tail_runs_on_the_cutoff_it_resolves(self, capsys):
         # the cutoff rule and the tail gate read the same closed-form tail, so
@@ -400,19 +401,37 @@ class TestExperiments:
             assert value == pytest.approx(2 * eta, abs=1e-6)
 
     def test_witness_stokes_at_high_gain_forms_no_state(self, capsys):
-        # the joint state at g = 2.5 (cutoff 1775) would take hundreds of MB
+        # the joint state at g = 2.5 (cutoff 1775) would take hundreds of MB,
+        # and at g = 5 (cutoff 263,653) far more
+        for g, n_max in (("2.5", 1775.0), ("5", 263653.0)):
+            tracemalloc.start()
+            try:
+                code, out, _ = run_cli(["witness-stokes", "--g", g, "--eta", "0,0.5,1"], capsys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            assert peak < 10e6
+            assert set(column(out, "cutoff")) == {n_max}
+            etas = column(out, "eta")
+            assert etas == [0.0, 0.5, 1.0]
+            for eta, value in zip(etas, column(out, "value")):
+                assert value == pytest.approx(2 * eta, abs=1e-9)
+
+    @pytest.mark.parametrize("experiment", ["visibility", "witness-ofilter"])
+    def test_fft_beyond_the_bound_exits_3_before_allocating(self, experiment, capsys):
+        # g = 7 needs cutoff 14,395,009 and an FFT of 2**25 entries, about
+        # 4 GB at peak; the run stops after the tail gate, before any array
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(["witness-stokes", "--g", "2.5", "--eta", "0,0.5,1"], capsys)
+            code, out, err = run_cli([experiment, "--g", "7"], capsys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == EXIT_OK
-        assert peak < 10e6
-        etas = column(out, "eta")
-        assert etas == [0.0, 0.5, 1.0]
-        for eta, value in zip(etas, column(out, "value")):
-            assert value == pytest.approx(2 * eta, abs=1e-9)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.count("\n") == 1 and "FFT of length 33554432" in err
+        assert peak < 1e6
 
     @pytest.mark.parametrize("experiment", ["witness-ofilter", "visibility"])
     def test_threshold_grid_rows_equal_separate_runs(self, experiment, capsys):

@@ -22,6 +22,7 @@ dense gather, single-survivor block), against the array storage.
 """
 
 import cmath
+import itertools
 import math
 from collections import defaultdict
 
@@ -60,6 +61,7 @@ from qiopa.channels import (
 )
 from qiopa.fock import (
     DROP_THRESHOLD,
+    _MAX_CUTOFF,
     _flat_index,
     _sector_matrix,
     _sector_rotation,
@@ -138,13 +140,28 @@ def vacuum_ladder_loop(gain, n_max):
     return {(n, n): complex(inv_c * gain.tanh_g**n) for n in range(n_max // 2 + 1)}
 
 
-def required_cutoff_scan(gain, tail_tolerance, n_cap=200_001):
+def required_cutoff_scan(gain, tail_tolerance, chunk=1 << 14):
+    """The first pair count whose tail is below the tolerance, as a cutoff,
+    by evaluating the tail at every pair count in turn: in numpy chunks, as
+    ``x^start x^(j+1) ((2 - x) + (start + j)(1 - x))``, which may differ
+    from the scalar tail in its last digits, then with ``pair_ladder_tail``
+    from the first count the chunks find."""
     if gain.g == 0.0:
         return 1
-    for p in range(n_cap // 2):
-        if pair_ladder_tail(p, gain) < tail_tolerance:
-            return 2 * p + 1
-    raise CutoffError("scan exhausted", tail_mass=pair_ladder_tail(n_cap // 2 - 1, gain))
+    x = gain.tanh_g**2
+    j = np.arange(chunk, dtype=float)
+    powers, factors = x ** (j + 1.0), (2.0 - x) + (1.0 - x) * j
+    for start in itertools.count(0, chunk):
+        tails = x**start * powers * (factors + (1.0 - x) * start)
+        below = np.flatnonzero(tails < tail_tolerance)
+        if below.size:
+            break
+    p = start + int(below[0])
+    while p > 0 and pair_ladder_tail(p - 1, gain) < tail_tolerance:
+        p -= 1
+    while pair_ladder_tail(p, gain) >= tail_tolerance:
+        p += 1
+    return 2 * p + 1
 
 
 def conditioned_block_loop(ensemble, loss):
@@ -456,32 +473,28 @@ def test_ladders_match_loops_at_benchmark_cutoffs(build, loop):
 # required_cutoff
 # --------------------------------------------------------------------------
 
-def assert_same_cutoff(gain, tol, n_cap):
-    try:
-        want = required_cutoff_scan(gain, tol, n_cap)
-    except CutoffError as err:
-        with pytest.raises(CutoffError) as got:
-            required_cutoff(gain, tol, n_cap)
-        assert got.value.tail_mass == err.tail_mass
-    else:
-        assert required_cutoff(gain, tol, n_cap) == want
+def assert_same_cutoff(gain, tol):
+    assert required_cutoff(gain, tol) == required_cutoff_scan(gain, tol)
 
 
-@pytest.mark.parametrize("g", [0.0, 0.01, 0.3, 1.0, 1.8, 2.0, 3.0, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("g", [0.0, 0.01, 0.3, 1.0, 1.8, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0])
 @pytest.mark.parametrize("tol", [0.5, 1e-2, 1e-6, 1e-9, 1e-12, 1e-15])
 def test_required_cutoff_matches_scan_on_grid(g, tol):
-    assert_same_cutoff(GainParams(g), tol, 200_001)
-
-
-@pytest.mark.parametrize("n_cap", [0, 1, 2, 3, 101, 2000])
-def test_required_cutoff_raises_at_the_cap_like_the_scan(n_cap):
-    assert_same_cutoff(GainParams(4.0), 1e-9, n_cap)
+    # g = 5 is the cited experiment's gain (<N> = 22,025, cutoff 263,653 at
+    # tol 1e-9); g = 6 and 8 need cutoffs from 136,579 to 169,758,691 photons
+    assert_same_cutoff(GainParams(g), tol)
 
 
 @PROPERTY
-@given(st.floats(0.0, 8.0), st.floats(1e-16, 0.5), st.integers(0, 40_001))
-def test_required_cutoff_matches_scan(g, tol, n_cap):
-    assert_same_cutoff(GainParams(g), tol, n_cap)
+@given(st.floats(0.0, 8.0), st.floats(1e-16, 0.5))
+def test_required_cutoff_matches_scan(g, tol):
+    assert_same_cutoff(GainParams(g), tol)
+
+
+def test_required_cutoff_raises_at_the_flat_index_limit():
+    # tanh(20) rounds to 1, so the tail is 1 at every pair count
+    with pytest.raises(CutoffError, match=f"no cutoff reaches tail 1e-09 at g=20.0 below cutoff {_MAX_CUTOFF}"):
+        required_cutoff(GainParams(20.0), 1e-9)
 
 
 @PROPERTY
@@ -1203,9 +1216,9 @@ def test_conditioning_cutoff_matches_loop_on_benchmark_grid(g, eta):
      (5.0, 1e-3, 26709), (5.0, 1e-2, 2877), (5.0, 1e-5, 289149), (6.0, 1e-4, 259553)],
 )
 def test_conditioning_cutoff_follows_the_conditional_tail(g, eta, n_max):
-    # below the raw tail's required_cutoff(g, 1e-9): 35,681 at g = 4 and
-    # above the 200,001-photon cap at g = 5; the last two need more than
-    # 100,000 pairs
+    # all but g = 5, eta = 1e-5 lie below the raw tail's required_cutoff(g,
+    # 1e-9): 35,681 at g = 4, 263,653 at g = 5, 1,948,151 at g = 6; the last
+    # two need more than 100,000 pairs
     assert conditioning_cutoff(GainParams(g), LossParams(eta)).n_max == n_max
 
 

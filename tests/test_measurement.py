@@ -283,7 +283,7 @@ class TestVisibility:
         # shares of the photons, and after equal thinning V(k = 0) tends to
         # 2/pi at every eta > 0
         gaps = []
-        for g in (1.0, 2.0, 3.0, 4.0):
+        for g in (1.0, 2.0, 3.0, 4.0, 5.0):
             gain = GainParams(g)
             cut = Cutoff(required_cutoff(gain, 1e-9), 1e-9)
             gaps.append(abs(visibility(gain, LossParams(0.5), 0, cut) - 2.0 / math.pi))
@@ -403,6 +403,20 @@ class TestStackedLaw:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("grid", [_fringe_grid, _ofilter_grid])
+    def test_fft_beyond_the_bound_raises_after_the_gate(self, grid):
+        # cutoffs up to 4,194,303 take N = 2**23, the largest allowed: every
+        # default cutoff to g = 6.3 (3,549,765)
+        assert required_cutoff(GainParams(6.3), 1e-9) == 3_549_765
+        assert qiopa.measurement._MAX_FFT == 1 << 23
+        assert qiopa.measurement._fft_length(4_194_303) == 1 << 23
+        assert qiopa.measurement._fft_length(4_194_304) == 1 << 24
+        with pytest.raises(CutoffError, match="cutoff 4194304 at g=6.3 needs an FFT of length 16777216"):
+            grid(GainParams(6.3), [0.5], [0], Cutoff(4_194_304, 1e-9))
+        # an undersized cutoff fails the tail gate first
+        with pytest.raises(CutoffError, match="cutoff 9000001 keeps tail mass"):
+            grid(GainParams(7.0), [0.5], [0], Cutoff(9_000_001, 1e-9))
 
 
 def test_parity_expectation_decays_with_loss():

@@ -1,7 +1,11 @@
-"""The README's Python examples run against the package as it stands."""
+"""The README's Python examples and `qiopa` command lines run against the
+package as it stands."""
 
 import re
+import shlex
 from pathlib import Path
+
+from qiopa.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +15,14 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # each line runs in a scratch directory, so `--out` files land there
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("qiopa ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == EXIT_OK, command
+        assert capsys.readouterr().err == "", command
