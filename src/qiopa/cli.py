@@ -1,12 +1,15 @@
 """Command-line front end: reproducible parameter sweeps and matrix dumps.
 
-Every experiment evaluates a deterministic parameter grid and writes either
-CSV (``#``-prefixed metadata lines, a header row, the swept variable in the
-first column, gnuplot-friendly) or line-delimited JSON records.  Output files
-embed a hash of the fully resolved configuration, and every row of a
-truncated experiment carries the cutoff it used.  That cutoff is ``--cutoff``
-when given; otherwise each gain gets ``required_cutoff(g, min(tail, 1e-9))``,
-with ``tail`` from ``--tail-tol`` or the experiment's default.
+``qiopa EXPERIMENT [options]`` evaluates a deterministic parameter grid and
+writes either CSV (``#``-prefixed metadata lines, a header row, the swept
+variable in the first column, gnuplot-friendly) or line-delimited JSON
+records.  One flat parser reads every flag, matched exactly; ``--help`` lists
+the flags each experiment takes, and :func:`resolve_config` rejects any other,
+on the command line or as a config-file key, with exit 2 and one line.
+Output files embed a hash of the fully resolved configuration, and every row
+of a truncated experiment carries its cutoff: ``--cutoff`` when given, else
+``required_cutoff(g, min(tail, 1e-9))`` per gain, with ``tail`` from
+``--tail-tol`` or the experiment's default.
 
 A flat ``key=value`` config file can seed any run; repeated keys build grids
 and command-line flags override file values.  Loss grids accept either
@@ -96,6 +99,11 @@ class RunConfig:
 # configuration plumbing
 # --------------------------------------------------------------------------
 
+def _entries(chunks) -> list[str]:
+    """The values of comma lists, in order, without blanks."""
+    return [part.strip() for part in ",".join(chunks).split(",") if part.strip()]
+
+
 def _parse_config_file(path: str) -> dict[str, list[str]]:
     values: dict[str, list[str]] = {}
     try:
@@ -107,11 +115,8 @@ def _parse_config_file(path: str) -> dict[str, list[str]]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                for part in value.split(","):
-                    part = part.strip()
-                    if part:
-                        values.setdefault(key, []).append(part)
+                if parts := _entries([value]):
+                    values.setdefault(key.strip().replace("-", "_"), []).extend(parts)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -388,44 +393,44 @@ def _run_density(cfg: RunConfig):
 
 _EXPERIMENTS = {
     "visibility": (
-        _run_visibility,
+        _run_visibility, "Fringe visibility of the lossy macro-qubit versus losses.",
         {"g": ["1.8"], "k": ["0"], "R": [f"{r / 20:.2f}" for r in range(20)]},
         {"g", "k", "eta", "R", "cutoff", "tail_tol"},
     ),
     "witness-sigma": (
-        _run_witness_sigma,
+        _run_witness_sigma, "Pseudo-Pauli witness S(eta) curves.",
         {"g": ["0", "0.3", "0.6", "0.9", "1.2", "1.5"],
          "eta": [f"{e / 20:.2f}" for e in range(20, -1, -1)]},
         {"g", "eta", "R", "cutoff", "tail_tol"},
     ),
     "witness-ofilter": (
-        _run_witness_ofilter,
+        _run_witness_ofilter, "Threshold-filter witness S(eta, k) curves.",
         {"g": ["1.2"], "k": ["0", "1", "2"],
          "eta": [f"{e / 20:.2f}" for e in range(20, -1, -1)]},
         {"g", "k", "eta", "R", "cutoff", "tail_tol"},
     ),
     "witness-stokes": (
-        _run_witness_stokes,
+        _run_witness_stokes, "Spin-criterion value, expected 2*eta.",
         {"g": ["0.3", "0.6", "1.0"], "eta": ["0", "0.25", "0.5", "0.75", "1.0"]},
         {"g", "eta", "R", "cutoff", "tail_tol"},
     ),
     "concurrence": (
-        _run_concurrence,
+        _run_concurrence, "Attenuated-regime concurrence (t grid or g/eta/p grids).",
         {"t": [f"{t / 50:.2f}" for t in range(50)]},
         {"t", "g", "eta", "R", "p"},
     ),
     "pcrit": (
-        _run_pcrit,
+        _run_pcrit, "Critical injection probability, closed form and PPT scan.",
         {"g": [f"{x / 5:.1f}" for x in range(16)], "eta": ["0.0001", "0.01", "0.1", "0.5"]},
         {"g", "eta", "R"},
     ),
     "ofilter-dist": (
-        _run_ofilter_dist,
+        _run_ofilter_dist, "Photon-number distribution of a Fock state in a basis.",
         {"n": ["10"], "m": ["0"], "prep_basis": ["pm"], "basis": ["rl"], "k": ["5"]},
         {"n", "m", "prep_basis", "basis", "k"},
     ),
     "density": (
-        _run_density,
+        _run_density, "Attenuated joint density matrix (basis HH, HV, VH, VV).",
         {"g": ["3"], "eta": ["0.0001"], "p": ["1"]},
         {"g", "eta", "R", "p"},
     ),
@@ -478,70 +483,70 @@ def _write_records(stream, cfg: RunConfig, meta: dict, columns, rows) -> None:
 # argument parsing and entry point
 # --------------------------------------------------------------------------
 
-def _add_grid_option(parser: argparse.ArgumentParser, flag: str, help_text: str) -> None:
-    parser.add_argument(flag, action="append", default=None, metavar="V[,V...]",
-                        help=help_text)
+# every parameter flag, in help order; a grid takes repeated flags or comma lists
+_FLAGS = {
+    "g": "gain grid",
+    "eta": "transmittivity grid",
+    "R": "losses grid (1 - eta)",
+    "k": "threshold grid",
+    "p": "injection probability grid",
+    "t": "coherence parameter grid",
+    "cutoff": "maximum total photon number",
+    "tail_tol": "maximum truncated probability mass",
+    "n": "photons in the first mode",
+    "m": "photons in the second mode",
+    "prep_basis": "preparation basis (hv, pm, rl, eq:PHI)",
+    "basis": "measurement basis (hv, pm, rl, eq:PHI)",
+}
+_GRIDS = ("g", "eta", "R", "k", "p", "t")
+
+
+def _flag_list(keys) -> str:
+    return " ".join("--" + key.replace("_", "-") for key in _FLAGS if key in keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the experiment is a positional argument, each flag is
+    added once, and the help lists the flags that each experiment takes."""
+    lines = ["experiments, and the flags each takes besides --config, --out and --format:"]
+    for name, (_, help_text, _, allowed) in _EXPERIMENTS.items():
+        lines += [f"  {name:<17}{help_text}", " " * 19 + _flag_list(allowed)]
     parser = argparse.ArgumentParser(
         prog="qiopa",
-        description="Desk-scale sweeps for the seeded-amplifier micro-macro "
-        "entanglement model.",
+        usage="%(prog)s EXPERIMENT [options]",
+        description="Desk-scale sweeps for the seeded-amplifier micro-macro entanglement model.",
+        epilog="\n".join(lines),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    specs = {
-        "visibility": "Fringe visibility of the lossy macro-qubit versus losses.",
-        "witness-sigma": "Pseudo-Pauli witness S(eta) curves.",
-        "witness-ofilter": "Threshold-filter witness S(eta, k) curves.",
-        "witness-stokes": "Spin-criterion value, expected 2*eta.",
-        "concurrence": "Attenuated-regime concurrence (t grid or g/eta/p grids).",
-        "pcrit": "Critical injection probability, closed form and PPT scan.",
-        "ofilter-dist": "Photon-number distribution of a Fock state in a basis.",
-        "density": "Attenuated joint density matrix (basis HH, HV, VH, VV).",
-    }
-    grid_flags = {
-        "--g": "gain grid",
-        "--eta": "transmittivity grid",
-        "--R": "losses grid (1 - eta)",
-        "--k": "threshold grid",
-        "--p": "injection probability grid",
-        "--t": "coherence parameter grid",
-    }
-    scalar_flags = {
-        "--cutoff": "maximum total photon number",
-        "--tail-tol": "maximum truncated probability mass",
-        "--n": "photons in the first mode",
-        "--m": "photons in the second mode",
-        "--prep-basis": "preparation basis (hv, pm, rl, eq:PHI)",
-        "--basis": "measurement basis (hv, pm, rl, eq:PHI)",
-    }
-    for name, (_, _, allowed) in _EXPERIMENTS.items():
-        p = sub.add_parser(name, help=specs[name])
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "records"), default=None,
-                       dest="fmt", help="output format (default csv)")
-        for flag, help_text in grid_flags.items():
-            if flag.lstrip("-").replace("-", "_") in allowed:
-                _add_grid_option(p, flag, help_text)
-        for flag, help_text in scalar_flags.items():
-            if flag.lstrip("-").replace("-", "_") in allowed:
-                p.add_argument(flag, default=None, type=str,
-                               dest=flag.lstrip("-").replace("-", "_"),
-                               help=help_text)
+    parser.add_argument("experiment", choices=_EXPERIMENTS, metavar="EXPERIMENT", help="see below")
+    parser.add_argument("--config", help="key=value config file")
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "records"), dest="fmt",
+                        help="output format (default csv)")
+    for key, help_text in _FLAGS.items():
+        grid = {"action": "append", "metavar": "V[,V...]"} if key in _GRIDS else {}
+        parser.add_argument("--" + key.replace("_", "-"), help=help_text, **grid)
     return parser
 
 
-# one parser per process: a build costs about 2 ms per call of main
+# one parser per process, built on the first call of main
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The run that parsed arguments and their config file resolve to; the one
+    place that rejects a flag or config-file key the experiment does not take."""
     experiment = args.experiment
-    _, defaults, allowed = _EXPERIMENTS[experiment]
+    _, _, defaults, allowed = _EXPERIMENTS[experiment]
+    flags = {key: value for key in _FLAGS if (value := getattr(args, key, None)) is not None}
+    stray = [key for key in flags if key not in allowed]
+    if stray:
+        raise ConfigError(
+            f"unrecognized arguments: {_flag_list(stray)} ({experiment} takes {_flag_list(allowed)})"
+        )
     values: dict[str, list[str]] = {}
     out = args.out
     fmt = None
@@ -549,46 +554,26 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         for key, entries in _parse_config_file(args.config).items():
             if key == "experiment":
                 if entries != [experiment]:
-                    raise ConfigError(
-                        f"config file is for experiment {entries[0]!r}, not {experiment!r}"
-                    )
+                    raise ConfigError(f"config file is for experiment {entries[0]!r}, "
+                                      f"not {experiment!r}")
             elif key == "out":
-                if out is None:
-                    out = entries[-1]
+                out = entries[-1] if out is None else out
             elif key == "format":
                 fmt = entries[-1]
             elif key in allowed:
                 values[key] = entries
             else:
                 raise ConfigError(f"unknown parameter {key!r} for {experiment}")
-    for key in allowed:
-        supplied = getattr(args, key, None)
-        if supplied is None:
-            continue
-        if isinstance(supplied, list):
-            entries = []
-            for chunk in supplied:
-                entries.extend(part.strip() for part in str(chunk).split(",") if part.strip())
-            values[key] = entries
-        else:
-            values[key] = [str(supplied)]
+    for key, supplied in flags.items():  # a grid joins its repeated flags
+        values[key] = _entries(supplied) if key in _GRIDS else [supplied]
     if "eta" in values and "R" in values:
         raise ConfigError("give either an eta grid or an R grid, not both")
-    # the "t" grid (if user supplied) switches the concurrence experiment to
-    # its analytic-curve mode; keep loss defaults out of the way then
-    user_keys = set(values)
-    for key, entries in defaults.items():
-        if key in values:
-            continue
-        if key == "eta" and "R" in user_keys:
-            continue
-        if key == "R" and "eta" in user_keys:
-            continue
-        if experiment == "concurrence" and key == "t" and (
-            user_keys & {"g", "eta", "R", "p"}
-        ):
-            continue
-        values[key] = list(entries)
+    # a given loss grid of either name replaces the default one, and a given
+    # g, eta, R or p switches concurrence from its analytic t curve to grids
+    skip = set(values) | ({"eta", "R"} if {"eta", "R"} & set(values) else set())
+    if experiment == "concurrence" and {"g", "eta", "R", "p"} & set(values):
+        skip.add("t")
+    values.update((key, list(entries)) for key, entries in defaults.items() if key not in skip)
     if experiment == "concurrence" and "t" not in values:
         values.setdefault("p", ["1"])
         if "eta" not in values and "R" not in values:
@@ -606,7 +591,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def run_experiment(cfg: RunConfig) -> tuple[dict, list[str], list[tuple]]:
     """Evaluate an experiment grid; deterministic for a fixed configuration."""
-    runner, _, _ = _EXPERIMENTS[cfg.experiment]
+    runner, _, _, _ = _EXPERIMENTS[cfg.experiment]
     return runner(cfg)
 
 

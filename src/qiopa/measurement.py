@@ -245,8 +245,8 @@ def _fringe_grid(gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
 # (notes/decisions.md, "One stacked FFT per gain")
 _STACK_ENTRIES = 1 << 16
 
-# the longest FFT of a law: a run peaks near 120 bytes per entry, about
-# 1 GB at this length (notes/decisions.md, "One cutoff search")
+# the longest FFT of a law: a run peaks near 64 bytes per entry, about
+# 0.5 GB at this length (notes/decisions.md, "One cutoff search")
 _MAX_FFT = 1 << 23
 
 
@@ -262,11 +262,11 @@ def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
 
     The seeded tail gate runs once.  Then an FFT longer than ``_MAX_FFT``,
     the one cost that grows with the cutoff, raises :class:`CutoffError`
-    naming its length before anything is allocated.  Each seed's laws are
-    stacked over the eta grid in chunks of at most ``_STACK_ENTRIES`` complex
-    entries, and every threshold's tails are row sums of the same chunk.  A
-    non-finite tail raises :class:`CutoffError` naming the first such row in
-    ``(k, eta)`` order.
+    naming its length before anything is allocated.  Each seed's laws share
+    one :func:`_one_minus_z` table and are stacked over the eta grid in chunks
+    of at most ``_STACK_ENTRIES`` complex entries; every threshold's tails are
+    row sums of the same chunk.  A non-finite tail raises :class:`CutoffError`
+    naming the first such row in ``(k, eta)`` order.
     """
     for k in ks:
         if k < 0:
@@ -277,11 +277,12 @@ def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
     if size > _MAX_FFT:
         raise CutoffError(f"cutoff {n_max} at g={gain.g} needs an FFT of length {size} > {_MAX_FFT}")
     half, rows = size // 2, max(1, _STACK_ENTRIES // size)
+    one_minus_z = _one_minus_z(size)
     tails = np.empty((len(seeds), 2, len(ks), len(etas)))
     for lo in range(0, len(etas), rows):
         chunk = slice(lo, lo + rows)
         for out, seed in zip(tails, seeds):
-            law = _difference_law(seed, gain, etas[chunk], n_max)
+            law = _difference_law(seed, gain, etas[chunk], n_max, one_minus_z)
             for j, k in enumerate(ks):
                 out[0, j, chunk] = law[:, k + 1 : half].sum(axis=1)
                 out[1, j, chunk] = law[:, half : size - k].sum(axis=1)
@@ -292,7 +293,13 @@ def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
     return tails
 
 
-def _difference_law(seed: str, gain: GainParams, eta, n_max: int) -> np.ndarray:
+def _one_minus_z(size: int) -> np.ndarray:
+    """``1 - z = 2 sin^2 theta - i sin 2 theta`` at ``z = exp(2 pi i j / size)``."""
+    half_angle = np.pi * np.arange(size) / size
+    return 2.0 * np.sin(half_angle) ** 2 - 1j * np.sin(2.0 * half_angle)
+
+
+def _difference_law(seed: str, gain: GainParams, eta, n_max: int, one_minus_z=None) -> np.ndarray:
     """Law ``P(D = d)``, at index ``d mod N``, of ``D = r - s``, the thinned
     photon counts of the seeded and the other mode of the ``"H"`` pair ladder
     ``|n+1, n>`` or the ``"equatorial"`` seed ``|2i+1, 2j>``, in its own basis.
@@ -307,21 +314,28 @@ def _difference_law(seed: str, gain: GainParams, eta, n_max: int) -> np.ndarray:
     :func:`_fft_length`; at ``eta = 0`` the law is an exact point mass.
 
     A sequence of etas gives one law per row, shape ``(len(eta), N)``, from
-    one stacked FFT over half-angle tables computed once; every row is
-    bit-identical to the law of its scalar eta, which is 1-D.
+    one stacked FFT over ``one_minus_z`` (:func:`_one_minus_z`, built here if
+    not given), in place; every row is bit-identical to the 1-D law of its
+    scalar eta.
     """
     size = _fft_length(n_max)
-    half_angle = np.pi * np.arange(size) / size
-    sin2 = np.sin(half_angle) ** 2
+    one_minus_z = _one_minus_z(size) if one_minus_z is None else one_minus_z
     eta = np.asarray(eta, dtype=float)[..., None]
-    lost = eta * (2.0 * sin2 - 1j * np.sin(2.0 * half_angle))  # x = eta (1 - z), a row per eta
+    lost = eta * one_minus_z  # x = eta (1 - z), a row per eta
     sinh2 = gain.sinh_g**2
-    if seed == "H":
-        gf = (1.0 - lost) / (1.0 + 4.0 * sinh2 * eta * (1.0 - eta) * sin2) ** 2
-    else:
-        w = 1.0 + sinh2 * lost * (2.0 - lost)
-        gf = (1.0 - lost) / (w * np.abs(w))
-    return np.fft.fft(gf).real / size
+    if seed == "H":  # (1 + 4 sinh^2 g eta (1 - eta) sin^2 theta)^2, as Re(1 - z) = 2 sin^2 theta
+        den = 2.0 * sinh2 * eta * (1.0 - eta) * one_minus_z.real
+        den += 1.0
+        den **= 2
+    else:  # w |w| with w = 1 + sinh^2 g x (2 - x)
+        den = sinh2 * lost
+        den *= 2.0 - lost
+        den += 1.0
+        den *= np.abs(den)
+    gf = np.subtract(1.0, lost, out=lost)
+    gf /= den
+    del den  # the FFT's own buffers take its place
+    return np.fft.fft(gf, out=gf).real / size
 
 
 def _checked_finite(values, gain: GainParams, eta: float, n_max: int) -> None:

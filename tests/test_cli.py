@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from qiopa.cli import (
     _parser,
     build_parser,
     main,
+    resolve_config,
     run_experiment,
 )
 
@@ -274,6 +276,107 @@ class TestPlumbing:
 
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["teleportation"]) == EXIT_CONFIG
+
+
+# every parameter flag with a value it accepts
+FLAG_VALUES = {
+    "--g": "0.7", "--eta": "0.4", "--R": "0.6", "--k": "3", "--p": "0.25", "--t": "0.5",
+    "--cutoff": "50", "--tail-tol": "1e-7", "--n": "4", "--m": "2", "--prep-basis": "hv",
+    "--basis": "pm",
+}
+# concurrence leaves its t curve for grids only with a gain and a loss grid
+CONCURRENCE_GRIDS = {"g": ["--eta", "0.5"], "eta": ["--g", "1"], "R": ["--g", "1"],
+                     "p": ["--g", "1", "--eta", "0.5"]}
+FLAG_MATRIX = [(experiment, flag) for experiment in _EXPERIMENTS for flag in FLAG_VALUES]
+
+
+def flag_key(flag):
+    return flag[2:].replace("-", "_")
+
+
+def takes(experiment, flag):
+    return flag_key(flag) in _EXPERIMENTS[experiment][-1]
+
+
+def resolved(experiment, key, argv):
+    """The resolved entries of ``key`` for a run of ``experiment`` with ``argv``."""
+    extra = CONCURRENCE_GRIDS.get(key, []) if experiment == "concurrence" else []
+    return resolve_config(_parser().parse_args([experiment] + argv + extra)).values[key]
+
+
+class TestParser:
+    def test_every_experiment_takes_only_known_flags(self):
+        assert len(FLAG_MATRIX) == 8 * 12
+        for _, _, _, allowed in _EXPERIMENTS.values():
+            assert allowed <= {flag_key(flag) for flag in FLAG_VALUES}
+
+    @pytest.mark.parametrize("experiment, flag", [pair for pair in FLAG_MATRIX if takes(*pair)])
+    def test_flag_the_experiment_takes_reaches_the_config(self, experiment, flag, tmp_path):
+        key, value = flag_key(flag), FLAG_VALUES[flag]
+        assert resolved(experiment, key, [flag, value]) == [value]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert resolved(experiment, key, ["--config", str(cfg)]) == [value]
+
+    @pytest.mark.parametrize("experiment, flag", [pair for pair in FLAG_MATRIX if not takes(*pair)])
+    def test_flag_the_experiment_does_not_take_exits_2_with_one_line(
+        self, experiment, flag, tmp_path, capsys
+    ):
+        value = FLAG_VALUES[flag]
+        code, out, err = run_cli([experiment, flag, value], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and f"unrecognized arguments: {flag} ({experiment} takes" in err
+        # the same key from a config file meets the same check
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag_key(flag)}={value}\n")
+        code, out, err = run_cli([experiment, "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and f"unknown parameter {flag_key(flag)!r} for {experiment}" in err
+
+    @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+    def test_help_names_every_flag_of_the_experiment(self, experiment, capsys):
+        code, out, err = run_cli([experiment, "--help"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        (row,) = [i for i, line in enumerate(lines) if line.split()[:1] == [experiment]]
+        want = [flag for flag in FLAG_VALUES if takes(experiment, flag)]
+        assert lines[row + 1].split() == want
+        for flag in FLAG_VALUES:
+            assert f"  {flag} " in out
+
+    def test_build_parser_constructs_one_argument_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        parser = build_parser()
+        assert built == [parser]
+
+    @pytest.mark.parametrize("argv", [
+        ["visibility", "--t", "0.5", "--g", "0.5", "--R", "0.2"],  # once --tail-tol
+        ["ofilter-dist", "--p", "hv"],  # once --prep-basis
+    ])
+    def test_a_flag_of_another_experiment_is_no_abbreviation(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and f"unrecognized arguments: {argv[1]} " in err
+
+    @pytest.mark.parametrize("prefix", ["--tail", "--cut", "--prep", "--form", "--conf"])
+    def test_prefixes_are_not_flags(self, prefix, capsys):
+        code, out, err = run_cli(["visibility", prefix, "1"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"unrecognized arguments: {prefix} 1" in err
+
+    def test_experiment_may_follow_its_flags(self, capsys):
+        flags = ["--g", "0.5", "--R", "0.2", "--k", "1"]
+        code, after, _ = run_cli(["visibility"] + flags, capsys)
+        assert code == EXIT_OK
+        code, before, _ = run_cli(flags + ["visibility"], capsys)
+        assert code == EXIT_OK and before == after
 
 
 class TestExperiments:

@@ -26,3 +26,19 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     for command in commands:
         assert main(shlex.split(command)[1:]) == EXIT_OK, command
         assert capsys.readouterr().err == "", command
+
+
+def test_readme_text_blocks_are_what_the_cli_prints(capsys):
+    # the experiment listing ends `qiopa --help`; a `$ qiopa` line prints the
+    # lines after it on stderr
+    blocks = re.findall(r"```text\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    listing = [block for block in blocks if block.startswith("experiments, ")]
+    assert len(listing) == 1
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("\n\n" + listing[0])
+    runs = [block for block in blocks if block.startswith("$ qiopa ")]
+    assert runs
+    for block in runs:
+        command, *want = block.splitlines()
+        main(shlex.split(command)[2:])
+        assert capsys.readouterr().err.splitlines() == want, command
