@@ -37,7 +37,6 @@ from .channels import (
     attenuated_state_with_injection,
     coherence_parameter,
     conditioning_cutoff,
-    loss_kraus_images,
     lossy_channel,
     mixed_injection_state,
 )

@@ -108,10 +108,6 @@ class MicroMacroState:
         )
         return MicroMacroState(new, self.gain, target)
 
-    def density_matrix(self) -> np.ndarray:
-        vec = self.dense().reshape(-1)
-        return np.outer(vec, vec.conj())
-
 
 # --------------------------------------------------------------------------
 # expansion coefficients

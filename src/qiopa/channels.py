@@ -6,9 +6,10 @@ modes through the Kraus family ``K_{pq} = K_p x K_q``, where ``K_p`` removes
 ``k_p(n) = sqrt(C(n,p) (1-eta)^p eta^(n-p))``.  On a joint micro-macro state
 the channel acts on the amplified arm only; the micro arm is lossless.  One
 single-mode table, the binomial thinning kernel ``k_p(n)^2``, serves the
-Kraus images and the density-operator channel.  No reporting path reads it:
-the witnesses and the fringe have closed forms or thin generating
-functions, and the conditioning below keeps a closed form
+one channel, :func:`lossy_channel`, which takes a pure state as its
+projector and runs the Kraus sum on the density operator.  No reporting
+path reads it: the witnesses and the fringe have closed forms or thin
+generating functions, and the conditioning below keeps a closed form
 (:func:`_conditioned_block`).
 
 The highly attenuated regime conditions the lossy state on one surviving
@@ -127,7 +128,7 @@ def conditioning_cutoff(
 
 
 # --------------------------------------------------------------------------
-# the single-mode loss table and the Kraus channel built on it
+# the single-mode loss table and the loss channel built on it
 # --------------------------------------------------------------------------
 
 def _binomial_thinning_kernel(n_max: int, eta: float) -> np.ndarray:
@@ -168,32 +169,6 @@ def _loss_amplitudes(n_max: int, eta: float) -> np.ndarray:
     return k
 
 
-def loss_kraus_images(
-    state: TwoModeVector | MicroMacroState, loss: LossParams
-) -> np.ndarray:
-    """All Kraus images of a pure state under two-mode loss.
-
-    Shape ``(n_kraus, dim)`` for a two-mode vector, ``(n_kraus, 2, dim)`` for
-    a joint state (loss on the amplified arm only), with the Kraus operators
-    ``K_pq`` in the index order of ``|p, q>``.  The lossy density operator is
-    the sum over rows of their outer products.
-    """
-    n_max = state.cutoff
-    space = fock_space(n_max)
-    k = _loss_amplitudes(n_max, loss.eta)
-    vectors = np.atleast_2d(state.dense(space))
-    grid = np.zeros((len(vectors), n_max + 1, n_max + 1), dtype=complex)
-    grid[:, space.n, space.m] = vectors
-    images = np.zeros((space.dim,) + vectors.shape, dtype=complex)
-    for kraus, (p, q) in enumerate(zip(space.n, space.m)):
-        # K_pq maps |p + n, q + m> to |n, m>; the destinations with
-        # n + m <= n_max - p - q are the first `size` states in index order
-        size = space.sector_slices[n_max - p - q].stop
-        shifted = grid[:, p:, q:] * k[p, p:, None] * k[q, q:]
-        images[kraus, :, :size] = shifted[:, space.n[:size], space.m[:size]]
-    return images if isinstance(state, MicroMacroState) else images[:, 0]
-
-
 def lossy_channel(
     state: TwoModeVector | MicroMacroState | DensityOperator, loss: LossParams
 ) -> DensityOperator:
@@ -202,34 +177,24 @@ def lossy_channel(
     Trace preserving and completely positive; Fock populations transform by
     the binomial kernel ``P(n -> k) = C(n, k) eta^k (1 - eta)^(n - k)`` on
     each mode, and composing channels multiplies their transmittivities.
-    Pure states go through their Kraus images, which is several times faster
-    than the mode route of density operators on their outer product.
+    A pure state enters as its projector (:meth:`DensityOperator.from_pure`).
+    The Kraus sum runs one mode at a time (``K_pq = K_p x K_q``): losing ``p``
+    photons from a mode maps the states holding at least ``p`` there one to
+    one onto destinations, scaled by ``k[p, n]``, one gather and scatter of
+    the selected block per lost count.
     """
     if isinstance(state, (TwoModeVector, MicroMacroState)):
-        v = loss_kraus_images(state, loss)
-        flat = v.reshape(v.shape[0], -1)
-        micro_dim = 2 if isinstance(state, MicroMacroState) else 1
-        return DensityOperator(flat.T @ flat.conj(), state.cutoff, state.basis, micro_dim)
-    if isinstance(state, DensityOperator):
-        return _lossy_density(state, loss)
-    raise TypeError(f"cannot apply a loss channel to {type(state).__name__}")
-
-
-def _lossy_density(rho: DensityOperator, loss: LossParams) -> DensityOperator:
-    """Kraus sum on a density operator, one mode at a time (``K_pq = K_p x K_q``).
-
-    Losing ``p`` photons from a mode maps the states holding at least ``p``
-    there one to one onto destinations, scaled by ``k[p, n]``: one gather
-    and scatter of the selected block per lost count.
-    """
-    space = fock_space(rho.cutoff)
-    k = _loss_amplitudes(rho.cutoff, loss.eta)
-    md, d = rho.micro_dim, space.dim
-    mat = rho.matrix.reshape(md, d, md, d)
+        state = DensityOperator.from_pure(state)
+    if not isinstance(state, DensityOperator):
+        raise TypeError(f"cannot apply a loss channel to {type(state).__name__}")
+    space = fock_space(state.cutoff)
+    k = _loss_amplitudes(state.cutoff, loss.eta)
+    md, d = state.micro_dim, space.dim
+    mat = state.matrix.reshape(md, d, md, d)
     micro_ix = np.arange(md)
     for counts, first_mode in ((space.n, True), (space.m, False)):
         out = np.zeros_like(mat)
-        for p in range(rho.cutoff + 1):
+        for p in range(state.cutoff + 1):
             src = np.flatnonzero(counts >= p)
             c = k[p, counts[src]]
             left = space.total[src] - p
@@ -238,7 +203,7 @@ def _lossy_density(rho: DensityOperator, loss: LossParams) -> DensityOperator:
                 mat[np.ix_(micro_ix, src, micro_ix, src)] * c[:, None, None] * c
             )
         mat = out
-    return DensityOperator(mat.reshape(md * d, md * d), rho.cutoff, rho.basis, md)
+    return DensityOperator(mat.reshape(md * d, md * d), state.cutoff, state.basis, md)
 
 
 # --------------------------------------------------------------------------

@@ -572,6 +572,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # g, eta, R or p switches concurrence from its analytic t curve to grids
     skip = set(values) | ({"eta", "R"} if {"eta", "R"} & set(values) else set())
     if experiment == "concurrence" and {"g", "eta", "R", "p"} & set(values):
+        if "t" in values:
+            raise ConfigError("concurrence takes either t or the g/eta/R/p grids, not both")
         skip.add("t")
     values.update((key, list(entries)) for key, entries in defaults.items() if key not in skip)
     if experiment == "concurrence" and "t" not in values:

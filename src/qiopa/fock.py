@@ -22,9 +22,12 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .amplifier import MicroMacroState
 
 TWO_PI = 2.0 * math.pi
 
@@ -516,9 +519,12 @@ class DensityOperator:
             raise ValueError("operator has a negative eigenvalue beyond tolerance")
 
     @classmethod
-    def from_pure(cls, state: TwoModeVector) -> "DensityOperator":
-        vec = state.dense()
-        return cls(np.outer(vec, vec.conj()), state.cutoff, state.basis)
+    def from_pure(cls, state: TwoModeVector | MicroMacroState) -> "DensityOperator":
+        """Projector onto a pure ``TwoModeVector`` or joint ``MicroMacroState``;
+        the micro dimension is the number of rows of ``state.dense()``."""
+        vec = np.atleast_2d(state.dense())
+        flat = vec.reshape(-1)
+        return cls(np.outer(flat, flat.conj()), state.cutoff, state.basis, len(vec))
 
     def rotated(self, target: PolarizationBasis) -> "DensityOperator":
         if target == self.basis:

@@ -187,10 +187,9 @@ def _fock_populations(
 ) -> np.ndarray:
     """Diagonal of a state in the photon-number basis of ``basis``, with the
     micro factor (if any) traced out."""
-    space = fock_space(state.cutoff)
     if isinstance(state, TwoModeVector):
-        dense = rotate_dense(space, state.dense(space), state.basis, basis)
-        return np.abs(dense) ** 2
+        state = DensityOperator.from_pure(state)
+    space = fock_space(state.cutoff)
     md = state.micro_dim
     mat = state.rotated(basis).matrix.reshape(md, space.dim, md, space.dim)
     return sum(mat[s, :, s, :].diagonal().real for s in range(md))
@@ -442,29 +441,22 @@ def stokes_terms(
     """Per-axis correlations ``<sigma_i x J_i>`` and the mean photon number
     ``<N>`` of the macro arm, for a pure or mixed joint state.
 
-    Both kinds of state contract the operators' nonzero entries
-    ``(v_k, rows_k, cols_k)`` with
+    A pure state enters as its projector (:meth:`DensityOperator.from_pure`).
+    The operators' nonzero entries ``(v_k, rows_k, cols_k)`` contract with
     ``x[s, t] = Tr(J rho_st) = sum_k v_k rho_st[cols_k, rows_k]``, where
-    ``rho_st[e, f] = <s, e| rho |t, f>``; a pure state ``psi`` enters as
-    ``rho_st[e, f] = psi_s[e] conj(psi_t[f])``, in O(dim) memory.
+    ``rho_st[e, f] = <s, e| rho |t, f>``.
     """
     if isinstance(joint, MicroMacroState):
-        psi = joint.dense()
-        def blocks(rows, cols):
-            return np.einsum("sk,tk->kst", psi[:, cols], psi[:, rows].conj())
-        populations = np.sum(np.abs(psi) ** 2, axis=0)
-    else:
-        if joint.micro_dim != 2:
-            raise ValueError("Stokes correlations require a joint micro-macro state")
-        d = fock_space(joint.cutoff).dim
-        mat = joint.matrix.reshape(2, d, 2, d)
-        def blocks(rows, cols):
-            return mat[:, cols, :, rows]
-        populations = sum(mat[s, :, s, :].diagonal().real for s in range(2))
+        joint = DensityOperator.from_pure(joint)
+    if joint.micro_dim != 2:
+        raise ValueError("Stokes correlations require a joint micro-macro state")
+    d = fock_space(joint.cutoff).dim
+    mat = joint.matrix.reshape(2, d, 2, d)
+    populations = sum(mat[s, :, s, :].diagonal().real for s in range(2))
     ops = stokes_operators(joint.cutoff, joint.basis)
     terms = np.zeros(3)
     for axis, op in zip((1, 2, 3), ops.operators):
         values, rows, cols = op.entries()
-        x = np.einsum("k,kst->st", values, blocks(rows, cols))
+        x = np.einsum("k,kst->st", values, mat[:, cols, :, rows])
         terms[axis - 1] = float(np.trace(x @ pauli_matrix(axis, joint.basis)).real)
     return terms, float(populations @ ops.number_diagonal)

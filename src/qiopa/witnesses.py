@@ -101,7 +101,7 @@ class SeparableCounterexample:
 # qubit-qubit criterion
 # --------------------------------------------------------------------------
 
-def micro_micro_witness(rho: np.ndarray, params: dict | None = None) -> WitnessReport:
+def micro_micro_witness(rho: np.ndarray) -> WitnessReport:
     """Three-axis Pauli correlation test on a two-qubit state
     (basis order HH, HV, VH, VV); separable states satisfy ``S <= 1``."""
     rho = np.asarray(rho, dtype=complex)
@@ -112,7 +112,7 @@ def micro_micro_witness(rho: np.ndarray, params: dict | None = None) -> WitnessR
         for sig in _PAULI_HV
     )
     value = sum(abs(t) for t in terms)
-    return WitnessReport(value, SEPARABLE_BOUND, terms, "micro-micro", dict(params or {}))
+    return WitnessReport(value, SEPARABLE_BOUND, terms, "micro-micro")
 
 
 # --------------------------------------------------------------------------
@@ -130,39 +130,27 @@ def _joint_term(
 
 
 def micro_macro_sigma_witness(
-    joint: DensityOperator | MicroMacroState,
-    gain: GainParams,
-    sigmas: tuple[PseudoPauliOperator, ...] | None = None,
+    joint: DensityOperator | MicroMacroState, gain: GainParams
 ) -> WitnessReport:
     """Pseudo-Pauli correlation test on the joint micro-macro state.
 
-    The dichotomic operators are built at the same gain and cutoff as the
-    state; prebuilt operators may be supplied but must match.  The amplified
+    The dichotomic operators are built at the given gain and at the state's
+    cutoff and basis; a pure state enters as its projector.  The amplified
     singlet scores 3 at unit transmittivity for any gain.
     """
     if isinstance(joint, MicroMacroState):
-        rho = DensityOperator(
-            joint.density_matrix(), joint.cutoff, joint.basis, micro_dim=2
-        )
-        return micro_macro_sigma_witness(rho, gain, sigmas)
+        joint = DensityOperator.from_pure(joint)
     if joint.micro_dim != 2:
         raise ValueError("the pseudo-Pauli witness requires a joint state")
     d = joint.fock_dim
-    if sigmas is None:
-        sigmas = tuple(
-            sigma_operator(axis, gain, joint.cutoff, basis=joint.basis)
-            for axis in (1, 2, 3)
-        )
-    for op in sigmas:
-        if op.cutoff != joint.cutoff or op.basis != joint.basis:
-            raise ValueError(
-                "pseudo-Pauli operators do not match the state's cutoff or basis"
-            )
-        if op.gain != gain:
-            raise ValueError("pseudo-Pauli operators were built at a different gain")
     blocks = joint.matrix.reshape(2, d, 2, d)
     terms = tuple(
-        _joint_term(blocks, pauli_matrix(op.axis, joint.basis), op) for op in sigmas
+        _joint_term(
+            blocks,
+            pauli_matrix(axis, joint.basis),
+            sigma_operator(axis, gain, joint.cutoff, basis=joint.basis),
+        )
+        for axis in (1, 2, 3)
     )
     value = sum(abs(t) for t in terms)
     return WitnessReport(
@@ -212,9 +200,7 @@ _OFILTER_NOTE = (
 )
 
 
-def ofilter_witness(
-    joint: DensityOperator, k: int, params: dict | None = None
-) -> WitnessReport:
+def ofilter_witness(joint: DensityOperator, k: int) -> WitnessReport:
     """Three-basis threshold-filter correlation test on a joint state.
 
     The nominal separable bound 1 only applies under a supplementary
@@ -233,11 +219,9 @@ def ofilter_witness(
         term = float(np.dot(diag[0] - diag[1], povm.difference_diagonal()))
         terms.append(term)
     value = sum(abs(t) for t in terms)
-    merged = {"k": k, "cutoff": joint.cutoff}
-    merged.update(params or {})
     return WitnessReport(
-        value, SEPARABLE_BOUND, tuple(terms), "micro-macro-ofilter", merged,
-        note=_OFILTER_NOTE,
+        value, SEPARABLE_BOUND, tuple(terms), "micro-macro-ofilter",
+        {"k": k, "cutoff": joint.cutoff}, note=_OFILTER_NOTE,
     )
 
 
@@ -366,16 +350,14 @@ def separable_counterexample(
 # spin (Stokes) criterion
 # --------------------------------------------------------------------------
 
-def simon_spin_witness(
-    joint: DensityOperator | MicroMacroState, params: dict | None = None
-) -> WitnessReport:
+def simon_spin_witness(joint: DensityOperator | MicroMacroState) -> WitnessReport:
     """Spin-criterion test ``|<sigma . J>| - <N>``; separable states stay at
     or below zero, the lossy amplified singlet reaches ``2 eta``."""
     terms, mean_n = stokes_terms(joint)
     value = float(abs(terms.sum()) - mean_n)
-    merged = {"mean_photons_b": mean_n}
-    merged.update(params or {})
-    return WitnessReport(value, 0.0, tuple(float(t) for t in terms), "simon-spin", merged)
+    return WitnessReport(
+        value, 0.0, tuple(float(t) for t in terms), "simon-spin", {"mean_photons_b": mean_n}
+    )
 
 
 def simon_spin_witness_lossy(gain: GainParams, loss: LossParams, cutoff: Cutoff) -> WitnessReport:

@@ -106,16 +106,12 @@ class TestLossyChannel:
             assert out.min_eigenvalue() > -1e-9
             assert out.hermiticity_defect() < 1e-12
 
-    def test_pure_and_density_routes_agree(self):
-        rng = np.random.default_rng(7)
-        space = fock_space(7)
-        vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-        vec /= np.linalg.norm(vec)
-        state = TwoModeVector.from_dense(vec, 7, HV)
+    def test_pure_states_enter_as_their_projector(self):
         loss = LossParams(0.6)
-        a = lossy_channel(state, loss)
-        b = lossy_channel(DensityOperator.from_pure(state), loss)
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+        joint = micro_macro_state_hv(GainParams(0.6), Cutoff(7, 0.5))
+        for state in (random_pure_state(7, 7, 1), joint):
+            out = lossy_channel(state, loss)
+            assert np.max(np.abs(out.matrix - kraus_sum_loop(projector(state), loss.eta))) < 1e-13
 
     def test_composition_multiplies_transmittivities(self):
         rng = np.random.default_rng(11)
@@ -151,7 +147,7 @@ class TestLossyChannel:
             lossy_channel(np.eye(3), LossParams(0.5))
 
 
-# Properties of the density-operator route of the loss channel on random
+# Properties of the loss channel on random density operators and pure
 # states.  Cutoffs stay at 8 or below, where basis rotations are exact to
 # round-off.
 CHANNEL_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -167,6 +163,23 @@ def random_joint_density(seed, cutoff, micro_dim) -> DensityOperator:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = a @ a.conj().T
     return DensityOperator(mat / np.trace(mat).real, cutoff, HV, micro_dim)
+
+
+def random_pure_state(seed, cutoff, micro_dim) -> TwoModeVector | MicroMacroState:
+    """A random unit two-mode vector (``micro_dim`` 1) or joint state (2)."""
+    rng = np.random.default_rng(seed)
+    dim = fock_space(cutoff).dim
+    vec = rng.normal(size=(micro_dim, dim)) + 1j * rng.normal(size=(micro_dim, dim))
+    vec /= np.linalg.norm(vec)
+    comps = tuple(TwoModeVector.from_dense(v, cutoff, HV) for v in vec)
+    return comps[0] if micro_dim == 1 else MicroMacroState(comps, GainParams(0.0), HV)
+
+
+def projector(state) -> DensityOperator:
+    """``|psi><psi|`` formed here from the dense amplitudes, micro index major."""
+    vec = np.atleast_2d(state.dense())
+    flat = vec.reshape(-1)
+    return DensityOperator(np.outer(flat, flat.conj()), state.cutoff, state.basis, len(vec))
 
 
 def kraus_sum_loop(rho, eta):
@@ -202,9 +215,11 @@ class TestLossChannelProperties:
     @example(seed=0, cutoff=8, micro_dim=2, eta=0.0)
     @example(seed=1, cutoff=8, micro_dim=2, eta=1.0)
     def test_trace_preserving_and_hermitian(self, seed, cutoff, micro_dim, eta):
-        out = lossy_channel(random_joint_density(seed, cutoff, micro_dim), LossParams(eta))
-        assert abs(out.trace() - 1.0) < 1e-12
-        assert out.hermiticity_defect() < 1e-12
+        mixed = random_joint_density(seed, cutoff, micro_dim)
+        for state in (mixed, random_pure_state(seed, cutoff, micro_dim)):
+            out = lossy_channel(state, LossParams(eta))
+            assert abs(out.trace() - 1.0) < 1e-12
+            assert out.hermiticity_defect() < 1e-12
 
     @CHANNEL_PROPERTY
     @given(seed=seeds, cutoff=small_cutoffs, micro_dim=micro_dims,
@@ -229,24 +244,13 @@ class TestLossChannelProperties:
         assert np.max(np.abs(before.matrix - after.matrix)) < 1e-12
 
     @CHANNEL_PROPERTY
-    @given(seed=seeds, cutoff=small_cutoffs, eta=transmittivities)
-    def test_matches_the_pure_state_kraus_images(self, seed, cutoff, eta):
-        rng = np.random.default_rng(seed)
-        space = fock_space(cutoff)
-        vec = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
-        vec /= np.linalg.norm(vec)
-        comps = tuple(TwoModeVector.from_dense(v, cutoff, HV) for v in vec)
-        loss = LossParams(eta)
-        single = comps[0].normalized()
-        pure = lossy_channel(single, loss)
-        dense = lossy_channel(DensityOperator.from_pure(single), loss)
-        assert np.max(np.abs(pure.matrix - dense.matrix)) < 1e-12
-        joint = MicroMacroState(comps, GainParams(0.0), HV)
-        pure = lossy_channel(joint, loss)
-        dense = lossy_channel(
-            DensityOperator(joint.density_matrix(), cutoff, HV, micro_dim=2), loss
-        )
-        assert np.max(np.abs(pure.matrix - dense.matrix)) < 1e-12
+    @given(seed=seeds, cutoff=small_cutoffs, micro_dim=micro_dims, eta=transmittivities)
+    @example(seed=6, cutoff=8, micro_dim=2, eta=0.0)
+    def test_pure_inputs_match_the_dense_kraus_sum(self, seed, cutoff, micro_dim, eta):
+        state = random_pure_state(seed, cutoff, micro_dim)
+        out = lossy_channel(state, LossParams(eta))
+        assert out.micro_dim == micro_dim
+        assert np.max(np.abs(out.matrix - kraus_sum_loop(projector(state), eta))) < 1e-13
 
 
 class TestAttenuateToSinglePhoton:

@@ -147,6 +147,23 @@ class TestPlumbing:
         assert out == ""
         assert "unknown parameter 'cutoff'" in err
 
+    @pytest.mark.parametrize("grid", [["--g", "1"], ["--eta", "0.5"], ["--R", "0.5"], ["--p", "0.3"]])
+    def test_concurrence_rejects_t_with_grid_flags(self, grid, capsys):
+        # the t curve and the grids are two sweeps; a run takes one of them
+        code, out, err = run_cli(["concurrence", "--t", "0.5"] + grid, capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and "not both" in err
+
+    def test_concurrence_rejects_config_t_with_grid_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t=0.5\n")
+        argv = ["concurrence", "--config", str(cfg), "--g", "1", "--p", "0.3"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and "not both" in err
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(["pcrit", "--g", "1", "--eta", "0.5", "--out", str(target)], capsys)

@@ -57,7 +57,6 @@ from qiopa.channels import (
     _conditional_tail_fraction,
     _conditioned_block,
     coherence_parameter,
-    loss_kraus_images,
 )
 from qiopa.fock import (
     DROP_THRESHOLD,
@@ -280,12 +279,12 @@ def sigma_terms_from_images(state, images):
 
 def sigma_terms_from_kraus_images(state, loss):
     """Lossy pseudo-Pauli terms from the overlaps ``<v|K_k|psi_s>`` of the
-    Kraus images of both micro components with the six pseudo-Pauli vectors
-    ``v``, in the state's basis (the package's route before the lossy
-    fidelities)."""
+    Kraus images of both micro components (:func:`kraus_images_loop`) with
+    the six pseudo-Pauli vectors ``v``, in the state's basis, contracted for
+    all six vectors at once."""
     ops = [sigma_operator(axis, state.gain, state.cutoff, basis=state.basis) for axis in (1, 2, 3)]
     vectors = np.stack([v for op in ops for v in (op.plus_vector, op.minus_vector)], axis=1)
-    x = np.einsum("ksd,dj->skj", loss_kraus_images(state, loss), vectors.conj())
+    x = np.einsum("ksd,dj->skj", kraus_images_loop(state, loss.eta), vectors.conj())
     sigs = np.repeat([pauli_matrix(axis, state.basis) for axis in (1, 2, 3)], 2, axis=0)
     corr = np.einsum("skj,jst,tkj->j", x.conj(), sigs, x).real
     return corr[0::2] - corr[1::2]
@@ -854,7 +853,6 @@ def test_lossy_sigma_terms_match_dense_images(state, eta):
     want = sigma_terms_from_images(state, images)
     got = sigma_terms_triangle(state.gain, LossParams(eta), Cutoff(state.cutoff, 0.5))
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
-    assert np.max(np.abs(loss_kraus_images(state, LossParams(eta)) - images)) < 1e-14
 
 
 @PROPERTY

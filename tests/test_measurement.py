@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -404,6 +408,19 @@ class TestStackedLaw:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    def test_stacking_stays_bounded_in_resident_memory(self):
+        # tracemalloc does not see the FFT's scratch buffers; the peak
+        # resident size of a fresh interpreter does
+        growth = [
+            int(subprocess.run(
+                [sys.executable, "-c", _RSS_GROWTH, json.dumps(etas)],
+                env=_SOURCE_ENV, capture_output=True, text=True, check=True,
+            ).stdout)
+            for etas in ([0.5], list(np.linspace(0.0, 1.0, 20)))
+        ]
+        assert 0 < growth[1] <= 1.5 * growth[0], growth
+
     @pytest.mark.parametrize("grid", [_fringe_grid, _ofilter_grid])
     def test_fft_beyond_the_bound_raises_after_the_gate(self, grid):
         # cutoffs up to 4,194,303 take N = 2**23, the largest allowed: every
@@ -417,6 +434,30 @@ class TestStackedLaw:
         # an undersized cutoff fails the tail gate first
         with pytest.raises(CutoffError, match="cutoff 9000001 keeps tail mass"):
             grid(GainParams(7.0), [0.5], [0], Cutoff(9_000_001, 1e-9))
+
+
+# growth of the peak resident size, in kB, of one fringe grid at g = 4
+# (N = 2**17) over the etas given as a JSON list.  The peak is the address
+# space's own high-water mark, VmHWM: Linux carries the parent's peak into
+# ru_maxrss across exec, and pytest's is far above the grid's.
+_RSS_GROWTH = """
+import json, sys
+from qiopa import Cutoff, GainParams, required_cutoff
+from qiopa.measurement import _fringe_grid
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+gain = GainParams(4.0)
+cutoff = Cutoff(required_cutoff(gain, 1e-9), 1e-9)
+before = peak()
+_fringe_grid(gain, json.loads(sys.argv[1]), [0, 1, 2], cutoff)
+print(peak() - before)
+"""
+_SOURCE_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.path.dirname(os.path.dirname(qiopa.__file__)),
+    "OPENBLAS_NUM_THREADS": "1",
+}
 
 
 def test_parity_expectation_decays_with_loss():

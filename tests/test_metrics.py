@@ -99,6 +99,21 @@ class TestAnalyticConcurrence:
             assert 0.95 < ratio < 1.05
 
 
+    @pytest.mark.parametrize("eta", [1e-4, 1e-3, 1e-2])
+    def test_high_gain_window_at_g5(self, eta):
+        # criterion 2's window at the cited experiment's gain, where the
+        # closed form's loss-linear part is 1.00019, 1.00109 and 1.0102 of
+        # eta / 2, and the single-survivor route runs at cutoffs of 2,877 to
+        # 152,755 photons
+        gain, loss = GainParams(5.0), LossParams(eta)
+        closed = analytic_concurrence(gain, loss)
+        floor = analytic_concurrence(gain, LossParams(0.0))
+        assert 0.95 <= (closed - floor) / (eta / 2.0) <= 1.05
+        state = micro_macro_state_hv(gain, conditioning_cutoff(gain, loss))
+        numeric = concurrence_2x2(attenuate_to_single_photon(state, loss)).concurrence
+        assert numeric == pytest.approx(closed, rel=1e-10)
+
+
 class TestInjectionConcurrence:
     def test_perfect_injection_limit(self):
         gain, loss = GainParams(1.3), LossParams(0.4)

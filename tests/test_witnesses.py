@@ -21,7 +21,6 @@ from qiopa import (
     pauli_matrix,
     ppt_test,
     separable_counterexample,
-    sigma_operator,
     sigma_witness_lossy,
     simon_spin_witness,
     simon_spin_witness_lossy,
@@ -152,20 +151,6 @@ class TestSigmaWitness:
             distances.append(abs((1.0 - eta) * gain.mean_photon_number - 4 * x))
         assert distances[0] > distances[1] > distances[2]
         assert distances[0] < 2e-3
-
-    def test_mismatched_operators_rejected(self):
-        gain = GainParams(0.8)
-        state = micro_macro_state(0.0, gain, Cutoff(12, 0.5))
-        wrong_cutoff = tuple(
-            sigma_operator(a, gain, 14, basis=state.basis) for a in (1, 2, 3)
-        )
-        with pytest.raises(ValueError):
-            micro_macro_sigma_witness(state, gain, sigmas=wrong_cutoff)
-        wrong_gain = tuple(
-            sigma_operator(a, GainParams(0.7), 12, basis=state.basis) for a in (1, 2, 3)
-        )
-        with pytest.raises(ValueError):
-            micro_macro_sigma_witness(state, gain, sigmas=wrong_gain)
 
     def test_requires_joint_density(self):
         rho = DensityOperator(np.eye(fock_space(4).dim) / fock_space(4).dim, 4, HV)
