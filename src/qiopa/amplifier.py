@@ -148,7 +148,15 @@ def seed_pair_amplitude(n: int | np.ndarray, gain: GainParams) -> float | np.nda
     n = np.asarray(n, dtype=np.int64)
     if np.any(n < 0):
         raise ValueError("n must be non-negative")
-    return (gain.tanh_g**n * np.sqrt(n + 1.0) / gain.cosh_g**2)[()]
+    # tanh^n g sqrt(n + 1) / cosh^2 g, in place; np.power, since exp(n log t)
+    # and a cumulative product round differently
+    flat = n.ravel()
+    amp = gain.tanh_g**flat
+    root = flat + 1.0
+    np.sqrt(root, out=root)
+    amp *= root
+    amp /= gain.cosh_g**2
+    return amp.reshape(n.shape)[()]
 
 
 def pair_ladder_tail(n_pairs: int, gain: GainParams) -> float:

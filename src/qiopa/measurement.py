@@ -11,9 +11,12 @@ Four measurement families are implemented:
   macro-qubit.  The fringe and the lossy threshold-filter terms are tails
   of the law of a thinned photon-number difference, the FFT of its
   closed-form generating function on the unit circle (:func:`_difference_law`).
-  The law does not depend on the threshold, so each gain takes one stacked
-  FFT over its whole eta grid, in chunks of at most ``2**16`` complex
-  entries, and reads every threshold's tails from it (:func:`_tail_grid`);
+  The law is real, so its generating function is conjugate-symmetric on the
+  circle and ``N/2 + 1`` points carry it, inverted by one real-output
+  ``irfft``.  The law does not depend on the threshold, so each gain takes
+  one stacked ``irfft`` over its whole eta grid, in chunks of at most
+  ``2**16`` law entries, and reads every threshold's tails from it
+  (:func:`_tail_grid`);
 * a multi-detector coincidence scheme with non-number-resolving clicks;
 * quantum Stokes operators (per-basis photon-number differences) and the
   total photon number.  Each Stokes operator is the Schwinger map
@@ -240,12 +243,12 @@ def _fringe_grid(gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
     return np.stack([p_plus, p_minus, np.maximum(0.0, 1.0 - p_plus - p_minus)], axis=-1)
 
 
-# complex entries per stacked FFT; an unbounded stack grows with the grid
-# (notes/decisions.md, "One stacked FFT per gain")
+# law entries per stacked chunk (see _tail_grid); an unbounded stack grows
+# with the grid (notes/decisions.md, "One stacked FFT per gain")
 _STACK_ENTRIES = 1 << 16
 
-# the longest FFT of a law: a run peaks near 64 bytes per entry, about
-# 0.5 GB at this length (notes/decisions.md, "One cutoff search")
+# the longest FFT of a law: a run peaks near 44 bytes per entry, about
+# 355 MB at this length (notes/decisions.md, "Half-spectrum laws")
 _MAX_FFT = 1 << 23
 
 
@@ -263,8 +266,10 @@ def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
     the one cost that grows with the cutoff, raises :class:`CutoffError`
     naming its length before anything is allocated.  Each seed's laws share
     one :func:`_one_minus_z` table and are stacked over the eta grid in chunks
-    of at most ``_STACK_ENTRIES`` complex entries; every threshold's tails are
-    row sums of the same chunk.  A non-finite tail raises :class:`CutoffError`
+    of ``max(1, _STACK_ENTRIES // N)`` rows: a chunk's half-spectrum
+    generating function and its real laws take at most about 512 kB each,
+    or one row's worth when ``N`` is longer; every threshold's tails are row
+    sums of the same chunk.  A non-finite tail raises :class:`CutoffError`
     naming the first such row in ``(k, eta)`` order.
     """
     for k in ks:
@@ -293,9 +298,12 @@ def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
 
 
 def _one_minus_z(size: int) -> np.ndarray:
-    """``1 - z = 2 sin^2 theta - i sin 2 theta`` at ``z = exp(2 pi i j / size)``."""
-    half_angle = np.pi * np.arange(size) / size
-    return 2.0 * np.sin(half_angle) ** 2 - 1j * np.sin(2.0 * half_angle)
+    """``1 - z = 2 sin^2 theta + i sin 2 theta`` at the conjugate points
+    ``z = exp(-2 pi i j / size)``, ``theta = pi j / size``, for
+    ``j = 0 .. size/2``: the half spectrum that :func:`numpy.fft.irfft`
+    reads."""
+    half_angle = np.pi * np.arange(size // 2 + 1) / size
+    return 2.0 * np.sin(half_angle) ** 2 + 1j * np.sin(2.0 * half_angle)
 
 
 def _difference_law(seed: str, gain: GainParams, eta, n_max: int, one_minus_z=None) -> np.ndarray:
@@ -311,11 +319,13 @@ def _difference_law(seed: str, gain: GainParams, eta, n_max: int, one_minus_z=No
     ``u / (C^4 (1 - t^2 u^2)^(3/2) (1 - t^2 v^2)^(1/2))``, evaluated in forms
     that never take ``1 - t^2`` (``notes/decisions.md``).  ``N`` is
     :func:`_fft_length`; at ``eta = 0`` the law is an exact point mass.
+    The law is real, so ``E[z^D]`` is conjugate-symmetric on the circle: it
+    is built on the ``N/2 + 1`` points of :func:`_one_minus_z` and inverted
+    by one :func:`numpy.fft.irfft`, which applies the ``1/N``.
 
     A sequence of etas gives one law per row, shape ``(len(eta), N)``, from
-    one stacked FFT over ``one_minus_z`` (:func:`_one_minus_z`, built here if
-    not given), in place; every row is bit-identical to the 1-D law of its
-    scalar eta.
+    one stacked ``irfft`` over ``one_minus_z`` (built here if not given);
+    every row is bit-identical to the 1-D law of its scalar eta.
     """
     size = _fft_length(n_max)
     one_minus_z = _one_minus_z(size) if one_minus_z is None else one_minus_z
@@ -333,8 +343,8 @@ def _difference_law(seed: str, gain: GainParams, eta, n_max: int, one_minus_z=No
         den *= np.abs(den)
     gf = np.subtract(1.0, lost, out=lost)
     gf /= den
-    del den  # the FFT's own buffers take its place
-    return np.fft.fft(gf, out=gf).real / size
+    del den  # the transform's own buffers take its place
+    return np.fft.irfft(gf, n=size)
 
 
 def _checked_finite(values, gain: GainParams, eta: float, n_max: int) -> None:

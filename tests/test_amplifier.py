@@ -88,6 +88,20 @@ class TestSeedPairAmplitude:
         partial = sum(seed_pair_amplitude(n, g) ** 2 for n in range(400))
         assert partial == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("g", [0.0, 0.5, 2.0, 4.0, 5.0])
+    def test_in_place_evaluation_is_the_plain_expression(self, g):
+        gain = GainParams(g)
+
+        def plain(n):
+            n = np.asarray(n)
+            return (gain.tanh_g**n * np.sqrt(n + 1.0) / gain.cosh_g**2)[()]
+
+        pair_counts = [np.arange((cutoff - 1) // 2 + 1) for cutoff in (627, 37_809)]
+        for n in [*pair_counts, np.arange(12).reshape(3, 4)]:
+            assert np.array_equal(seed_pair_amplitude(n, gain), plain(n))
+        one = seed_pair_amplitude(7, gain)
+        assert np.ndim(one) == 0 and one == plain(7)
+
     def test_against_arbitrary_precision(self):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50

@@ -436,21 +436,139 @@ class TestStackedLaw:
             grid(GainParams(7.0), [0.5], [0], Cutoff(9_000_001, 1e-9))
 
 
-# growth of the peak resident size, in kB, of one fringe grid at g = 4
-# (N = 2**17) over the etas given as a JSON list.  The peak is the address
-# space's own high-water mark, VmHWM: Linux carries the parent's peak into
-# ru_maxrss across exec, and pytest's is far above the grid's.
-_RSS_GROWTH = """
-import json, sys
-from qiopa import Cutoff, GainParams, required_cutoff
-from qiopa.measurement import _fringe_grid
+def full_circle_one_minus_z(size):
+    """``1 - z`` at all ``size`` points ``z = exp(2 pi i j / size)``."""
+    half_angle = np.pi * np.arange(size) / size
+    return 2.0 * np.sin(half_angle) ** 2 - 1j * np.sin(2.0 * half_angle)
+
+
+def full_circle_generating_function(seed, gain, eta, size):
+    """``E[z^D]`` of :func:`_difference_law` at all ``size`` points
+    ``z = exp(2 pi i j / size)`` of the circle, with the law's operations in
+    their order."""
+    one_minus_z = full_circle_one_minus_z(size)
+    eta = np.asarray(eta, dtype=float)[..., None]
+    lost = eta * one_minus_z
+    sinh2 = gain.sinh_g**2
+    if seed == "H":
+        den = (2.0 * sinh2 * eta * (1.0 - eta) * one_minus_z.real + 1.0) ** 2
+    else:
+        w = sinh2 * lost * (2.0 - lost) + 1.0
+        den = w * np.abs(w)
+    return (1.0 - lost) / den
+
+
+def full_circle_law(seed, gain, eta, n_max):
+    """The law as a full complex FFT over the whole circle, real part kept:
+    the route the half spectrum replaced."""
+    size = qiopa.measurement._fft_length(n_max)
+    return np.fft.fft(full_circle_generating_function(seed, gain, eta, size)).real / size
+
+
+def mpmath_law(seed, g, eta, size):
+    """The law's length-``size`` DFT of the closed-form generating function,
+    in 40-digit arithmetic, rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t, c, eta = mpmath.tanh(g), mpmath.cosh(g), mpmath.mpf(eta)
+        roots = [mpmath.expjpi(mpmath.mpf(2 * j) / size) for j in range(size)]
+        gf = []
+        for z in roots:
+            u, v = 1 - eta + eta * z, 1 - eta + eta / z
+            if seed == "H":
+                gf.append(u / (c**4 * (1 - t**2 * u * v) ** 2))
+            else:
+                gf.append(u / (c**4 * (1 - t**2 * u**2) ** 1.5 * mpmath.sqrt(1 - t**2 * v**2)))
+        return np.array([
+            float(mpmath.fsum(gf[j] * roots[-j * d % size] for j in range(size)).real / size)
+            for d in range(size)
+        ])
+
+
+class TestHalfSpectrumLaw:
+    """The law from ``N/2 + 1`` points of the circle and one ``irfft``
+    against the full circle and one complex FFT."""
+
+    SIZES = [1 << p for p in range(4, 18)]  # 16 .. 2**17
+
+    @pytest.mark.parametrize("g", [0.0, 0.3, 1.2, 1.8, 3.0, 4.0])
+    @pytest.mark.parametrize("seed", ["H", "equatorial"])
+    def test_matches_the_full_circle_route(self, g, seed):
+        gain, etas = GainParams(g), [0.0, 1e-3, 0.3, 1.0]
+        for size in self.SIZES:
+            n_max = size // 2 - 1
+            assert qiopa.measurement._fft_length(n_max) == size
+            law = _difference_law(seed, gain, etas, n_max)
+            gap = np.abs(law - full_circle_law(seed, gain, etas, n_max)).max()
+            assert gap <= 1e-15, (size, gap)
+
+    def test_table_is_the_conjugate_first_half_of_the_circle(self):
+        for size in self.SIZES:
+            full = full_circle_one_minus_z(size)
+            assert np.array_equal(qiopa.measurement._one_minus_z(size), full[: size // 2 + 1].conj())
+
+    @pytest.mark.parametrize("g", [0.0, 0.3, 1.2, 1.8, 3.0, 4.0])
+    @pytest.mark.parametrize("seed", ["H", "equatorial"])
+    def test_full_circle_values_are_conjugate_symmetric(self, g, seed):
+        # gf[N - j] = conj(gf[j]) up to the rounding of the angle, which the
+        # generating function amplifies by up to about 1 + sinh^2 g
+        gain = GainParams(g)
+        tol = 16 * np.finfo(float).eps * (1.0 + gain.sinh_g**2)
+        for size in self.SIZES:
+            gf = full_circle_generating_function(seed, gain, [0.0, 1e-3, 0.3, 1.0], size)
+            assert np.abs(gf[:, :0:-1] - gf[:, 1:].conj()).max() <= tol, size
+
+    @pytest.mark.parametrize("seed", ["H", "equatorial"])
+    def test_matches_an_arbitrary_precision_dft(self, seed):
+        # both routes land within one rounding of 1 of the 40-digit DFT
+        gain = GainParams(1.8)
+        for size in (16, 256):
+            want = mpmath_law(seed, gain.g, 0.3, size)
+            for law in (_difference_law, full_circle_law):
+                gap = np.abs(law(seed, gain, 0.3, size // 2 - 1) - want).max()
+                assert gap <= np.finfo(float).eps, (size, law.__name__, gap)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    @pytest.mark.parametrize("seed", ["H", "equatorial"])
+    def test_one_law_stays_within_its_resident_bound(self, seed):
+        # one law at N = 2**20 grows the peak resident size by about 41
+        # (equatorial) and 45 (H) bytes per entry, 65 on the full circle;
+        # the bound adds a 20 % margin to 45
+        growth = int(subprocess.run(
+            [sys.executable, "-c", _LAW_RSS_GROWTH, seed],
+            env=_SOURCE_ENV, capture_output=True, text=True, check=True,
+        ).stdout)
+        assert 0 < growth * 1024 <= 54 * (1 << 20), growth
+
+
+# The peak resident size, in kB, is the address space's own high-water mark,
+# VmHWM: Linux carries the parent's peak into ru_maxrss across exec, and
+# pytest's is far above that of a grid or a law.
+_PEAK = """
 def peak():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+# growth of the peak resident size, in kB, of one fringe grid at g = 4
+# (N = 2**17) over the etas given as a JSON list
+_RSS_GROWTH = _PEAK + """
+import json, sys
+from qiopa import Cutoff, GainParams, required_cutoff
+from qiopa.measurement import _fringe_grid
 gain = GainParams(4.0)
 cutoff = Cutoff(required_cutoff(gain, 1e-9), 1e-9)
 before = peak()
 _fringe_grid(gain, json.loads(sys.argv[1]), [0, 1, 2], cutoff)
+print(peak() - before)
+"""
+# growth of the peak resident size, in kB, of one law of the seed given at
+# g = 5, eta = 0.5 and N = 2**20, its table built inside
+_LAW_RSS_GROWTH = _PEAK + """
+import sys
+from qiopa import GainParams
+from qiopa.measurement import _difference_law
+before = peak()
+_difference_law(sys.argv[1], GainParams(5.0), 0.5, (1 << 19) - 1)
 print(peak() - before)
 """
 _SOURCE_ENV = {
