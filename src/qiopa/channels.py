@@ -347,25 +347,22 @@ def attenuated_state_with_injection(
     vacuum-seeded block, normalized by its trace; ``p = 1`` recovers the
     perfectly injected attenuated state.  Basis order (HH, HV, VH, VV).
     """
-    mats, traces = _injection_blocks(np.array([p.p]), gain, loss)
-    if traces[0] <= 0.0:
+    t = coherence_parameter(gain, loss)
+    a, b = _injection_weights(p.p, gain, t)
+    mat = a * _seeded_conditional_matrix(t) + b * np.eye(4)
+    trace = np.trace(mat).real
+    if trace <= 0.0:
         raise ConditioningError(
             "conditional state undefined: no photon ever reaches the lossy arm"
         )
-    return mats[0] / traces[0]
+    return mat / trace
 
 
-def _injection_blocks(
-    ps: np.ndarray, gain: GainParams, loss: LossParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized closed-form attenuated blocks at the injection
-    probabilities ``ps``, stacked, with their real traces."""
-    t = coherence_parameter(gain, loss)
-    seeded = _seeded_conditional_matrix(t)
-    a = 2.0 * ps / (gain.cosh_g**2 * (1.0 - t * t)) if t < 1.0 else np.zeros_like(ps)
-    b = (1.0 - ps) * gain.tanh_g * t
-    mats = a[:, None, None] * seeded + b[:, None, None] * np.eye(4)
-    return mats, np.trace(mats, axis1=1, axis2=2).real
+def _injection_weights(p: float, gain: GainParams, t: float) -> tuple[float, float]:
+    """Weights ``a(p) >= 0`` and ``b(p)`` of the unnormalized attenuated
+    matrix ``a S + b I`` at injection ``p``, ``S`` the seeded block."""
+    a = 2.0 * p / (gain.cosh_g**2 * (1.0 - t * t)) if t < 1.0 else 0.0
+    return a, (1.0 - p) * gain.tanh_g * t
 
 
 def _seeded_conditional_matrix(t: float) -> np.ndarray:

@@ -18,12 +18,14 @@ from .amplifier import GainParams
 from .channels import (
     InjectionParams,
     LossParams,
-    _injection_blocks,
+    _injection_weights,
+    _seeded_conditional_matrix,
     coherence_parameter,
 )
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+_PPT_TOL = 1e-9  # a smallest partial-transpose eigenvalue >= -_PPT_TOL reads as PPT
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,6 @@ def critical_injection_probability(gain: GainParams, loss: LossParams) -> float:
     return x / (1.0 + x)
 
 
-_SCAN_BITS = 4  # bisection steps per stacked eigvalsh
-
-
 def critical_injection_scan(
     gain: GainParams,
     loss: LossParams,
@@ -136,47 +135,41 @@ def critical_injection_scan(
     """Brute-force critical injection probability.
 
     Bisects the sign change of the minimal partial-transpose eigenvalue of
-    the closed-form attenuated matrix over ``p``; independent of the
-    analytic formula above.  Each round evaluates, with one stacked
-    ``eigvalsh``, the ``2^b - 1`` dyadic points that the next ``b``
-    bisection steps can visit, and walks them as the bisection would, so the
-    result is the plain bisection's, bit for bit.  The first round also
-    evaluates the end points ``p = 0`` and ``p = 1``: five ``eigvalsh`` calls
-    at ``tol = 1e-6``.
+    the closed-form attenuated matrix over ``p`` until the bracket is no
+    wider than ``tol``; independent of the analytic formula above.  The
+    unnormalized matrix is ``a(p) S + b(p) I`` with ``a >= 0``, and the
+    partial transpose is linear and fixes ``I``, so its smallest normalized
+    eigenvalue is ``(a lambda_0 + b) / (a tr S + 4 b)`` with ``lambda_0`` the
+    smallest eigenvalue of the partial transpose of ``S``: one ``eigvalsh``
+    per scan.  The verdict at each ``p`` is :func:`ppt_test`'s; where no
+    photon reaches the detector (zero trace) the state is not NPT.
     """
-    def npt(ps: np.ndarray) -> np.ndarray:
-        mats, traces = _injection_blocks(ps, gain, loss)
-        # no photon ever reaches the detector (p = 0 at zero gain): not NPT
-        defined = traces > 0.0
-        out = np.zeros(len(ps), dtype=bool)
-        spectra = _pt_spectra(mats[defined] / traces[defined, None, None], (2, 2))
-        out[defined] = ~(spectra[:, 0] >= -1e-9)  # not separable by ppt_test's verdict
-        return out
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    t = coherence_parameter(gain, loss)
+    seeded = _seeded_conditional_matrix(t)
+    lowest = float(_pt_spectra(seeded, (2, 2))[0])
+    seeded_trace = float(np.trace(seeded).real)
+
+    def npt(p: float) -> bool:
+        a, b = _injection_weights(p, gain, t)
+        trace = a * seeded_trace + 4.0 * b
+        return trace > 0.0 and not (a * lowest + b) / trace >= -_PPT_TOL
 
     steps = 0
-    while 0.5**steps > tol:  # hi - lo halves exactly with every step
+    while 0.5**steps > tol:  # counted: a bracket of adjacent floats no longer halves
         steps += 1
-    lo, hi, ends = 0.0, 1.0, True
-    while ends or steps:
-        bits = min(_SCAN_BITS, steps)
-        steps -= bits
-        size = 2**bits
-        grid = lo + (hi - lo) * np.arange(size + 1) / size  # dyadic, so exact
-        inside = npt(grid if ends else grid[1:-1])
-        if ends:  # the end points ride in the first round's stacked eigvalsh
-            if inside[0]:
-                return 0.0
-            if not inside[-1]:
-                return 1.0
-            inside, ends = inside[1:-1], False
-        i, j = 0, size
-        while j - i > 1:
-            mid = (i + j) // 2
-            if inside[mid - 1]:
-                j = mid
-            else:
-                i = mid
-        lo, hi = float(grid[i]), float(grid[j])
+    lo, hi = 0.0, 1.0
+    if npt(lo):
+        return 0.0
+    if not npt(hi):
+        return 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if npt(mid):
+            hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -200,7 +193,7 @@ def _pt_spectra(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-2, -1)) / 2.0)
 
 
-def ppt_test(rho: np.ndarray, dims: tuple[int, int], tol: float = 1e-9) -> PptReport:
+def ppt_test(rho: np.ndarray, dims: tuple[int, int], tol: float = _PPT_TOL) -> PptReport:
     """Peres positive-partial-transpose test.
 
     Exact separability verdict for a 2x2 split; for larger local dimensions a

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -579,6 +580,13 @@ class TestExperiments:
         scanned = column(out, "p_crit_scan")
         for a, b in zip(closed, scanned):
             assert abs(a - b) < 1e-4
+
+    def test_default_pcrit_output_is_pinned(self, capsys):
+        # every scan value is a dyadic midpoint, so these bytes do not drift
+        code, out, _ = run_cli(["pcrit"], capsys)
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "6fcaa75e5c5c6da0b7aec789fd636a12a4d94bab17a5c29750af1e71ccdf40b0"
 
     def test_ofilter_dist_binomial(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qiopa import (
     GainParams,
@@ -21,6 +23,7 @@ from qiopa import (
     ppt_test,
 )
 from qiopa import metrics
+from qiopa.channels import _injection_weights, _seeded_conditional_matrix
 from qiopa.fock import ConditioningError
 
 SINGLET = np.outer(
@@ -196,6 +199,9 @@ def ppt_bisection(gain, loss, tol):
     return 0.5 * (lo + hi)
 
 
+INJECTION_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
 class TestCriticalInjection:
     def test_zero_gain_is_exactly_zero(self):
         assert critical_injection_probability(GainParams(0.0), LossParams(0.5)) == 0.0
@@ -214,8 +220,8 @@ class TestCriticalInjection:
         scanned = critical_injection_scan(gain, loss, tol=1e-7)
         assert abs(closed - scanned) < 1e-4
 
-    @pytest.mark.parametrize("g", [0.0, 0.5, 2.0, 4.0, 5.0])
-    @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.3, 1.0])
+    @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    @pytest.mark.parametrize("eta", [0.0, 1e-4, 1e-3, 1e-2, 0.3, 1.0])
     @pytest.mark.parametrize("tol", [1e-6, 3e-4, 0.2, 2.0])
     def test_stacked_scan_is_the_plain_bisection(self, g, eta, tol):
         gain, loss = GainParams(g), LossParams(eta)
@@ -223,12 +229,39 @@ class TestCriticalInjection:
         assert type(scanned) is float
         assert scanned == ppt_bisection(gain, loss, tol)
 
-    def test_scan_evaluates_its_end_points_in_the_first_round(self, monkeypatch):
-        sizes, spectra = [], metrics._pt_spectra
-        monkeypatch.setattr(metrics, "_pt_spectra", lambda rho, dims: sizes.append(len(rho)) or spectra(rho, dims))
+    def test_scan_diagonalizes_one_matrix(self, monkeypatch):
+        shapes, spectra = [], metrics._pt_spectra
+        monkeypatch.setattr(metrics, "_pt_spectra", lambda rho, dims: shapes.append(rho.shape) or spectra(rho, dims))
         critical_injection_scan(GainParams(2.0), LossParams(1e-3), tol=1e-6)
-        # 20 bisection steps in rounds of 4; p = 0 and p = 1 join the first
-        assert sizes == [17, 15, 15, 15, 15]
+        assert shapes == [(4, 4)]
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_scan_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            critical_injection_scan(GainParams(1.0), LossParams(0.01), tol)
+
+    def test_scan_below_the_float_spacing_ends(self):
+        # p_crit is within 1e-7 of 1 here, where adjacent floats are 1.1e-16 apart
+        gain, loss = GainParams(8.0), LossParams(0.0)
+        scanned = critical_injection_scan(gain, loss, tol=1e-300)
+        assert abs(scanned - critical_injection_scan(gain, loss, tol=1e-15)) <= 1e-15
+        assert abs(scanned - critical_injection_probability(gain, loss)) < 1e-7
+
+    @INJECTION_PROPERTY
+    @given(g=st.floats(0.0, 6.0), eta=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+    def test_attenuated_spectrum_is_affine_in_the_seeded_spectrum(self, g, eta, p):
+        # the scan's identity: spec PT(a S + b I) / tr = (a spec PT(S) + b) / tr
+        gain, loss = GainParams(g), LossParams(eta)
+        t = coherence_parameter(gain, loss)
+        seeded = _seeded_conditional_matrix(t)
+        a, b = _injection_weights(p, gain, t)
+        trace = a * np.trace(seeded).real + 4.0 * b
+        # a subnormal trace overflows the complex division of the direct route
+        assume(trace >= np.finfo(float).tiny)
+        affine = (a * metrics._pt_spectra(seeded, (2, 2)) + b) / trace
+        rho = attenuated_state_with_injection(InjectionParams(p), gain, loss)
+        direct = metrics._pt_spectra(rho, (2, 2))
+        assert np.max(np.abs(affine - direct)) <= 1e-14
 
 
 class TestPpt:
