@@ -178,7 +178,10 @@ def required_cutoff(gain: GainParams, tail_tolerance: float) -> int:
     """Smallest odd ``n_max`` whose truncated seeded output loses less than
     ``tail_tolerance`` of its probability mass, by :func:`_first_below` on the
     monotone :func:`pair_ladder_tail`, uncapped: 263,653 at g = 5, tail 1e-9.
-    Only the FFT bounds its length (:func:`qiopa.measurement._tail_grid`)."""
+    Only the FFT bounds its length (:func:`qiopa.measurement._tail_grid`).
+    Raises ``ValueError`` unless ``0 < tail_tolerance < 1``."""
+    if not 0.0 < tail_tolerance < 1.0:
+        raise ValueError(f"tail tolerance must lie in (0, 1), got {tail_tolerance}")
     if gain.g == 0.0:
         return 1
     failure = f"no cutoff reaches tail {tail_tolerance} at g={gain.g}"

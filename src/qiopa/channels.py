@@ -350,12 +350,14 @@ def attenuated_state_with_injection(
     t = coherence_parameter(gain, loss)
     a, b = _injection_weights(p.p, gain, t)
     mat = a * _seeded_conditional_matrix(t) + b * np.eye(4)
-    trace = np.trace(mat).real
+    trace = np.trace(mat)
     if trace <= 0.0:
         raise ConditioningError(
             "conditional state undefined: no photon ever reaches the lossy arm"
         )
-    return mat / trace
+    # a real division: a complex one multiplies by 1 / trace, which
+    # overflows when the trace is subnormal
+    return (mat / trace).astype(complex)
 
 
 def _injection_weights(p: float, gain: GainParams, t: float) -> tuple[float, float]:
@@ -377,8 +379,7 @@ def _seeded_conditional_matrix(t: float) -> np.ndarray:
             [0.0, half, -half, 0.0],
             [0.0, -half, half, 0.0],
             [0.0, 0.0, 0.0, t2],
-        ],
-        dtype=complex,
+        ]
     )
 
 

@@ -14,13 +14,21 @@ of a truncated experiment carries its cutoff: ``--cutoff`` when given, else
 A flat ``key=value`` config file can seed any run; repeated keys build grids
 and command-line flags override file values.  Loss grids accept either
 ``eta`` or ``R = 1 - eta``; rows echo both.  Exit codes: 0 on success, 2 on
-configuration errors (including a non-finite or negative gain, a negative
-threshold, a probability outside [0, 1], a tail tolerance outside (0, 1)
-and an unwritable output), 3 on numeric failures (unreachable cutoff, an
-FFT longer than 2^23 entries, all-inconclusive visibility, vanishing
-conditional probability, overflow at extreme gain, memory exhausted), 141
-(a shell's status for SIGPIPE) when the reader of stdout closes it early,
-as in ``qiopa pcrit | head -1``.
+configuration errors (an out-of-range value, see below, or an unwritable
+output), 3 on numeric failures (unreachable cutoff, an FFT longer than 2^23
+entries, all-inconclusive visibility, vanishing conditional probability,
+overflow at extreme gain, memory exhausted; a ``CutoffError`` is one, though
+a ``ValueError``), 141 (a shell's status for SIGPIPE) when the reader of
+stdout closes it early, as in ``qiopa pcrit | head -1``.
+
+Each range is checked once, by the library type or call that takes the
+value: ``GainParams`` (``--g``), ``LossParams`` (``--eta``, or ``1 - R``),
+``InjectionParams`` (``--p``), ``Cutoff`` and ``required_cutoff``
+(``--cutoff``, ``--tail-tol``), ``_tail_grid`` and ``threshold_povm``
+(``--k``).  Their ``ValueError`` prints one line, such as ``config error:
+transmittivity must lie in [0, 1], got 2.0``.  The CLI itself checks that
+values are numbers, the ``t`` range, the photon pair of ``ofilter-dist``,
+single values, bases and the grid choices of :func:`resolve_config`.
 """
 
 from __future__ import annotations
@@ -28,14 +36,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .amplifier import GainParams, required_cutoff
-from .channels import InjectionParams, LossParams, attenuated_state_with_injection
+from .channels import InjectionParams, LossParams, attenuated_state_with_injection, coherence_parameter
 from .fock import (
     ConditioningError,
     Cutoff,
@@ -122,72 +129,32 @@ def _parse_config_file(path: str) -> dict[str, list[str]]:
     return values
 
 
-def _floats(values: dict, key: str) -> list[float]:
+def _numbers(values: dict, key: str, convert=float) -> list:
+    """The values of a parameter, converted; each range check is left to the
+    library type or call that takes the value."""
     try:
-        return [float(v) for v in values[key]]
+        return [convert(v) for v in values[key]]
     except ValueError as exc:
-        raise ConfigError(f"parameter {key!r} expects numbers: {exc}") from exc
+        kind = "integers" if convert is int else "numbers"
+        raise ConfigError(f"parameter {key!r} expects {kind}: {exc}") from exc
 
 
-def _ints(values: dict, key: str) -> list[int]:
-    try:
-        return [int(v) for v in values[key]]
-    except ValueError as exc:
-        raise ConfigError(f"parameter {key!r} expects integers: {exc}") from exc
-
-
-def _scalar(values: dict, key: str, convert) -> object:
-    entries = values[key]
-    if len(entries) != 1:
-        raise ConfigError(f"parameter {key!r} expects a single value, got {entries}")
-    try:
-        return convert(entries[0])
-    except ValueError as exc:
-        raise ConfigError(f"parameter {key!r}: {exc}") from exc
-
-
-def _eta_grid(values: dict) -> list[float]:
-    if "eta" in values and "R" in values:
-        raise ConfigError("give either an eta grid or an R grid, not both")
-    if "R" in values:
-        etas = [1.0 - r for r in _floats(values, "R")]
-    else:
-        etas = _floats(values, "eta")
-    for eta in etas:
-        if not 0.0 <= eta <= 1.0:
-            raise ConfigError(f"transmittivity {eta} outside [0, 1]")
-    return etas
-
-
-def _gain_grid(values: dict) -> list[float]:
-    gs = _floats(values, "g")
-    for g in gs:
-        if not (math.isfinite(g) and g >= 0.0):
-            raise ConfigError(f"gain {g} must be finite and non-negative")
-    return gs
-
-
-def _threshold_grid(values: dict) -> list[int]:
-    ks = _ints(values, "k")
-    for k in ks:
-        if k < 0:
-            raise ConfigError(f"threshold k={k} must be non-negative")
-    return ks
-
-
-def _probability_grid(values: dict) -> list[float]:
-    ps = _floats(values, "p")
-    for p in ps:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"injection probability {p} outside [0, 1]")
-    return ps
-
-
-def _single(values: dict, key: str, grid) -> object:
-    """The one value of a parameter, read and checked by its grid reader."""
+def _one(values: dict, key: str, convert=float):
+    """The one value of a single-value parameter."""
     if len(values[key]) != 1:
         raise ConfigError(f"parameter {key!r} expects a single value, got {values[key]}")
-    return grid(values)[0]
+    return _numbers(values, key, convert)[0]
+
+
+def _losses(values: dict) -> list[LossParams]:
+    """The loss grid, given as eta or as R = 1 - eta (resolve_config allows one)."""
+    if "R" in values:
+        return [LossParams(1.0 - r) for r in _numbers(values, "R")]
+    return [LossParams(eta) for eta in _numbers(values, "eta")]
+
+
+def _gains(values: dict) -> list[GainParams]:
+    return [GainParams(g) for g in _numbers(values, "g")]
 
 
 def _basis_from_label(label: str) -> PolarizationBasis:
@@ -205,17 +172,13 @@ def _basis_from_label(label: str) -> PolarizationBasis:
     raise ConfigError(f"unknown basis {label!r} (use hv, pm, rl or eq:PHI)")
 
 
-def _resolve_cutoff(values: dict, gain: GainParams, default_tail: float) -> Cutoff:
-    """The one cutoff rule of every truncated experiment, applied per gain."""
-    tail = _scalar(values, "tail_tol", float) if "tail_tol" in values else default_tail
-    if not 0.0 < tail < 1.0:
-        raise ConfigError(f"tail tolerance {tail} outside (0, 1)")
-    if "cutoff" not in values:
-        return Cutoff(required_cutoff(gain, min(tail, 1e-9)), tail)
-    n_max = _scalar(values, "cutoff", int)
-    if n_max < 1:
-        raise ConfigError("cutoff must be a positive photon number")
-    return Cutoff(n_max, tail)
+def _cutoffs(values: dict, gains: list[GainParams], default_tail: float):
+    """The one cutoff rule of every truncated experiment: one cutoff per gain,
+    each searched for only when its gain's turn comes."""
+    tail = _one(values, "tail_tol") if "tail_tol" in values else default_tail
+    n_max = _one(values, "cutoff", int) if "cutoff" in values else None
+    for gain in gains:
+        yield Cutoff(required_cutoff(gain, min(tail, 1e-9)) if n_max is None else n_max, tail)
 
 
 # --------------------------------------------------------------------------
@@ -224,18 +187,15 @@ def _resolve_cutoff(values: dict, gain: GainParams, default_tail: float) -> Cuto
 
 def _run_visibility(cfg: RunConfig):
     values = cfg.values
-    etas = _eta_grid(values)
+    losses, gains, ks = _losses(values), _gains(values), _numbers(values, "k", int)
+    etas = [loss.eta for loss in losses]
     rows = []
-    for g in _gain_grid(values):
-        gain = GainParams(g)
-        cutoff = _resolve_cutoff(values, gain, 1e-9)
-        ks = _threshold_grid(values)
+    for gain, cutoff in zip(gains, _cutoffs(values, gains, 1e-9)):
         for k, probabilities in zip(ks, _fringe_grid(gain, etas, ks, cutoff).tolist()):
-            for eta, (p_plus, p_minus, p_zero) in zip(etas, probabilities):
-                loss = LossParams(eta)
+            for loss, (p_plus, p_minus, p_zero) in zip(losses, probabilities):
                 v = visibility_ratio(p_plus, p_minus, loss, k)
                 rows.append(
-                    (loss.R, eta, g, k, cutoff.n_max, p_plus, p_minus, p_zero, v)
+                    (loss.R, loss.eta, gain.g, k, cutoff.n_max, p_plus, p_minus, p_zero, v)
                 )
     columns = ["R", "eta", "g", "k", "cutoff", "P_plus", "P_minus", "P_zero", "V"]
     return {}, columns, rows
@@ -243,15 +203,13 @@ def _run_visibility(cfg: RunConfig):
 
 def _run_witness_sigma(cfg: RunConfig):
     values = cfg.values
-    etas = _eta_grid(values)
+    losses, gains = _losses(values), _gains(values)
     rows = []
-    for g in _gain_grid(values):
-        gain = GainParams(g)
-        cutoff = _resolve_cutoff(values, gain, 0.5)
-        for eta in etas:
-            rep = sigma_witness_lossy(gain, LossParams(eta), cutoff)
+    for gain, cutoff in zip(gains, _cutoffs(values, gains, 0.5)):
+        for loss in losses:
+            rep = sigma_witness_lossy(gain, loss, cutoff)
             rows.append(
-                (1.0 - eta, eta, g, cutoff.n_max)
+                (loss.R, loss.eta, gain.g, cutoff.n_max)
                 + tuple(rep.terms)
                 + (rep.value, SEPARABLE_BOUND, DICHOTOMIC_BOUND)
             )
@@ -264,16 +222,14 @@ def _run_witness_sigma(cfg: RunConfig):
 
 def _run_witness_ofilter(cfg: RunConfig):
     values = cfg.values
-    etas = _eta_grid(values)
+    losses, gains, ks = _losses(values), _gains(values), _numbers(values, "k", int)
+    etas = [loss.eta for loss in losses]
     rows = []
-    for g in _gain_grid(values):
-        gain = GainParams(g)
-        cutoff = _resolve_cutoff(values, gain, 0.5)
-        ks = _threshold_grid(values)
+    for gain, cutoff in zip(gains, _cutoffs(values, gains, 0.5)):
         for k, reports in zip(ks, _ofilter_grid(gain, etas, ks, cutoff)):
-            for eta, rep in zip(etas, reports):
+            for loss, rep in zip(losses, reports):
                 rows.append(
-                    (1.0 - eta, eta, g, k, cutoff.n_max)
+                    (loss.R, loss.eta, gain.g, k, cutoff.n_max)
                     + tuple(rep.terms)
                     + (rep.value, SEPARABLE_BOUND)
                 )
@@ -287,15 +243,13 @@ def _run_witness_ofilter(cfg: RunConfig):
 
 def _run_witness_stokes(cfg: RunConfig):
     values = cfg.values
-    etas = _eta_grid(values)
+    losses, gains = _losses(values), _gains(values)
     rows = []
-    for g in _gain_grid(values):
-        gain = GainParams(g)
-        cutoff = _resolve_cutoff(values, gain, 1e-8)
-        for eta in etas:
-            rep = simon_spin_witness_lossy(gain, LossParams(eta), cutoff)
+    for gain, cutoff in zip(gains, _cutoffs(values, gains, 1e-8)):
+        for loss in losses:
+            rep = simon_spin_witness_lossy(gain, loss, cutoff)
             rows.append(
-                (eta, 1.0 - eta, g, cutoff.n_max)
+                (loss.eta, loss.R, gain.g, cutoff.n_max)
                 + tuple(rep.terms)
                 + (rep.params["mean_photons_b"], rep.value, 0.0)
             )
@@ -309,55 +263,50 @@ def _run_witness_stokes(cfg: RunConfig):
 def _run_concurrence(cfg: RunConfig):
     values = cfg.values
     if "t" in values:
-        rows = []
-        for t in _floats(values, "t"):
+        ts = _numbers(values, "t")
+        for t in ts:
             if not 0.0 <= t < 1.0:
                 raise ConfigError(f"t={t} outside [0, 1)")
-            rows.append((t, concurrence_of_t(t)))
-        return {}, ["t", "C"], rows
-    etas = _eta_grid(values)
+        return {}, ["t", "C"], [(t, concurrence_of_t(t)) for t in ts]
+    losses, gains = _losses(values), _gains(values)
+    injections = [InjectionParams(p) for p in _numbers(values, "p")]
     rows = []
-    for g in _gain_grid(values):
-        gain = GainParams(g)
-        for eta in etas:
-            loss = LossParams(eta)
-            t = loss.R * gain.tanh_g
-            for p in _probability_grid(values):
-                c = concurrence_with_injection(gain, loss, InjectionParams(p))
-                p_crit = critical_injection_probability(gain, loss)
-                rows.append((g, eta, loss.R, p, t, c, p_crit))
+    for gain in gains:
+        for loss in losses:
+            t = coherence_parameter(gain, loss)
+            p_crit = critical_injection_probability(gain, loss)
+            for injection in injections:
+                c = concurrence_with_injection(gain, loss, injection)
+                rows.append((gain.g, loss.eta, loss.R, injection.p, t, c, p_crit))
     columns = ["g", "eta", "R", "p", "t", "C", "p_crit"]
     return {}, columns, rows
 
 
 def _run_pcrit(cfg: RunConfig):
     values = cfg.values
-    etas = _eta_grid(values)
+    losses, gains = _losses(values), _gains(values)
     rows = []
-    for g in _gain_grid(values):
-        gain = GainParams(g)
-        for eta in etas:
-            loss = LossParams(eta)
+    for gain in gains:
+        for loss in losses:
             closed = critical_injection_probability(gain, loss)
             scanned = critical_injection_scan(gain, loss, tol=1e-6)
-            rows.append((g, eta, loss.R, closed, scanned))
+            rows.append((gain.g, loss.eta, loss.R, closed, scanned))
     columns = ["g", "eta", "R", "p_crit", "p_crit_scan"]
     return {}, columns, rows
 
 
 def _run_ofilter_dist(cfg: RunConfig):
     values = cfg.values
-    n = _scalar(values, "n", int)
-    m = _scalar(values, "m", int)
+    n = _one(values, "n", int)
+    m = _one(values, "m", int)
     if n < 0 or m < 0 or n + m < 1:
         raise ConfigError("the Fock state needs a non-negative photon pair with n+m >= 1")
-    prep = _basis_from_label(_scalar(values, "prep_basis", str))
-    target = _basis_from_label(_scalar(values, "basis", str))
-    k = _single(values, "k", _threshold_grid)
+    prep = _basis_from_label(_one(values, "prep_basis", str))
+    target = _basis_from_label(_one(values, "basis", str))
     total = n + m
+    povm = threshold_povm(target, _one(values, "k", int), total)
     state = TwoModeVector.from_amplitudes({(n, m): 1.0}, total, prep)
     dist = photon_distribution(state, target)
-    povm = threshold_povm(target, k, total)
     space = fock_space(total)
     # rotations conserve the total photon number, so only this sector carries weight
     sector = space.sector_slices[total]
@@ -369,24 +318,23 @@ def _run_ofilter_dist(cfg: RunConfig):
 
 def _run_density(cfg: RunConfig):
     values = cfg.values
-    g = _single(values, "g", _gain_grid)
-    etas = _eta_grid(values)
-    if len(etas) != 1:
+    gain = GainParams(_one(values, "g"))
+    losses = _losses(values)
+    if len(losses) != 1:
         raise ConfigError("the density experiment expects a single eta (or R)")
-    p = _single(values, "p", _probability_grid)
-    gain = GainParams(g)
-    loss = LossParams(etas[0])
-    mat = attenuated_state_with_injection(InjectionParams(p), gain, loss)
+    loss = losses[0]
+    injection = InjectionParams(_one(values, "p"))
+    mat = attenuated_state_with_injection(injection, gain, loss)
     rows = []
     for i in range(4):
         for j in range(4):
             rows.append((i, j, float(mat[i, j].real), float(mat[i, j].imag)))
     meta = {
         "basis_order": "HH,HV,VH,VV",
-        "t": loss.R * gain.tanh_g,
-        "g": g,
+        "t": coherence_parameter(gain, loss),
+        "g": gain.g,
         "eta": loss.eta,
-        "p": p,
+        "p": injection.p,
     }
     return meta, ["row", "col", "re", "im"], rows
 
@@ -621,15 +569,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         meta, columns, rows = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _NUMERIC_FAILURES as exc:
         reason = str(exc)
         if isinstance(exc, MemoryError):  # a bare MemoryError carries no message
             reason = ": ".join(filter(None, ("memory ran out", reason)))
         print(f"numeric failure: {reason}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # a ConfigError, or a value its library type rejects
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return _emit(cfg, meta, columns, rows)
     except OSError as exc:

@@ -71,9 +71,9 @@ class Cutoff:
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+            raise ValueError(f"cutoff must be a positive photon number, got {self.n_max}")
         if not 0.0 < self.tail_tolerance < 1.0:
-            raise ValueError("tail_tolerance must lie in (0, 1)")
+            raise ValueError(f"tail tolerance must lie in (0, 1), got {self.tail_tolerance}")
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,15 @@ class TestRequiredCutoff:
     def test_zero_gain(self):
         assert required_cutoff(GainParams(0.0), 1e-12) == 1
 
+    @pytest.mark.parametrize("tail", [math.nan, 0.0, 1.0, -1.0, math.inf])
+    @pytest.mark.parametrize("g", [0.0, 1.0])
+    def test_tail_tolerance_outside_unit_interval_rejected(self, g, tail):
+        # a bad tolerance is a bad input, not an unreachable cutoff: every
+        # comparison with nan is false, and no tail falls below 0
+        with pytest.raises(ValueError, match="tail tolerance") as info:
+            required_cutoff(GainParams(g), tail)
+        assert not isinstance(info.value, CutoffError)
+
 
 class TestHvMacroState:
     def test_ladder_structure(self):

@@ -394,6 +394,15 @@ class TestAttenuatedInjection:
                 InjectionParams(0.0), GainParams(0.0), LossParams(0.5)
             )
 
+    def test_subnormal_trace_is_normalized(self):
+        # 1 / trace overflows here, so the division must not go through it
+        rho = attenuated_state_with_injection(
+            InjectionParams(2.2e-313), GainParams(0.0), LossParams(0.0)
+        )
+        v = np.array([0.0, 1.0, -1.0, 0.0])
+        assert rho.dtype == complex
+        assert np.array_equal(rho, 0.5 * np.outer(v, v))
+
 
 def test_loss_never_creates_entanglement():
     # extra loss on the amplified arm can only lower the conditional
