@@ -42,14 +42,12 @@ from .channels import (
 )
 from .measurement import (
     PseudoPauliOperator,
-    StokesOperators,
     ThresholdPOVM,
     lossy_fringe_probabilities,
     multi_detector_probabilities,
     ofilter_probabilities,
     pauli_matrix,
     sigma_operator,
-    stokes_operators,
     stokes_terms,
     threshold_povm,
     visibility,

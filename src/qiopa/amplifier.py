@@ -27,7 +27,7 @@ from .fock import (
     TwoModeVector,
     _MAX_CUTOFF,
     fock_space,
-    rotate_basis,
+    rotate_dense,
     transfer_matrix,
 )
 
@@ -96,16 +96,11 @@ class MicroMacroState:
     def rotated(self, target: PolarizationBasis) -> "MicroMacroState":
         if target == self.basis:
             return self
-        t = transfer_matrix(self.basis, target)
-        rotated = [rotate_basis(c, target) for c in self.components]
-        new = tuple(
-            TwoModeVector.from_dense(
-                t[0, p] * rotated[0].dense() + t[1, p] * rotated[1].dense(),
-                self.cutoff,
-                target,
-            )
-            for p in range(2)
-        )
+        space = fock_space(self.cutoff)
+        dense = rotate_dense(space, self.dense(space), self.basis, target)
+        # micro components transform with T^t, as in DensityOperator.rotated
+        dense = transfer_matrix(self.basis, target).T @ dense
+        new = tuple(TwoModeVector.from_dense(row, self.cutoff, target) for row in dense)
         return MicroMacroState(new, self.gain, target)
 
 

@@ -24,11 +24,11 @@ stdout closes it early, as in ``qiopa pcrit | head -1``.
 Each range is checked once, by the library type or call that takes the
 value: ``GainParams`` (``--g``), ``LossParams`` (``--eta``, or ``1 - R``),
 ``InjectionParams`` (``--p``), ``Cutoff`` and ``required_cutoff``
-(``--cutoff``, ``--tail-tol``), ``_tail_grid`` and ``threshold_povm``
-(``--k``).  Their ``ValueError`` prints one line, such as ``config error:
-transmittivity must lie in [0, 1], got 2.0``.  The CLI itself checks that
-values are numbers, the ``t`` range, the photon pair of ``ofilter-dist``,
-single values, bases and the grid choices of :func:`resolve_config`.
+(``--cutoff``, ``--tail-tol``, before any cutoff search), ``_tail_grid``
+and ``threshold_povm`` (``--k``).  Their ``ValueError`` prints one line, such
+as ``config error: transmittivity must lie in [0, 1], got 2.0``.  The CLI
+checks that values are numbers, the ``t`` range, the photon pair of
+``ofilter-dist``, that single values come once, bases and the grid choices.
 """
 
 from __future__ import annotations
@@ -173,10 +173,11 @@ def _basis_from_label(label: str) -> PolarizationBasis:
 
 
 def _cutoffs(values: dict, gains: list[GainParams], default_tail: float):
-    """The one cutoff rule of every truncated experiment: one cutoff per gain,
-    each searched for only when its gain's turn comes."""
+    """The one cutoff rule of every truncated experiment: ``Cutoff`` checks both
+    flags first, then each gain's cutoff is searched for when its turn comes."""
     tail = _one(values, "tail_tol") if "tail_tol" in values else default_tail
     n_max = _one(values, "cutoff", int) if "cutoff" in values else None
+    Cutoff(1 if n_max is None else n_max, tail)
     for gain in gains:
         yield Cutoff(required_cutoff(gain, min(tail, 1e-9)) if n_max is None else n_max, tail)
 
@@ -431,7 +432,7 @@ def _write_records(stream, cfg: RunConfig, meta: dict, columns, rows) -> None:
 # argument parsing and entry point
 # --------------------------------------------------------------------------
 
-# every parameter flag, in help order; a grid takes repeated flags or comma lists
+# every parameter flag, in help order; each collects its repeats and comma lists
 _FLAGS = {
     "g": "gain grid",
     "eta": "transmittivity grid",
@@ -473,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "records"), dest="fmt",
                         help="output format (default csv)")
     for key, help_text in _FLAGS.items():
-        grid = {"action": "append", "metavar": "V[,V...]"} if key in _GRIDS else {}
-        parser.add_argument("--" + key.replace("_", "-"), help=help_text, **grid)
+        metavar = "V[,V...]" if key in _GRIDS else None
+        parser.add_argument("--" + key.replace("_", "-"), action="append", metavar=metavar, help=help_text)
     return parser
 
 
@@ -512,8 +513,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 values[key] = entries
             else:
                 raise ConfigError(f"unknown parameter {key!r} for {experiment}")
-    for key, supplied in flags.items():  # a grid joins its repeated flags
-        values[key] = _entries(supplied) if key in _GRIDS else [supplied]
+    for key, supplied in flags.items():
+        values[key] = _entries(supplied)
     if "eta" in values and "R" in values:
         raise ConfigError("give either an eta grid or an R grid, not both")
     # a given loss grid of either name replaces the default one, and a given

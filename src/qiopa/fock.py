@@ -221,16 +221,6 @@ class Tridiagonal:
     def toarray(self) -> np.ndarray:
         return np.diag(self.diagonal) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(values, rows, cols)`` of the nonzero entries in row-major order."""
-        dim = self.diagonal.size
-        rows = np.repeat(np.arange(dim), 3)
-        cols = rows + np.tile([-1, 0, 1], dim)
-        # the two padding zeros sit outside the matrix and go with the other zeros
-        values = np.stack([np.r_[0, self.lower], self.diagonal, np.r_[self.upper, 0]], 1).ravel()
-        keep = values != 0.0
-        return values[keep], rows[keep], cols[keep]
-
 
 def schwinger_operator(pauli: np.ndarray, n_max: int) -> Tridiagonal:
     """Schwinger map ``sum_jk P[j,k] b_j^dag b_k`` of a 2x2 matrix ``P`` on

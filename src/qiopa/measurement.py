@@ -18,12 +18,14 @@ Four measurement families are implemented:
   ``2**16`` law entries, and reads every threshold's tails from it
   (:func:`_tail_grid`);
 * a multi-detector coincidence scheme with non-number-resolving clicks;
-* quantum Stokes operators (per-basis photon-number differences) and the
-  total photon number.  Each Stokes operator is the Schwinger map
-  ``J = sum_jk P[j,k] b_j^dag b_k`` of the axis's Pauli matrix ``P`` in the
-  representation basis (:func:`qiopa.fock.schwinger_operator`), so no basis
-  rotation enters it; it is tridiagonal, held as three numpy diagonals.  The
-  spin witness built on them lives in :mod:`qiopa.witnesses`.
+* the Stokes correlations ``<sigma_i x J_i>`` and the total photon number.
+  Each Stokes operator ``J_i`` (a per-basis photon-number difference) is the
+  Schwinger map ``J = sum_jk P[j,k] b_j^dag b_k`` of the axis's Pauli matrix
+  ``P`` in the representation basis (:func:`qiopa.fock.schwinger_operator`),
+  so no basis rotation enters it.  It is tridiagonal, and
+  :func:`stokes_terms` contracts each of its three diagonals with the matching
+  diagonal of the joint matrix.  The spin witness built on them lives in
+  :mod:`qiopa.witnesses`.
 
 The measurement-basis convention is 1 -> {H,V}, 2 -> {R,L}, 3 -> {+,-}.
 """
@@ -49,7 +51,6 @@ from .fock import (
     CutoffError,
     DensityOperator,
     PolarizationBasis,
-    Tridiagonal,
     TwoModeVector,
     UndefinedVisibilityError,
     fock_space,
@@ -188,14 +189,11 @@ def threshold_povm(basis: PolarizationBasis, k: int, cutoff: int) -> ThresholdPO
 def _fock_populations(
     state: TwoModeVector | DensityOperator, basis: PolarizationBasis
 ) -> np.ndarray:
-    """Diagonal of a state in the photon-number basis of ``basis``, with the
-    micro factor (if any) traced out."""
+    """Diagonal of a state in the photon-number basis of ``basis``, one row
+    per micro level, shape ``(micro_dim, fock_dim)``."""
     if isinstance(state, TwoModeVector):
         state = DensityOperator.from_pure(state)
-    space = fock_space(state.cutoff)
-    md = state.micro_dim
-    mat = state.rotated(basis).matrix.reshape(md, space.dim, md, space.dim)
-    return sum(mat[s, :, s, :].diagonal().real for s in range(md))
+    return state.rotated(basis).matrix.diagonal().real.reshape(state.micro_dim, -1)
 
 
 def ofilter_probabilities(
@@ -208,7 +206,7 @@ def ofilter_probabilities(
     """
     cutoff = state.cutoff
     povm = threshold_povm(basis, k, cutoff)
-    pops = _fock_populations(state, basis)
+    pops = _fock_populations(state, basis).sum(axis=0)
     p_plus = float(pops[povm.signs > 0].sum())
     p_minus = float(pops[povm.signs < 0].sum())
     p_zero = float(pops[povm.signs == 0].sum())
@@ -406,7 +404,7 @@ def multi_detector_probabilities(
     if detectors < 1:
         raise ValueError("at least one detector per branch is required")
     space = fock_space(state.cutoff)
-    pops = _fock_populations(state, basis)
+    pops = _fock_populations(state, basis).sum(axis=0)
     s_n = all_detectors_click_probability(space.n, detectors)
     s_m = all_detectors_click_probability(space.m, detectors)
     p_plus = float(np.sum(pops * s_n * (1.0 - s_m)))
@@ -419,32 +417,6 @@ def multi_detector_probabilities(
 # quantum Stokes operators
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StokesOperators:
-    """Photon-number-difference operators of the three canonical bases, as
-    Schwinger maps over the truncated space (tridiagonal, held as three numpy
-    diagonals), plus the diagonal of the total photon number."""
-
-    cutoff: int
-    basis: PolarizationBasis
-    operators: tuple[Tridiagonal, Tridiagonal, Tridiagonal]
-    number_diagonal: np.ndarray
-
-    def dense(self, axis: int) -> np.ndarray:
-        return self.operators[axis - 1].toarray()
-
-
-def stokes_operators(
-    cutoff: int, basis: PolarizationBasis = PolarizationBasis.hv()
-) -> StokesOperators:
-    """Stokes operators in the photon-number basis of ``basis``: each axis's
-    operator is the Schwinger map of ``pauli_matrix(axis, basis)``."""
-    operators = tuple(schwinger_operator(pauli_matrix(axis, basis), cutoff) for axis in (1, 2, 3))
-    number_diag = fock_space(cutoff).total.astype(float)
-    number_diag.setflags(write=False)
-    return StokesOperators(cutoff, basis, operators, number_diag)
-
-
 def stokes_terms(
     joint: DensityOperator | MicroMacroState,
 ) -> tuple[np.ndarray, float]:
@@ -452,21 +424,25 @@ def stokes_terms(
     ``<N>`` of the macro arm, for a pure or mixed joint state.
 
     A pure state enters as its projector (:meth:`DensityOperator.from_pure`).
-    The operators' nonzero entries ``(v_k, rows_k, cols_k)`` contract with
-    ``x[s, t] = Tr(J rho_st) = sum_k v_k rho_st[cols_k, rows_k]``, where
-    ``rho_st[e, f] = <s, e| rho |t, f>``.
+    With ``rho_st[e, f] = <s, e| rho |t, f>``, each axis contracts
+    ``x[s, t] = Tr(J rho_st)`` from the three diagonals of its tridiagonal
+    ``J``: the main diagonal with that of ``rho_st``, and each off-diagonal
+    with the opposite one.  ``<N>`` reads the populations.
     """
     if isinstance(joint, MicroMacroState):
         joint = DensityOperator.from_pure(joint)
     if joint.micro_dim != 2:
         raise ValueError("Stokes correlations require a joint micro-macro state")
-    d = fock_space(joint.cutoff).dim
-    mat = joint.matrix.reshape(2, d, 2, d)
-    populations = sum(mat[s, :, s, :].diagonal().real for s in range(2))
-    ops = stokes_operators(joint.cutoff, joint.basis)
+    space = fock_space(joint.cutoff)
+    mat = joint.matrix.reshape(2, space.dim, 2, space.dim)
     terms = np.zeros(3)
-    for axis, op in zip((1, 2, 3), ops.operators):
-        values, rows, cols = op.entries()
-        x = np.einsum("k,kst->st", values, mat[:, cols, :, rows])
-        terms[axis - 1] = float(np.trace(x @ pauli_matrix(axis, joint.basis)).real)
-    return terms, float(populations @ ops.number_diagonal)
+    for axis in (1, 2, 3):
+        pauli = pauli_matrix(axis, joint.basis)
+        op = schwinger_operator(pauli, joint.cutoff)
+        x = sum(
+            np.einsum("i,sti->st", band, mat.diagonal(offset, 1, 3))
+            for band, offset in ((op.diagonal, 0), (op.lower, 1), (op.upper, -1))
+        )
+        terms[axis - 1] = float(np.trace(x @ pauli).real)
+    populations = _fock_populations(joint, joint.basis).sum(axis=0)
+    return terms, float(populations @ space.total)

@@ -40,6 +40,7 @@ from .fock import (
 from .measurement import (
     PseudoPauliOperator,
     _checked_finite,
+    _fock_populations,
     _tail_grid,
     pauli_matrix,
     sigma_operator,
@@ -209,14 +210,12 @@ def ofilter_witness(joint: DensityOperator, k: int) -> WitnessReport:
     """
     if joint.micro_dim != 2:
         raise ValueError("the threshold-filter witness requires a joint state")
-    d = joint.fock_dim
     terms = []
     for axis in (1, 2, 3):
         basis = PolarizationBasis.canonical(axis)
-        rotated = joint.rotated(basis)
         povm = threshold_povm(basis, k, joint.cutoff)
-        diag = rotated.matrix.diagonal().real.reshape(2, d)
-        term = float(np.dot(diag[0] - diag[1], povm.difference_diagonal()))
+        pops = _fock_populations(joint, basis)
+        term = float(np.dot(pops[0] - pops[1], povm.difference_diagonal()))
         terms.append(term)
     value = sum(abs(t) for t in terms)
     return WitnessReport(

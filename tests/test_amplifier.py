@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qiopa import (
     Cutoff,
     CutoffError,
+    DensityOperator,
     GainParams,
     PolarizationBasis,
     amplified_vacuum,
@@ -250,6 +253,25 @@ class TestMicroMacroState:
         hv = micro_macro_state_hv(g, cut)
         overlap = abs(np.vdot(eq.dense().reshape(-1), hv.dense().reshape(-1)))
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    # a joint state rotates once as a stacked pair of components, or as its
+    # projector; both routes give one operator
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        hv=st.booleans(),
+        seed_phi=st.floats(0.0, 2.0 * math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    @example(hv=True, seed_phi=0.0, phi=3.0 * math.pi / 2.0)
+    @example(hv=False, seed_phi=0.7, phi=0.0)
+    def test_joint_rotation_matches_projector_rotation(self, hv, seed_phi, phi):
+        g, cut = GainParams(0.8), Cutoff(15, 0.5)
+        state = micro_macro_state_hv(g, cut) if hv else micro_macro_state(seed_phi, g, cut)
+        target = PolarizationBasis.equatorial(phi)
+        want = DensityOperator.from_pure(state).rotated(target)
+        got = DensityOperator.from_pure(state.rotated(target))
+        assert got.basis == want.basis == target
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
 
     def test_basis_independence_of_profiles(self):
         # the amplified seeds at phi = 0 and phi = pi/2 share one Fock

@@ -229,6 +229,17 @@ class TestPlumbing:
         assert out == ""
         assert err.count("\n") == 1 and name in err
 
+    # Cutoff checks the given flags before any cutoff search, so a bad tail
+    # tolerance is reported even where no cutoff reaches the gain
+    @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma", "witness-ofilter", "witness-stokes"])
+    def test_cutoff_flags_are_checked_before_the_cutoff_search(self, experiment, capsys):
+        code, out, err = run_cli([experiment, "--g", "800", "--tail-tol", "1.5"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error: tail tolerance must lie in (0, 1), got 1.5\n"
+        code, out, err = run_cli([experiment, "--g", "800"], capsys)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.count("\n") == 1 and err.startswith("numeric failure: no cutoff reaches")
+
     @pytest.mark.parametrize("g, name", [("nan", "gain"), ("inf", "gain"), ("-0.5", "gain"), ("abc", "'g'")])
     @pytest.mark.parametrize("experiment", sorted(GAIN_EXPERIMENTS))
     def test_bad_gain_rejected(self, experiment, g, name, capsys):
@@ -365,6 +376,14 @@ class TestParser:
         code, out, err = run_cli([experiment, "--config", str(cfg)], capsys)
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.count("\n") == 1 and f"unknown parameter {flag_key(flag)!r} for {experiment}" in err
+
+    @pytest.mark.parametrize("flag", ["--cutoff", "--tail-tol", "--n", "--m", "--prep-basis", "--basis"])
+    def test_repeated_single_value_flag_exits_2_with_one_line(self, flag, capsys):
+        experiment = min(name for name in _EXPERIMENTS if takes(name, flag))
+        value = FLAG_VALUES[flag]
+        code, out, err = run_cli([experiment, flag, value, flag, value], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"config error: parameter {flag_key(flag)!r} expects a single value, got {[value, value]}\n"
 
     @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
     def test_help_names_every_flag_of_the_experiment(self, experiment, capsys):
