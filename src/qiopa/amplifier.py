@@ -151,7 +151,7 @@ def seed_pair_amplitude(n: int | np.ndarray, gain: GainParams) -> float | np.nda
     np.sqrt(root, out=root)
     amp *= root
     amp /= gain.cosh_g**2
-    return amp.reshape(n.shape)[()]
+    return amp if n.ndim == 1 else amp.reshape(n.shape)[()]  # owning, so a vector can share it
 
 
 def pair_ladder_tail(n_pairs: int, gain: GainParams) -> float:
@@ -258,8 +258,10 @@ def _hv_macro_vector_unchecked(seed: str, gain: GainParams, n_max: int) -> TwoMo
     if seed not in ("H", "V"):
         raise ValueError(f"seed must be 'H' or 'V', got {seed!r}")
     n = np.arange((n_max - 1) // 2 + 1)
-    amps = seed_pair_amplitude(n, gain)
-    pair = (n + 1, n) if seed == "H" else (n, n + 1)
+    n1, amps = n + 1, seed_pair_amplitude(n, gain)
+    for arr in (n, n1, amps):  # read-only, so that the vector shares them
+        arr.setflags(write=False)
+    pair = (n1, n) if seed == "H" else (n, n1)
     return TwoModeVector(*pair, amps, n_max, PolarizationBasis.hv())
 
 
@@ -279,6 +281,8 @@ def amplified_vacuum(gain: GainParams, cutoff: Cutoff) -> TwoModeVector:
     _checked_tail(gain.tanh_g ** (2 * (cutoff.n_max // 2 + 1)), gain, cutoff)
     n = np.arange(cutoff.n_max // 2 + 1)
     amps = (1.0 / gain.cosh_g) * gain.tanh_g**n
+    for arr in (n, amps):  # read-only, so that the vector shares them
+        arr.setflags(write=False)
     return TwoModeVector(n, n, amps, cutoff.n_max, PolarizationBasis.hv())
 
 
@@ -315,10 +319,11 @@ def micro_macro_state_hv(gain: GainParams, cutoff: Cutoff) -> MicroMacroState:
     _checked_seeded_tail(gain, cutoff)
     n = np.arange((cutoff.n_max - 1) // 2 + 1)
     amps = seed_pair_amplitude(n, gain)
-    scale = 1.0 / math.sqrt(2.0 * float(np.sum(amps**2)))
+    amps *= 1.0 / math.sqrt(2.0 * float(np.dot(amps, amps)))
+    n1, neg = n + 1, -amps
+    for arr in (n, n1, amps, neg):  # read-only, so that the components share them
+        arr.setflags(write=False)
     hv = PolarizationBasis.hv()
-    components = (
-        TwoModeVector(n, n + 1, amps * scale, cutoff.n_max, hv),
-        TwoModeVector(n + 1, n, amps * -scale, cutoff.n_max, hv),
-    )
+    components = (TwoModeVector(n, n1, amps, cutoff.n_max, hv),
+                  TwoModeVector(n1, n, neg, cutoff.n_max, hv))
     return MicroMacroState(components, gain, hv)

@@ -15,9 +15,9 @@ generating functions, and the conditioning below keeps a closed form
 The highly attenuated regime conditions the lossy state on one surviving
 photon in the amplified arm: a two-qubit density matrix over (HH, HV, VH, VV),
 summed as overlaps of the components, sorted by flat index, shifted by -1, 0
-and +1.  Imperfect injection mixes the singlet with a vacuum seed beforehand.
-At 10^4 to 10^5 photons the full-length temporaries, not the flops, set that
-kernel's cost (``notes/decisions.md``).
+and +1; imperfect injection mixes the singlet with a vacuum seed beforehand.
+At 10^4 to 10^5 photons fresh full-length arrays, not flops, set the cost, so
+real ladders share read-only index arrays (``notes/decisions.md``).
 """
 
 from __future__ import annotations
@@ -218,21 +218,21 @@ def _survivor_columns(
     common ``sqrt(eta)`` left out), and the component's upper 2x2 diagonal
     block: ``|h|^2``, ``|v|^2`` and the H survivor at ``f`` against the V
     survivor at ``f - 1``.  The stored keys are sorted only when they do not
-    ascend (the ladders do), and a component whose imaginary parts are all
-    exactly 0 stays real."""
+    ascend (the ladders do); real storage, or complex storage whose imaginary
+    parts are all exactly 0, takes the real path."""
     f, n, m, amps = comp.keys, comp.n, comp.m, comp.amps
     if not comp._ascending:
         order = np.argsort(f, kind="stable")
         f, n, m, amps = f[order], n[order], m[order], amps[order]
-    exponent = n + m
-    exponent -= 1
+    scaled = np.add(n, m, dtype=float)  # exact: photon numbers stay below 2^53
+    scaled -= 1.0
     if loss.R > 0.0:
         # at |0, 0> the weight R^(-1/2) stays finite and meets sqrt(n) = sqrt(m) = 0
-        scaled = exponent * (0.5 * math.log(loss.R))
+        scaled *= 0.5 * math.log(loss.R)
         np.exp(scaled, out=scaled)
     else:
-        scaled = (exponent <= 0).astype(float)  # 0^0 = 1, and |0, 0> has no survivor
-    if amps.imag.any():
+        scaled = (scaled <= 0.0).astype(float)  # 0^0 = 1, and |0, 0> has no survivor
+    if amps.dtype == complex and amps.imag.any():  # .imag of a real array allocates
         scaled = scaled * amps
     else:
         scaled *= amps.real
@@ -276,26 +276,24 @@ def _conditioned_block(
         if len(f0) and len(f1):
             # at[i] keys of component 1 lie below f0[i]: read off one stable
             # merge of the two ascending key lists, f0 first on ties
-            order = np.argsort(np.concatenate((f0, f1)), kind="stable")
-            at = np.flatnonzero(order < len(f0))
+            at = np.flatnonzero(np.argsort(np.concatenate((f0, f1)), kind="stable") < len(f0))
             at -= np.arange(len(f0))
-            # component 1 at f - 1, f and f + 1 for each f of component 0; an
-            # index clipped into range fails its key comparison
-            last = len(f1) - 1
-            equal = np.minimum(at, last)
-            same = f1[equal] == f0
-            below = at - 1
-            np.maximum(below, 0, out=below)
-            down = f1[below] == f0 - 1
-            above = at  # past f itself where component 1 holds it
-            above += same
-            np.minimum(above, last, out=above)
-            up = f1[above] == f0 + 1
-            equal = equal[same]
-            upper[0, 2] += scale * np.vdot(h1[equal], h0[same])
-            upper[0, 3] += scale * np.vdot(v1[below[down]], h0[down])
-            upper[1, 2] += scale * np.vdot(h1[above[up]], v0[up])
-            upper[1, 3] += scale * np.vdot(v1[equal], v0[same])
+            # component 1 at f, f - 1 and f + 1 for each f of component 0, by
+            # key difference in one buffer; an index clipped into range fails
+            gap = np.empty_like(at)
+            same = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 0
+            if same.any():
+                upper[0, 2] += scale * np.vdot(h1[at[same]], h0[same])
+                upper[1, 3] += scale * np.vdot(v1[at[same]], v0[same])
+            at -= 1
+            down = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == -1
+            if down.any():
+                upper[0, 3] += scale * np.vdot(v1[at[down]], h0[down])
+            at += 1  # past f itself where component 1 holds it
+            at += same
+            up = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 1
+            if up.any():
+                upper[1, 2] += scale * np.vdot(h1[at[up]], v0[up])
     rho = upper + np.triu(upper, 1).conj().T
     return rho, float(np.trace(rho).real)
 

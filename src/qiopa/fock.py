@@ -70,6 +70,8 @@ class Cutoff:
     tail_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_max, (int, np.integer)):
+            raise ValueError(f"cutoff must be an integer photon number, got {self.n_max!r}")
         if self.n_max < 1:
             raise ValueError(f"cutoff must be a positive photon number, got {self.n_max}")
         if not 0.0 < self.tail_tolerance < 1.0:
@@ -311,14 +313,15 @@ def rotate_dense(
 @dataclass(frozen=True, eq=False)
 class TwoModeVector:
     """Sparse two-mode state vector held as parallel arrays: photon numbers
-    ``n`` and ``m`` (int64) and amplitudes ``amps`` (complex), one entry per
-    stored ``|n, m>``.
+    ``n`` and ``m`` (int64) and amplitudes ``amps`` (float64 for real input,
+    complex128 otherwise), one entry per stored ``|n, m>``.
 
-    The arrays are validated, copied and made read-only on construction;
-    exact zeros are left out.  Each ``(n, m)`` appears at most once.  The
-    squared-amplitude sum may fall below one (truncated states); it must
-    never exceed one beyond numerical tolerance.  Hand-written states come
-    in through :meth:`from_amplitudes`, dense ones through :meth:`from_dense`,
+    The arrays are validated and stored read-only, exact zeros left out; an
+    input is shared only if it is a read-only array of its storage dtype that
+    owns its data, else copied.  Each ``(n, m)`` appears at most once.  The
+    squared-amplitude sum may fall below one (truncated states); it must be
+    finite and at most one, to tolerance.  Hand-written states come in
+    through :meth:`from_amplitudes`, dense ones through :meth:`from_dense`,
     which leaves out amplitudes below :data:`DROP_THRESHOLD`.  The flat
     indices of the entries (:func:`_flat_index`), which the validation
     computes, are kept read-only in storage order as ``keys``.
@@ -333,9 +336,9 @@ class TwoModeVector:
     _ascending: bool = field(init=False, repr=False)  # keys strictly ascending
 
     def __post_init__(self) -> None:
-        n = np.array(self.n, dtype=np.int64).reshape(-1)
-        m = np.array(self.m, dtype=np.int64).reshape(-1)
-        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        n, m = _stored(self.n, np.int64), _stored(self.m, np.int64)
+        real = np.asarray(self.amps).dtype.kind in "biuf"
+        amps = _stored(self.amps, np.float64 if real else np.complex128)
         if not n.size == m.size == amps.size:
             raise ValueError("index and amplitude arrays differ in length")
         total = n + m
@@ -349,8 +352,9 @@ class TwoModeVector:
         if not ascending and np.unique(keys).size < keys.size:
             raise ValueError("repeated (n, m) index")
         mass = float(np.vdot(amps, amps).real)
-        if mass > 1.0 + _NORM_TOL:
-            raise ValueError(f"squared-amplitude sum {mass} exceeds 1")
+        if not mass <= 1.0 + _NORM_TOL:  # NaN fails the comparison too
+            fault = "exceeds 1" if mass > 1.0 else "is not a number"
+            raise ValueError(f"squared-amplitude sum {mass} {fault}")
         if not amps.all():
             keep = amps != 0.0
             n, m, amps, keys = n[keep], m[keep], amps[keep], keys[keep]
@@ -420,6 +424,14 @@ class TwoModeVector:
 
     def mean_total_photons(self) -> float:
         return float(np.dot(self.n + self.m, np.abs(self.amps) ** 2))
+
+
+def _stored(arr, dtype) -> np.ndarray:
+    """``arr`` if it is a read-only ``dtype`` vector owning its data, else a flat copy."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 1
+            and arr.base is None and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype)
+    return arr if arr.ndim == 1 else arr.reshape(-1)
 
 
 def _flat_index(n: np.ndarray, total: np.ndarray) -> np.ndarray:

@@ -264,6 +264,16 @@ class TestCutoff:
         with pytest.raises(ValueError):
             Cutoff(4, 1.5)
 
+    @pytest.mark.parametrize("n_max", [40.5, 40.0, "40", None])
+    def test_rejects_a_cutoff_that_is_not_an_integer(self, n_max):
+        # a float used to pass and fail later, in fock_space or dense()
+        with pytest.raises(ValueError, match="cutoff must be an integer photon number"):
+            Cutoff(n_max, 1e-3)
+
+    def test_accepts_numpy_integers(self):
+        for n_max in (np.int64(41), np.int32(41), np.uint16(41)):
+            assert Cutoff(n_max).n_max == 41
+
 
 def test_rotate_dense_sector_blocks_are_unitary():
     space = fock_space(20)

@@ -24,6 +24,7 @@ dense gather, single-survivor block), against the array storage.
 import cmath
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -39,6 +40,7 @@ from qiopa import (
     PolarizationBasis,
     TwoModeVector,
     amplified_vacuum,
+    attenuate_to_single_photon,
     conditioning_cutoff,
     micro_macro_state,
     micro_macro_state_hv,
@@ -1149,9 +1151,12 @@ def test_dense_round_trip_matches_dict_era(amps, cutoff, data):
         ([0, 1, 1], [1, 0, 0], [0.5, 0.5, 0.5], "repeated"),  # ascending but for the repeat
         ([1, 1, 0], [0, 0, 1], [0.5, 0.5, 0.5], "repeated"),  # descending
         ([0, 1], [0, 0], [0.5], "differ in length"),
+        ([0, 1], [1, 0], [math.nan, 0.5], "squared-amplitude sum nan is not a number"),
+        ([0, 1], [1, 0], [0.5, complex(0.5, math.nan)], "squared-amplitude sum nan is not a number"),
+        ([0, 1], [1, 0], [math.inf, 0.0], "squared-amplitude sum inf exceeds 1"),
     ],
     ids=["negative-n", "negative-m", "above-cutoff", "int64-overflow", "norm", "duplicate", "adjacent-duplicate",
-         "ascending-duplicate", "descending-duplicate", "length"],
+         "ascending-duplicate", "descending-duplicate", "length", "nan", "complex-nan", "inf"],
 )
 def test_vector_validation_raises(n, m, amps, message):
     with pytest.raises(ValueError, match=message):
@@ -1170,6 +1175,101 @@ def test_vector_storage_is_a_read_only_copy():
     with pytest.raises(TypeError):
         vec.amplitudes[(1, 0)] = 1.0
     assert vec.amplitudes == {(1, 0): 0.6, (2, 0): 0.8j}
+
+
+@pytest.mark.parametrize(
+    "amps, dtype",
+    [([True, False], np.float64), (np.array([1, 0], dtype=np.int8), np.float64), ([0.6, 0.0], np.float64),
+     (np.array([0.6, 0.0], dtype=np.float32), np.float64), ([0.6 + 0j, 0.0], np.complex128),
+     ([0.6j, 0.0], np.complex128), (np.array([0.6, 0.0], dtype=np.complex64), np.complex128)],
+)
+def test_vector_stores_real_amplitudes_as_float64_and_others_as_complex128(amps, dtype):
+    vec = TwoModeVector(np.array([1, 0]), np.array([0, 1]), amps, 3, HV)
+    assert vec.amps.dtype == dtype
+    assert vec.n.tolist() == [1] and vec.amps.tolist() == [np.asarray(amps).tolist()[0]]
+    assert vec.dense().dtype == complex
+
+
+def test_vector_copies_writable_input():
+    n, m, amps = np.array([1, 0]), np.array([0, 1]), np.array([0.6, 0.8])
+    vec = TwoModeVector(n, m, amps, 3, HV)
+    n[0], m[0], amps[0] = 2, 1, 0.0
+    assert vec.n.tolist() == [1, 0] and vec.m.tolist() == [0, 1] and vec.amps.tolist() == [0.6, 0.8]
+    assert not any(np.shares_memory(a, b) for a, b in ((n, vec.n), (m, vec.m), (amps, vec.amps)))
+
+
+def frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def test_vector_shares_read_only_input_that_owns_its_data():
+    n, m = frozen(np.array([1, 0])), frozen(np.array([0, 1]))
+    amps, camps = frozen(np.array([0.6, 0.8])), frozen(np.array([0.6, 0.8j]))
+    vec = TwoModeVector(n, m, amps, 3, HV)
+    assert vec.n is n and vec.m is m and vec.amps is amps
+    assert TwoModeVector(n, m, camps, 3, HV).amps is camps
+    # the same vector's arrays serve a rescaled copy
+    assert vec.scaled(-1.0).n is n
+    # a read-only view can still change through its base, and another dtype
+    # needs a cast: both are copied
+    base = np.array([1, 0, 2])
+    view = frozen(base[:2])
+    from_view = TwoModeVector(view, m, amps, 3, HV)
+    base[0] = 2
+    assert from_view.n.tolist() == [1, 0] and not np.shares_memory(from_view.n, base)
+    narrow = frozen(np.array([0.5, 0.5], dtype=np.float32))
+    cast = TwoModeVector(n, m, narrow, 3, HV)
+    assert cast.amps.dtype == np.float64 and cast.n is n
+
+
+def test_ladders_share_their_index_arrays():
+    cutoff = Cutoff(41, ANY_TAIL)
+    first, second = micro_macro_state_hv(GainParams(1.5), cutoff).components
+    assert first.n is second.m and first.m is second.n
+    assert np.array_equal(first.m, first.n + 1)
+    assert np.array_equal(second.amps, -first.amps)
+    vac = amplified_vacuum(GainParams(1.5), cutoff)
+    assert vac.n is vac.m
+    for vec in (first, second, vac, _hv_macro_vector_unchecked("H", GainParams(1.5), 41)):
+        assert vec.amps.dtype == np.float64
+        assert all(a.base is None and not a.flags.writeable for a in (vec.n, vec.m, vec.amps))
+
+
+@pytest.mark.parametrize("g, eta, n_max", [(2.0, 1e-3, 777), (4.0, 1e-4, 37809), (1.0, 0.4, 41), (1.0, 1.0, 41)])
+def test_real_and_complex_storage_give_one_block(g, eta, n_max):
+    # complex storage whose imaginary parts are exactly 0 takes the real path
+    loss = LossParams(eta)
+    comps = micro_macro_state_hv(GainParams(g), Cutoff(n_max, ANY_TAIL)).components
+    stored = tuple(c.scaled(1 + 0j) for c in comps)
+    assert all(c.amps.dtype == np.float64 for c in comps)
+    assert all(c.amps.dtype == np.complex128 for c in stored)
+    rho, prob = _conditioned_block([(1.0, comps)], loss)
+    rho_c, prob_c = _conditioned_block([(1.0, stored)], loss)
+    assert np.max(np.abs(rho_c - rho)) <= 1e-15
+    assert abs(prob_c - prob) <= 1e-15
+
+
+def test_singlet_build_and_conditioning_stay_in_their_memory_budget():
+    # at cutoff 37,809 each component holds 18,905 entries, 151 kB per int64
+    # or float64 array: the state keeps six (n, n + 1, two amplitude arrays
+    # and two key arrays)
+    gain, loss = GainParams(4.0), LossParams(1e-4)
+    cutoff = conditioning_cutoff(gain, loss)
+    assert cutoff.n_max == 37809
+    attenuate_to_single_photon(micro_macro_state_hv(gain, cutoff), loss)  # one-time allocations first
+    tracemalloc.start()
+    try:
+        state = micro_macro_state_hv(gain, cutoff)
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        attenuate_to_single_photon(state, loss)
+        conditioning_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.0e6
+    assert build_peak <= 1.3e6
+    assert conditioning_peak <= 1.35e6
 
 
 @PROPERTY
