@@ -218,8 +218,9 @@ def _survivor_columns(
     common ``sqrt(eta)`` left out), and the component's upper 2x2 diagonal
     block: ``|h|^2``, ``|v|^2`` and the H survivor at ``f`` against the V
     survivor at ``f - 1``.  The stored keys are sorted only when they do not
-    ascend (the ladders do); real storage, or complex storage whose imaginary
-    parts are all exactly 0, takes the real path."""
+    ascend (the ladders do).  The storage dtype picks the path: float64
+    amplitudes (the ladders) stay real, complex128 ones make ``h`` and ``v``
+    complex."""
     f, n, m, amps = comp.keys, comp.n, comp.m, comp.amps
     if not comp._ascending:
         order = np.argsort(f, kind="stable")
@@ -232,10 +233,10 @@ def _survivor_columns(
         np.exp(scaled, out=scaled)
     else:
         scaled = (scaled <= 0.0).astype(float)  # 0^0 = 1, and |0, 0> has no survivor
-    if amps.dtype == complex and amps.imag.any():  # .imag of a real array allocates
+    if amps.dtype == complex:
         scaled = scaled * amps
     else:
-        scaled *= amps.real
+        scaled *= amps
     h = np.sqrt(n).astype(scaled.dtype, copy=False)
     h *= scaled
     v = np.sqrt(m).astype(scaled.dtype, copy=False)
@@ -321,10 +322,11 @@ def attenuate_to_single_photon(
 # imperfect injection
 # --------------------------------------------------------------------------
 
-def mixed_injection_state(p: InjectionParams, cutoff: int = 1) -> DensityOperator:
-    """Pre-amplification seed: singlet with probability ``p``, otherwise a
-    maximally mixed polarization qubit next to a vacuum amplifier input."""
-    space = fock_space(cutoff)
+def mixed_injection_state(p: InjectionParams) -> DensityOperator:
+    """Pre-amplification seed at cutoff 1: singlet with probability ``p``,
+    otherwise a maximally mixed polarization qubit next to a vacuum amplifier
+    input."""
+    space = fock_space(1)
     d = space.dim
     vec = np.zeros(2 * d, dtype=complex)
     vec[0 * d + space.index(0, 1)] = 1.0 / math.sqrt(2.0)
@@ -333,7 +335,7 @@ def mixed_injection_state(p: InjectionParams, cutoff: int = 1) -> DensityOperato
     vac = space.index(0, 0)
     for s in range(2):
         mat[s * d + vac, s * d + vac] += (1.0 - p.p) / 2.0
-    return DensityOperator(mat, cutoff, PolarizationBasis.hv(), micro_dim=2)
+    return DensityOperator(mat, 1, PolarizationBasis.hv(), micro_dim=2)
 
 
 def attenuated_state_with_injection(

@@ -381,10 +381,9 @@ class TwoModeVector:
         vec: np.ndarray,
         cutoff: int,
         basis: PolarizationBasis,
-        drop_threshold: float = DROP_THRESHOLD,
     ) -> "TwoModeVector":
         space = fock_space(cutoff)
-        keep = np.flatnonzero(np.abs(vec) > drop_threshold)
+        keep = np.flatnonzero(np.abs(vec) > DROP_THRESHOLD)
         return cls(space.n[keep], space.m[keep], vec[keep], cutoff, basis)
 
     @property
@@ -412,15 +411,6 @@ class TwoModeVector:
 
     def scaled(self, factor: complex) -> "TwoModeVector":
         return TwoModeVector(self.n, self.m, factor * self.amps, self.cutoff, self.basis)
-
-    def overlap(self, other: "TwoModeVector") -> complex:
-        """Inner product ``<self|other>``; both states must share a basis."""
-        if self.basis != other.basis:
-            raise ValueError("overlap requires a common basis")
-        _, mine, theirs = np.intersect1d(
-            self.keys, other.keys, assume_unique=True, return_indices=True
-        )
-        return complex(np.vdot(self.amps[mine], other.amps[theirs]))
 
     def mean_total_photons(self) -> float:
         return float(np.dot(self.n + self.m, np.abs(self.amps) ** 2))
@@ -512,7 +502,9 @@ class DensityOperator:
             raise ValueError("cannot normalize a traceless operator")
         return DensityOperator(self.matrix / tr, self.cutoff, self.basis, self.micro_dim)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
+        """Raise unless Hermitian, of trace one and positive, each to 1e-9."""
+        tol = 1e-9
         if self.hermiticity_defect() > tol:
             raise ValueError("operator is not Hermitian within tolerance")
         if abs(self.trace() - 1.0) > tol:

@@ -133,7 +133,7 @@ def _sigma_operator_cached(
 def sigma_operator(
     axis: int,
     gain: GainParams,
-    cutoff: int | Cutoff,
+    cutoff: int,
     basis: PolarizationBasis | None = None,
 ) -> PseudoPauliOperator:
     """Pseudo-Pauli operator of a measurement axis at the given gain.
@@ -142,9 +142,8 @@ def sigma_operator(
     subspace.  ``basis`` selects the representation; the operator's own
     measurement basis is used when omitted.
     """
-    n_max = cutoff.n_max if isinstance(cutoff, Cutoff) else int(cutoff)
     rep = basis or PolarizationBasis.canonical(axis)
-    return _sigma_operator_cached(axis, gain.g, n_max, rep)
+    return _sigma_operator_cached(axis, gain.g, int(cutoff), rep)
 
 
 # --------------------------------------------------------------------------
@@ -286,6 +285,7 @@ def _tail_grid(seeds, gain: GainParams, etas, ks, cutoff: Cutoff) -> np.ndarray:
         for out, seed in zip(tails, seeds):
             law = _difference_law(seed, gain, etas[chunk], n_max, one_minus_z)
             for j, k in enumerate(ks):
+                k = min(k, half)  # both tails are empty from N/2 on; size - k must not wrap
                 out[0, j, chunk] = law[:, k + 1 : half].sum(axis=1)
                 out[1, j, chunk] = law[:, half : size - k].sum(axis=1)
     bad = np.argwhere(~np.isfinite(tails).all(axis=(0, 1)))  # (k, eta) order
@@ -379,14 +379,28 @@ def visibility(gain: GainParams, loss: LossParams, k: int, cutoff: Cutoff) -> fl
 # --------------------------------------------------------------------------
 
 def all_detectors_click_probability(photons: np.ndarray, detectors: int) -> np.ndarray:
-    """Probability that ``photons`` photons split evenly over ``detectors``
-    non-number-resolving detectors fire all of them (surjection count by
-    inclusion-exclusion)."""
+    """Probability that ``photons`` photons, each sent to one of ``detectors``
+    non-number-resolving detectors with equal odds, fire all of them.
+
+    The chance ``f(N, j)`` that exactly ``j`` of the ``d`` detectors hold a
+    photon obeys ``f(N+1, j) = f(N, j) j/d + f(N, j-1) (d-j+1)/d`` from
+    ``f(0, 0) = 1``: positive terms only, so ``f(N, d)`` keeps its relative
+    precision where an inclusion-exclusion sum cancels.
+    """
+    if detectors < 1:
+        raise ValueError("at least one detector per branch is required")
     photons = np.asarray(photons)
-    out = np.zeros(photons.shape, dtype=float)
-    for j in range(detectors + 1):
-        out += (-1.0) ** j * math.comb(detectors, j) * ((detectors - j) / detectors) ** photons
-    return np.clip(out, 0.0, 1.0)
+    if photons.size and photons.min() < 0:
+        raise ValueError(f"photon numbers must be non-negative, got {photons.min()}")
+    j = np.arange(detectors + 1)
+    occupied = (j == 0).astype(float)
+    full = np.empty(int(photons.max(initial=0)) + 1)
+    for count in range(full.size):
+        full[count] = occupied[-1]
+        occupied[1:] = occupied[1:] * j[1:] + occupied[:-1] * (detectors + 1 - j[1:])
+        occupied[0] = 0.0
+        occupied /= detectors
+    return full[photons]
 
 
 def multi_detector_probabilities(
@@ -401,12 +415,10 @@ def multi_detector_probabilities(
     branch misses at least one, and symmetrically for -1.  Simultaneous full
     coincidences on both branches are inconclusive.
     """
-    if detectors < 1:
-        raise ValueError("at least one detector per branch is required")
     space = fock_space(state.cutoff)
-    pops = _fock_populations(state, basis).sum(axis=0)
     s_n = all_detectors_click_probability(space.n, detectors)
     s_m = all_detectors_click_probability(space.m, detectors)
+    pops = _fock_populations(state, basis).sum(axis=0)
     p_plus = float(np.sum(pops * s_n * (1.0 - s_m)))
     p_minus = float(np.sum(pops * s_m * (1.0 - s_n)))
     total = float(pops.sum())

@@ -10,7 +10,7 @@ diagonalization of the corresponding matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +30,9 @@ _PPT_TOL = 1e-9  # a smallest partial-transpose eigenvalue >= -_PPT_TOL reads as
 
 @dataclass(frozen=True)
 class ConcurrenceReport:
-    """Concurrence value with the parameters that produced it.
-
-    ``surviving_fraction`` is the ratio of the concurrence to ``eta / 2``,
-    meaningful as the surviving entanglement fraction in the high-gain
-    regime; it is reported, never asserted.
-    """
+    """Concurrence of a two-qubit state."""
 
     concurrence: float
-    params: dict = field(default_factory=dict)
-    surviving_fraction: float | None = None
 
 
 @dataclass(frozen=True)
@@ -55,34 +48,27 @@ class PptReport:
     separable: bool
 
 
-def _check_two_qubit_state(rho: np.ndarray, tol: float) -> np.ndarray:
+def concurrence_2x2(rho: np.ndarray) -> ConcurrenceReport:
+    """Two-qubit concurrence via the spin-flip eigenvalue construction.
+
+    The input must be Hermitian and positive to 1e-9 and of trace one to
+    1e-6.  Eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` are clipped at 0
+    before the square roots; the basis order is (HH, HV, VH, VV).
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
         raise ValueError("density matrix is not trace one")
-    if np.linalg.eigvalsh(rho)[0] < -tol:
+    if np.linalg.eigvalsh(rho)[0] < -1e-9:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-    return rho
-
-
-def concurrence_2x2(rho: np.ndarray, params: dict | None = None, tol: float = 1e-9) -> ConcurrenceReport:
-    """Two-qubit concurrence via the spin-flip eigenvalue construction.
-
-    Eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` are clipped at 0 before
-    the square roots; the basis order is (HH, HV, VH, VV).
-    """
-    rho = _check_two_qubit_state(rho, tol)
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     evals = np.linalg.eigvals(rho @ flipped).real
     lambdas = np.sort(np.sqrt(np.clip(evals, 0.0, None)))[::-1]
     value = max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
-    surviving = None
-    if params and params.get("eta"):
-        surviving = value / (params["eta"] / 2.0)
-    return ConcurrenceReport(float(value), dict(params or {}), surviving)
+    return ConcurrenceReport(float(value))
 
 
 def concurrence_of_t(t: float) -> float:
@@ -193,13 +179,15 @@ def _pt_spectra(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-2, -1)) / 2.0)
 
 
-def ppt_test(rho: np.ndarray, dims: tuple[int, int], tol: float = _PPT_TOL) -> PptReport:
+def ppt_test(rho: np.ndarray, dims: tuple[int, int]) -> PptReport:
     """Peres positive-partial-transpose test.
 
-    Exact separability verdict for a 2x2 split; for larger local dimensions a
-    negative partial transpose still certifies entanglement while positivity
-    remains inconclusive.
+    The state reads as PPT when its smallest partial-transpose eigenvalue is
+    at least ``-1e-9`` (``_PPT_TOL``, shared with
+    :func:`critical_injection_scan`).  Exact separability verdict for a 2x2
+    split; for larger local dimensions a negative partial transpose still
+    certifies entanglement while positivity remains inconclusive.
     """
     evals = _pt_spectra(rho, dims)
     negativity = float(-np.sum(evals[evals < 0.0]))
-    return PptReport(evals, negativity, bool(evals[0] >= -tol))
+    return PptReport(evals, negativity, bool(evals[0] >= -_PPT_TOL))

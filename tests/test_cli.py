@@ -284,6 +284,17 @@ class TestPlumbing:
         assert code == EXIT_NUMERIC
         assert "inconclusive" in err
 
+    def test_threshold_beyond_the_fft_length_leaves_no_conclusive_outcome(self, capsys):
+        # cutoff 10 takes an FFT of length 32: k = 40 is past every difference
+        flags = ["--g", "1.2", "--k", "40", "--R", "0,0.5", "--cutoff", "10", "--tail-tol", "0.5"]
+        code, out, err = run_cli(["visibility", *flags], capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.count("\n") == 1 and "all outcomes inconclusive" in err
+        code, out, _ = run_cli(["witness-ofilter", *flags], capsys)
+        assert code == 0
+        assert column(out, "S") == [0.0, 0.0]
+
     @pytest.mark.parametrize("experiment", ["visibility", "witness-sigma", "witness-ofilter"])
     def test_non_finite_probability_exits_3(self, experiment, monkeypatch, capsys):
         import qiopa.measurement
@@ -749,16 +760,6 @@ def test_default_run_is_finite(experiment, capsys):
             assert math.isfinite(value), (experiment, row)
 
 
-def test_import_defers_scipy_optimize():
-    # scipy.optimize takes about as long to import as the rest of the CLI, and
-    # only generalized_dichotomic_bound needs it
-    import qiopa
-
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qiopa.__file__))}
-    code = "import sys, qiopa.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
 def _source_env():
     """Environment in which a fresh interpreter imports this checkout's qiopa."""
     import qiopa
@@ -766,11 +767,15 @@ def _source_env():
     return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qiopa.__file__))}
 
 
-@pytest.mark.parametrize("module", ["qiopa", "qiopa.cli"])
-def test_import_loads_no_scipy(module):
-    # importing qiopa needs only numpy; generalized_dichotomic_bound loads
-    # scipy.optimize when it is called
-    code = f"import sys, {module}; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+@pytest.mark.parametrize(
+    "statement",
+    ["import qiopa", "import qiopa.cli", "import qiopa; qiopa.generalized_dichotomic_bound()"],
+    ids=["qiopa", "qiopa.cli", "dichotomic-bound"],
+)
+def test_import_loads_no_scipy(statement):
+    # qiopa's one runtime dependency is numpy; the dichotomic bound refines
+    # its grid point with numpy too
+    code = f"import sys; {statement}; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True, check=True
     )

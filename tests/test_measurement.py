@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -43,6 +44,7 @@ from qiopa.fock import CutoffError
 from qiopa.measurement import (
     _difference_law,
     _fringe_grid,
+    _tail_grid,
     all_detectors_click_probability,
     lossy_fringe_probabilities,
 )
@@ -305,9 +307,10 @@ class TestVisibility:
 
 
 def tails_of_one_law(law, k):
-    """``(P+, P-)`` of a 1-D law, slice by slice, as each row is read."""
+    """``(P+, P-)`` of a 1-D law, slice by slice, as each row is read; no
+    difference lies beyond N/2, so neither slice may wrap around."""
     half = law.size // 2
-    return float(law[k + 1 : half].sum()), float(law[half : law.size - k].sum())
+    return float(law[k + 1 : half].sum()), float(law[half : max(half, law.size - k)].sum())
 
 
 class TestStackedLaw:
@@ -433,6 +436,37 @@ class TestStackedLaw:
         # an undersized cutoff fails the tail gate first
         with pytest.raises(CutoffError, match="cutoff 9000001 keeps tail mass"):
             grid(GainParams(7.0), [0.5], [0], Cutoff(9_000_001, 1e-9))
+
+
+class TestThresholdsBeyondTheLaw:
+    """A law of length N holds differences -N/2 .. N/2 - 1, so no threshold
+    from N/2 on leaves a conclusive outcome; a threshold above N must not
+    wrap around to the far end of the law."""
+
+    def test_tails_are_zero_from_half_the_fft_length(self):
+        gain, cutoff = GainParams(1.2), Cutoff(10, 0.5)
+        size = qiopa.measurement._fft_length(cutoff.n_max)
+        assert size == 32
+        ks = list(range(size // 2, 3 * size))
+        tails = _tail_grid(("H", "equatorial"), gain, [0.0, 0.3, 0.5, 1.0], ks, cutoff)
+        assert np.array_equal(tails, np.zeros_like(tails))
+        below = _tail_grid(("H", "equatorial"), gain, [1.0], [size // 2 - 2], cutoff)
+        assert below.sum() > 0.0  # the last threshold that leaves a tail
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.floats(0.0, 1.5),
+        eta=st.floats(0.0, 1.0),
+        tol=st.sampled_from([1e-2, 1e-4, 1e-9]),
+    )
+    def test_tails_do_not_grow_with_the_threshold(self, g, eta, tol):
+        gain = GainParams(g)
+        cutoff = Cutoff(required_cutoff(gain, tol), tol)
+        size = qiopa.measurement._fft_length(cutoff.n_max)
+        ks = list(range(2 * size))
+        tails = _tail_grid(("H", "equatorial"), gain, [eta], ks, cutoff)[..., 0]
+        assert np.all(np.diff(tails, axis=-1) <= 1e-15)
+        assert np.all(tails[..., size // 2 :] == 0.0)
 
 
 def full_circle_one_minus_z(size):
@@ -642,6 +676,32 @@ class TestMultiDetector:
         state = TwoModeVector.from_amplitudes({(1, 0): 1.0}, 2, PM)
         with pytest.raises(ValueError):
             multi_detector_probabilities(state, PM, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            all_detectors_click_probability(np.array([3, -1]), 2)
+
+    @pytest.mark.parametrize("detectors", [1, 2, 3, 7, 30, 50, 60])
+    def test_all_click_probability_matches_exact_arithmetic(self, detectors):
+        # exact surjection counts: at 50 detectors and 50 photons the value is
+        # 3.4e-21, far below what an alternating float sum of O(1) terms resolves
+        photons = np.arange(5 * detectors + 1)
+        got = all_detectors_click_probability(photons, detectors)
+        assert got.shape == photons.shape
+        for n, value in zip(photons.tolist(), got.tolist()):
+            surjections = sum(
+                (-1) ** j * math.comb(detectors, j) * (detectors - j) ** n
+                for j in range(detectors + 1)
+            )
+            exact = Fraction(surjections, detectors**n)
+            if exact == 0:
+                assert value == 0.0, n
+            else:
+                assert abs(Fraction(value) - exact) <= Fraction(1, 10**13) * exact, n
+
+    def test_all_click_probability_keeps_the_shape_of_its_input(self):
+        got = all_detectors_click_probability(np.array([[4, 5], [2, 3]]), 3)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == 0.0
+        assert got[1, 1] == pytest.approx(6.0 / 27.0, rel=1e-15)
 
     def test_outcomes_weight_populations_by_click_probabilities(self):
         # +1 needs every detector of the first branch and not every one of the

@@ -60,10 +60,6 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             concurrence_2x2(skew)
 
-    def test_surviving_fraction_reported(self):
-        rep = concurrence_2x2(SINGLET, params={"eta": 0.5})
-        assert rep.surviving_fraction == pytest.approx(rep.concurrence / 0.25)
-
 
 class TestAnalyticConcurrence:
     def test_limits(self):

@@ -1,12 +1,18 @@
 """The benchmark's workloads reach qiopa through names that must keep
 resolving: a deletion from the package would otherwise surface only when a
-benchmark run fails."""
+benchmark run fails.  The declared runtime dependencies are exactly what the
+package's sources import."""
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def called_names(path):
@@ -41,3 +47,25 @@ def test_every_name_the_workloads_call_resolves():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def third_party_imports(paths):
+    """Top-level names of every absolute import in ``paths`` that is neither
+    the standard library nor qiopa itself."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"qiopa"}
+
+
+def test_runtime_dependencies_are_what_src_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    # a requirement such as "numpy>=1.24" starts with its distribution name
+    declared = {re.match(r"[A-Za-z0-9._-]+", req).group(0) for req in project["dependencies"]}
+    imported = third_party_imports(sorted((ROOT / "src" / "qiopa").glob("*.py")))
+    assert declared == imported == {"numpy"}

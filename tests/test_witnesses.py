@@ -232,8 +232,9 @@ class TestSeparableCounterexample:
 class TestGeneralizedBound:
     def test_maximum_is_sqrt_three(self):
         bound = generalized_dichotomic_bound()
-        assert bound.value == pytest.approx(math.sqrt(3.0), abs=1e-6)
-        assert np.allclose(np.abs(bound.bloch_vector), 1.0 / math.sqrt(3.0), atol=1e-5)
+        assert abs(bound.value - math.sqrt(3.0)) <= 1e-12
+        assert np.allclose(np.abs(bound.bloch_vector), 1.0 / math.sqrt(3.0), rtol=0.0, atol=1.3e-8)
+        assert np.linalg.norm(bound.bloch_vector) == pytest.approx(1.0, abs=1e-15)
 
     def test_single_axis_state_scores_one(self):
         rho = np.array([[1.0, 0.0], [0.0, 0.0]])  # Bloch vector (0, 0, 1)
