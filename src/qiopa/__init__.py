@@ -1,6 +1,11 @@
 """Desk-scale simulation of micro-macro entanglement from a seeded optical
-parametric amplifier: state generation, photon loss, threshold detection,
-entanglement witnesses and entanglement metrics."""
+parametric amplifier.
+
+``import qiopa`` loads the core: state generation (``fock``, ``amplifier``),
+photon loss and conditioning (``channels``) and entanglement metrics
+(``metrics``).  Threshold detection and the pseudo-Pauli and Stokes
+operators live in ``qiopa.measurement``, the entanglement witnesses in
+``qiopa.witnesses``; import them from there."""
 
 from .fock import (
     ConditioningError,
@@ -39,34 +44,6 @@ from .channels import (
     conditioning_cutoff,
     lossy_channel,
     mixed_injection_state,
-)
-from .measurement import (
-    PseudoPauliOperator,
-    ThresholdPOVM,
-    lossy_fringe_probabilities,
-    multi_detector_probabilities,
-    ofilter_probabilities,
-    pauli_matrix,
-    sigma_operator,
-    stokes_terms,
-    threshold_povm,
-    visibility,
-)
-from .witnesses import (
-    DICHOTOMIC_BOUND,
-    SEPARABLE_BOUND,
-    DichotomicBound,
-    SeparableCounterexample,
-    WitnessReport,
-    generalized_dichotomic_bound,
-    micro_macro_sigma_witness,
-    micro_micro_witness,
-    ofilter_witness,
-    ofilter_witness_lossy,
-    separable_counterexample,
-    sigma_witness_lossy,
-    simon_spin_witness,
-    simon_spin_witness_lossy,
 )
 from .metrics import (
     ConcurrenceReport,

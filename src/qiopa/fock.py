@@ -496,12 +496,6 @@ class DensityOperator:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2.0)[0])
 
-    def normalized(self) -> "DensityOperator":
-        tr = np.trace(self.matrix)
-        if abs(tr) == 0.0:
-            raise ValueError("cannot normalize a traceless operator")
-        return DensityOperator(self.matrix / tr, self.cutoff, self.basis, self.micro_dim)
-
     def validate(self) -> None:
         """Raise unless Hermitian, of trace one and positive, each to 1e-9."""
         tol = 1e-9

@@ -145,9 +145,8 @@ def critical_injection_scan(
     steps = 0
     while 0.5**steps > tol:  # counted: a bracket of adjacent floats no longer halves
         steps += 1
+    # p = 0 is never NPT: a(0) = 0 leaves a multiple of the identity, or no trace
     lo, hi = 0.0, 1.0
-    if npt(lo):
-        return 0.0
     if not npt(hi):
         return 1.0
     for _ in range(steps):

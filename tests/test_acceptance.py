@@ -16,7 +16,6 @@ import numpy as np
 
 from qiopa import (
     Cutoff,
-    DICHOTOMIC_BOUND,
     GainParams,
     LossParams,
     PolarizationBasis,
@@ -28,21 +27,21 @@ from qiopa import (
     critical_injection_probability,
     critical_injection_scan,
     fock_space,
-    generalized_dichotomic_bound,
     lossy_channel,
     macro_qubit,
     micro_macro_state_hv,
-    ofilter_witness,
-    pauli_matrix,
     ppt_test,
     required_cutoff,
     rotate_basis,
+)
+from qiopa.measurement import pauli_matrix, sigma_operator, threshold_povm, visibility
+from qiopa.witnesses import (
+    DICHOTOMIC_BOUND,
+    generalized_dichotomic_bound,
+    ofilter_witness,
     separable_counterexample,
-    sigma_operator,
     sigma_witness_lossy,
     simon_spin_witness_lossy,
-    threshold_povm,
-    visibility,
 )
 from qiopa.cli import main as cli_main
 from qiopa.fock import DensityOperator

@@ -332,6 +332,30 @@ class TestPlumbing:
     def test_unknown_experiment_exits_2(self, capsys):
         assert main(["teleportation"]) == EXIT_CONFIG
 
+    # "{cfg}" stands for a config file holding the given text; with no text
+    # the file is never written, so it cannot be read
+    @pytest.mark.parametrize("argv, text, message", [
+        (["concurrence", "--config", "{cfg}"], "t=0.1\nt 0.2\n", "run.cfg:2: expected key=value, got 't 0.2'"),
+        (["concurrence", "--config", "{cfg}"], None, "cannot read config file"),
+        (["ofilter-dist", "--basis", "eq:abc"], None, "bad basis phase in 'eq:abc'"),
+        (["concurrence", "--t", "1.5"], None, "t=1.5 outside [0, 1)"),
+        (["ofilter-dist", "--n", "0", "--m", "0"], None, "non-negative photon pair with n+m >= 1"),
+        (["density", "--eta", "0.1,0.2"], None, "expects a single eta (or R)"),
+        (["concurrence", "--g", "1"], None, "needs eta (or R) grids when t is absent"),
+        (["concurrence", "--eta", "0.5"], None, "needs a gain grid when t is absent"),
+        (["concurrence", "--config", "{cfg}"], "t=0.1\nformat=xml\n", "unknown output format 'xml'"),
+        (["witness-sigma", "--g", ","], None, "parameter 'g' resolved to an empty grid"),
+    ], ids=["no-equals", "unreadable-config", "basis-phase", "t-range", "empty-fock-state",
+            "density-eta-grid", "concurrence-no-loss", "concurrence-no-gain", "config-format",
+            "empty-grid"])
+    def test_config_error_exits_2_with_one_line(self, argv, text, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli([arg.replace("{cfg}", str(cfg)) for arg in argv], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.count("\n") == 1 and err.startswith("config error: ") and message in err
+
 
 # every parameter flag with a value it accepts
 FLAG_VALUES = {
@@ -627,6 +651,11 @@ class TestExperiments:
         for a, b in zip(closed, scanned):
             assert abs(a - b) < 1e-4
 
+    def test_pcrit_reaches_one_where_t_rounds_to_one(self, capsys):
+        code, out, _ = run_cli(["pcrit", "--g", "20", "--eta", "0"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "20,0,1,1,1"
+
     # pcrit's scan values are dyadic midpoints, and the other four are pure
     # Python or elementwise numpy, so these bytes do not drift with the BLAS.
     # visibility and witness-ofilter (FFT) and ofilter-dist (eigh) may, so
@@ -767,16 +796,34 @@ def _source_env():
     return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qiopa.__file__))}
 
 
+def _fresh_modules(statement, package):
+    """The modules of ``package`` that a fresh interpreter holds after
+    ``statement``, sorted."""
+    code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True, check=True
+    )
+    return result.stdout.split()
+
+
+CORE = ["qiopa", "qiopa.amplifier", "qiopa.channels", "qiopa.fock", "qiopa.metrics"]
+
+
+@pytest.mark.parametrize("statement, modules", [
+    ("import qiopa", CORE),
+    ("import qiopa.cli", sorted(CORE + ["qiopa.cli", "qiopa.measurement", "qiopa.witnesses"])),
+], ids=["qiopa", "qiopa.cli"])
+def test_import_loads_its_layers(statement, modules):
+    # the package loads the core only; the CLI loads every layer at its top
+    assert _fresh_modules(statement, "qiopa") == modules
+
+
 @pytest.mark.parametrize(
     "statement",
-    ["import qiopa", "import qiopa.cli", "import qiopa; qiopa.generalized_dichotomic_bound()"],
+    ["import qiopa", "import qiopa.cli", "import qiopa.witnesses; qiopa.witnesses.generalized_dichotomic_bound()"],
     ids=["qiopa", "qiopa.cli", "dichotomic-bound"],
 )
 def test_import_loads_no_scipy(statement):
     # qiopa's one runtime dependency is numpy; the dichotomic bound refines
     # its grid point with numpy too
-    code = f"import sys; {statement}; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=_source_env(), capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == ""
+    assert _fresh_modules(statement, "scipy") == []

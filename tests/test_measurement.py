@@ -25,19 +25,20 @@ from qiopa import (
     macro_qubit,
     micro_macro_state,
     micro_macro_state_hv,
-    multi_detector_probabilities,
-    ofilter_probabilities,
-    pauli_matrix,
     required_cutoff,
     rotate_basis,
     photon_distribution,
+)
+from qiopa.measurement import (
+    multi_detector_probabilities,
+    ofilter_probabilities,
+    pauli_matrix,
     sigma_operator,
-    simon_spin_witness,
-    simon_spin_witness_lossy,
     stokes_terms,
     threshold_povm,
     visibility,
 )
+from qiopa.witnesses import simon_spin_witness, simon_spin_witness_lossy
 from qiopa.fock import schwinger_operator, transfer_matrix
 import qiopa.measurement
 from qiopa.fock import CutoffError

@@ -236,6 +236,21 @@ class TestCriticalInjection:
         with pytest.raises(ValueError, match="tol"):
             critical_injection_scan(GainParams(1.0), LossParams(0.01), tol)
 
+    def test_scan_reaches_one_where_t_rounds_to_one(self):
+        # tanh(20) rounds to 1, so a(p) = 0 at every p and no p is NPT
+        gain, loss = GainParams(20.0), LossParams(0.0)
+        assert coherence_parameter(gain, loss) == 1.0
+        assert critical_injection_scan(gain, loss) == 1.0 == critical_injection_probability(gain, loss)
+
+    @pytest.mark.parametrize("g", [0.0, 0.5, 2.0, 20.0])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    def test_no_injection_leaves_no_seeded_part(self, g, eta):
+        # the scan starts its bracket at p = 0 unchecked: a(0) = 0 leaves
+        # b I, whose partial transpose is positive, or no trace at all
+        gain, loss = GainParams(g), LossParams(eta)
+        a, b = _injection_weights(0.0, gain, coherence_parameter(gain, loss))
+        assert a == 0.0 and b >= 0.0
+
     def test_scan_below_the_float_spacing_ends(self):
         # p_crit is within 1e-7 of 1 here, where adjacent floats are 1.1e-16 apart
         gain, loss = GainParams(8.0), LossParams(0.0)

@@ -5,21 +5,23 @@ import pytest
 
 from qiopa import (
     Cutoff,
-    DICHOTOMIC_BOUND,
     DensityOperator,
     GainParams,
     LossParams,
     PolarizationBasis,
     fock_space,
-    generalized_dichotomic_bound,
     lossy_channel,
-    micro_macro_sigma_witness,
     micro_macro_state,
+    ppt_test,
+)
+from qiopa.measurement import pauli_matrix
+from qiopa.witnesses import (
+    DICHOTOMIC_BOUND,
+    generalized_dichotomic_bound,
+    micro_macro_sigma_witness,
     micro_micro_witness,
     ofilter_witness,
     ofilter_witness_lossy,
-    pauli_matrix,
-    ppt_test,
     separable_counterexample,
     sigma_witness_lossy,
     simon_spin_witness,
