@@ -14,10 +14,11 @@ generating functions, and the conditioning below keeps a closed form
 
 The highly attenuated regime conditions the lossy state on one surviving
 photon in the amplified arm: a two-qubit density matrix over (HH, HV, VH, VV),
-summed as overlaps of the components, sorted by flat index, shifted by -1, 0
-and +1; imperfect injection mixes the singlet with a vacuum seed beforehand.
-At 10^4 to 10^5 photons fresh full-length arrays, not flops, set the cost, so
-real ladders share read-only index arrays (``notes/decisions.md``).
+summed for one pure state as overlaps of its components, stored by ascending
+flat index, shifted by -1, 0 and +1.  Imperfect injection adds the vacuum
+seed's block to the singlet's.  At 10^4 to 10^5 photons fresh full-length
+arrays, not flops, set the cost, so real ladders share read-only index arrays
+(``notes/decisions.md``).
 """
 
 from __future__ import annotations
@@ -210,21 +211,15 @@ def lossy_channel(
 # single-photon conditioning (highly attenuated regime)
 # --------------------------------------------------------------------------
 
-def _survivor_columns(
-    comp: TwoModeVector, loss: LossParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices ``f`` of one component, ascending, with the amplitudes
-    ``h``, ``v`` of a photon surviving in mode H or V at each ``f`` (the
-    common ``sqrt(eta)`` left out), and the component's upper 2x2 diagonal
-    block: ``|h|^2``, ``|v|^2`` and the H survivor at ``f`` against the V
-    survivor at ``f - 1``.  The stored keys are sorted only when they do not
-    ascend (the ladders do).  The storage dtype picks the path: float64
+def _survivor_columns(comp: TwoModeVector, loss: LossParams) -> tuple[np.ndarray, ...]:
+    """Flat indices ``f`` of one component, ascending as it stores them, with
+    the amplitudes ``h``, ``v`` of a photon surviving in mode H or V at each
+    ``f`` (the common ``sqrt(eta)`` left out), and the component's Hermitian
+    2x2 own block: ``|h|^2``, ``|v|^2`` and the H survivor at ``f`` against
+    the V survivor at ``f - 1``.  The storage dtype picks the path: float64
     amplitudes (the ladders) stay real, complex128 ones make ``h`` and ``v``
     complex."""
     f, n, m, amps = comp.keys, comp.n, comp.m, comp.amps
-    if not comp._ascending:
-        order = np.argsort(f, kind="stable")
-        f, n, m, amps = f[order], n[order], m[order], amps[order]
     scaled = np.add(n, m, dtype=float)  # exact: photon numbers stay below 2^53
     scaled -= 1.0
     if loss.R > 0.0:
@@ -242,66 +237,63 @@ def _survivor_columns(
     v = np.sqrt(m).astype(scaled.dtype, copy=False)
     v *= scaled
     pair = f[1:] == f[:-1] + 1
-    own = np.array([[np.vdot(h, h), np.vdot(v[:-1][pair], h[1:][pair])], [0.0, np.vdot(v, v)]])
+    cross = np.vdot(v[:-1][pair], h[1:][pair])
+    own = np.array([[np.vdot(h, h), cross], [np.conj(cross), np.vdot(v, v)]])
     return f, h, v, own
 
 
-def _conditioned_block(
-    ensemble: list[tuple[float, tuple[TwoModeVector, TwoModeVector]]],
-    loss: LossParams,
-) -> tuple[np.ndarray, float]:
-    """Unnormalized two-qubit block of an ensemble after loss, conditioned on
-    exactly one photon surviving on the amplified arm.
+def _conditioned_block(comps: tuple[TwoModeVector, ...], loss: LossParams) -> np.ndarray:
+    """Unnormalized two-qubit block of one pure joint state after loss,
+    conditioned on exactly one photon surviving on the amplified arm.
 
-    Each member is a pure joint state given by its two micro components in the
-    (H, V) representation.  The photon surviving in mode ``q`` of ``c |n, m>`` has
+    The state is given by its two micro components in the (H, V)
+    representation.  The photon surviving in mode ``q`` of ``c |n, m>`` has
     amplitude ``c sqrt(n_q) R^((n+m-1)/2) sqrt(eta)``, and column ``(s, q)`` at flat
     index ``f`` shares its lost-photon pattern with ``(s', q')`` at ``f + q - q'``:
-    the block is ``eta`` times overlaps of the components, sorted by flat index,
-    shifted by -1, 0 and +1 (``notes/decisions.md``).  Each distinct component
-    gets its survivor columns once per call, and a member with an empty
-    component has no cross overlaps.  The amplitude stays in closed form; no
-    dense loss table fits at the attenuated pipelines' cutoffs.
+    the block is ``eta`` times overlaps of the components, stored by
+    ascending flat index, shifted by -1, 0 and +1 (``notes/decisions.md``).
+    An empty component has no cross overlaps.  The block is linear in the
+    state's projector, so a mixture's block is the weighted sum of its
+    members'.  The amplitude stays in closed form; no dense loss table fits
+    at the attenuated pipelines' cutoffs.
     """
-    upper = np.zeros((4, 4), dtype=complex)  # the block's upper triangle
-    columns = {}
-    for weight, comps in ensemble:
-        scale, cols = weight * loss.eta, []
-        for s, comp in enumerate(comps):
-            if id(comp) not in columns:
-                columns[id(comp)] = _survivor_columns(comp, loss)
-            f, h, v, own = columns[id(comp)]
-            upper[2 * s : 2 * s + 2, 2 * s : 2 * s + 2] += scale * own
-            cols.append((f, h, v))
-        (f0, h0, v0), (f1, h1, v1) = cols
-        if len(f0) and len(f1):
-            # at[i] keys of component 1 lie below f0[i]: read off one stable
-            # merge of the two ascending key lists, f0 first on ties
-            at = np.flatnonzero(np.argsort(np.concatenate((f0, f1)), kind="stable") < len(f0))
-            at -= np.arange(len(f0))
-            # component 1 at f, f - 1 and f + 1 for each f of component 0, by
-            # key difference in one buffer; an index clipped into range fails
-            gap = np.empty_like(at)
-            same = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 0
-            if same.any():
-                upper[0, 2] += scale * np.vdot(h1[at[same]], h0[same])
-                upper[1, 3] += scale * np.vdot(v1[at[same]], v0[same])
-            at -= 1
-            down = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == -1
-            if down.any():
-                upper[0, 3] += scale * np.vdot(v1[at[down]], h0[down])
-            at += 1  # past f itself where component 1 holds it
-            at += same
-            up = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 1
-            if up.any():
-                upper[1, 2] += scale * np.vdot(h1[at[up]], v0[up])
-    rho = upper + np.triu(upper, 1).conj().T
-    return rho, float(np.trace(rho).real)
+    (f0, h0, v0, own0), (f1, h1, v1, own1) = (_survivor_columns(c, loss) for c in comps)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[:2, :2], rho[2:, 2:] = own0, own1
+    if len(f0) and len(f1):
+        # at[i] keys of component 1 lie below f0[i]; component 1 at f, f - 1
+        # and f + 1 for each f of component 0, by key difference in one
+        # buffer; an index clipped into range fails
+        at = np.searchsorted(f1, f0)
+        gap = np.empty_like(at)
+        same = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 0
+        if same.any():
+            rho[0, 2] = np.vdot(h1[at[same]], h0[same])
+            rho[1, 3] = np.vdot(v1[at[same]], v0[same])
+        at -= 1
+        down = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == -1
+        if down.any():
+            rho[0, 3] = np.vdot(v1[at[down]], h0[down])
+        at += 1  # past f itself where component 1 holds it
+        at += same
+        up = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 1
+        if up.any():
+            rho[1, 2] = np.vdot(h1[at[up]], v0[up])
+        rho[2:, :2] = rho[:2, 2:].conj().T
+    rho *= loss.eta
+    return rho
 
 
-def attenuate_to_single_photon(
-    joint: MicroMacroState, loss: LossParams
-) -> np.ndarray:
+def _normalized(rho: np.ndarray, loss: LossParams) -> np.ndarray:
+    """``rho`` divided by its trace, the single-photon probability; raises
+    :class:`ConditioningError` when that vanishes (for example at ``eta = 0``)."""
+    prob = float(np.trace(rho).real)
+    if prob <= 0.0:
+        raise ConditioningError(f"single-photon probability vanishes at eta={loss.eta}")
+    return rho / prob
+
+
+def attenuate_to_single_photon(joint: MicroMacroState, loss: LossParams) -> np.ndarray:
     """Two-qubit state of the joint system in the highly attenuated regime.
 
     Applies loss to the amplified arm and conditions on exactly one surviving
@@ -310,12 +302,7 @@ def attenuate_to_single_photon(
     single-photon probability vanishes (for example at ``eta = 0``).
     """
     joint_hv = joint.rotated(PolarizationBasis.hv())
-    rho, prob = _conditioned_block([(1.0, joint_hv.components)], loss)
-    if prob <= 0.0:
-        raise ConditioningError(
-            f"single-photon probability vanishes at eta={loss.eta}"
-        )
-    return rho / prob
+    return _normalized(_conditioned_block(joint_hv.components, loss), loss)
 
 
 # --------------------------------------------------------------------------
@@ -388,27 +375,21 @@ def attenuated_injection_pipeline(
 ) -> np.ndarray:
     """Numeric route to the imperfect-injection attenuated state.
 
-    Amplifies the mixed seed as an ensemble of pure states, pushes each
-    branch through the loss channel and conditions on a single surviving
-    photon.  Every member keeps its exact truncated amplitudes: the unit-norm
-    singlet is weighed by its kept mass ``1 - pair_ladder_tail``, and the
-    vacuum ladder is not normalized, so the members' different tails do not
-    bias the ``p : (1 - p)`` mixture.  Converges to
+    Amplifies the mixed seed, pushes it through the loss channel and
+    conditions on a single surviving photon.  The singlet contributes its
+    block; the vacuum seed, with probability ``(1 - p) / 2`` next to either
+    micro state, contributes the amplified vacuum's own block on that
+    state's half.  Every branch keeps its exact truncated amplitudes: the
+    unit-norm singlet is weighed by its kept mass ``1 - pair_ladder_tail``,
+    and the vacuum ladder is not normalized, so the branches' different
+    tails do not bias the ``p : (1 - p)`` mixture.  Converges to
     :func:`attenuated_state_with_injection` like the conditional tail of
     :func:`conditioning_cutoff`.
     """
-    singlet = micro_macro_state_hv(gain, cutoff)
     kept = 1.0 - pair_ladder_tail((cutoff.n_max - 1) // 2, gain)
-    vac = amplified_vacuum(gain, cutoff)
-    zero = TwoModeVector([], [], [], cutoff.n_max, PolarizationBasis.hv())
-    ensemble = [
-        (p.p * kept, singlet.components),
-        ((1.0 - p.p) / 2.0, (vac, zero)),
-        ((1.0 - p.p) / 2.0, (zero, vac)),
-    ]
-    rho, prob = _conditioned_block(ensemble, loss)
-    if prob <= 0.0:
-        raise ConditioningError(
-            f"single-photon probability vanishes at eta={loss.eta}, p={p.p}"
-        )
-    return rho / prob
+    # the vacuum first: its columns are gone before the singlet is built, and
+    # this order takes fewer page faults than the other (notes/decisions.md)
+    vac = _survivor_columns(amplified_vacuum(gain, cutoff), loss)[3]
+    rho = p.p * kept * _conditioned_block(micro_macro_state_hv(gain, cutoff).components, loss)
+    rho += np.kron(np.eye(2), ((1.0 - p.p) / 2.0 * loss.eta) * vac)
+    return _normalized(rho, loss)

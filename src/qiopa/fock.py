@@ -316,15 +316,16 @@ class TwoModeVector:
     ``n`` and ``m`` (int64) and amplitudes ``amps`` (float64 for real input,
     complex128 otherwise), one entry per stored ``|n, m>``.
 
-    The arrays are validated and stored read-only, exact zeros left out; an
-    input is shared only if it is a read-only array of its storage dtype that
-    owns its data, else copied.  Each ``(n, m)`` appears at most once.  The
-    squared-amplitude sum may fall below one (truncated states); it must be
-    finite and at most one, to tolerance.  Hand-written states come in
-    through :meth:`from_amplitudes`, dense ones through :meth:`from_dense`,
-    which leaves out amplitudes below :data:`DROP_THRESHOLD`.  The flat
-    indices of the entries (:func:`_flat_index`), which the validation
-    computes, are kept read-only in storage order as ``keys``.
+    The arrays are validated and stored read-only, exact zeros left out, in
+    ascending order of the entries' flat indices (:func:`_flat_index`), which
+    are kept read-only as ``keys``.  Input that does not ascend is sorted
+    once; an ascending input is shared only if it is a read-only array of its
+    storage dtype that owns its data, else copied.  Each ``(n, m)`` appears
+    at most once.  The squared-amplitude sum may fall below one (truncated
+    states); it must be finite and at most one, to tolerance.  Hand-written
+    states come in through :meth:`from_amplitudes`, dense ones through
+    :meth:`from_dense`, which leaves out amplitudes below
+    :data:`DROP_THRESHOLD`.
     """
 
     n: np.ndarray
@@ -333,7 +334,6 @@ class TwoModeVector:
     cutoff: int
     basis: PolarizationBasis
     keys: np.ndarray = field(init=False, repr=False)
-    _ascending: bool = field(init=False, repr=False)  # keys strictly ascending
 
     def __post_init__(self) -> None:
         n, m = _stored(self.n, np.int64), _stored(self.m, np.int64)
@@ -348,9 +348,11 @@ class TwoModeVector:
             i = int(np.argmax((n < 0) | (m < 0) | (m > self.cutoff - n)))
             raise ValueError(f"index ({n[i]}, {m[i]}) outside cutoff {self.cutoff}")
         keys = _flat_index(n, total)
-        ascending = bool((keys[1:] > keys[:-1]).all())
-        if not ascending and np.unique(keys).size < keys.size:
-            raise ValueError("repeated (n, m) index")
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys)
+            n, m, amps, keys = n[order], m[order], amps[order], keys[order]
+            if (keys[1:] == keys[:-1]).any():
+                raise ValueError("repeated (n, m) index")
         mass = float(np.vdot(amps, amps).real)
         if not mass <= 1.0 + _NORM_TOL:  # NaN fails the comparison too
             fault = "exceeds 1" if mass > 1.0 else "is not a number"
@@ -361,7 +363,6 @@ class TwoModeVector:
         for name, arr in (("n", n), ("m", m), ("amps", amps), ("keys", keys)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_ascending", ascending)
 
     @classmethod
     def from_amplitudes(

@@ -1,13 +1,16 @@
 """One untimed pass of every benchmark workload at seed 1, each operation
 judged by its own check from ``bench/checks.py``: an output the benchmark
-would count as incorrect fails here first.  ``bench/`` is imported as it is
-and nothing is written there."""
+would count as incorrect fails here first.  The pass raises on a
+floating-point overflow, invalid operation or division by zero that no
+kernel masks on purpose.  ``bench/`` is imported as it is and nothing is
+written there."""
 
 import importlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,5 +34,6 @@ def workloads():
 def test_every_operation_passes_its_check(workloads, name):
     ops = workloads.WORKLOADS[name].build(1)
     assert ops
-    problems = {op.label: op.check(op.run(op.resolve())) for op in ops}
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        problems = {op.label: op.check(op.run(op.resolve())) for op in ops}
     assert {label: found for label, found in problems.items() if found} == {}

@@ -288,13 +288,20 @@ class TestAttenuateToSinglePhoton:
         gain, loss = GainParams(0.7), LossParams(0.3)
         state = micro_macro_state_hv(gain, Cutoff(17, 0.5))
         direct = attenuate_to_single_photon(state, loss)
-        rho = lossy_channel(state, loss)
-        space = fock_space(17)
-        idx = [space.index(1, 0), space.index(0, 1)]
-        joint_idx = [s * space.dim + b for s in range(2) for b in idx]
-        block = rho.matrix[np.ix_(joint_idx, joint_idx)]
-        block /= np.trace(block)
-        assert np.max(np.abs(direct - block)) < 1e-12
+        assert np.max(np.abs(direct - channel_projection(state, loss))) < 1e-12
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_empty_micro_component_agrees_with_generic_channel_projection(self, empty):
+        # one micro state carries no amplitude: the block has no cross
+        # overlaps, and the conditioned state lives on the other half
+        gain, loss = GainParams(0.7), LossParams(0.3)
+        comps = [micro_macro_state_hv(gain, Cutoff(17, 0.5)).components[1 - empty]] * 2
+        comps[empty] = TwoModeVector.from_amplitudes({}, 17, HV)
+        state = MicroMacroState(tuple(comps), gain, HV)
+        direct = attenuate_to_single_photon(state, loss)
+        assert np.max(np.abs(direct - channel_projection(state, loss))) < 1e-12
+        half = slice(2 * empty, 2 * empty + 2)
+        assert not direct[half].any() and not direct[:, half].any()
 
     def test_equatorial_construction_feeds_the_same_pipeline(self):
         from qiopa import micro_macro_state
@@ -309,6 +316,17 @@ class TestAttenuateToSinglePhoton:
         state = micro_macro_state_hv(GainParams(0.5), Cutoff(9, 0.5))
         with pytest.raises(ConditioningError):
             attenuate_to_single_photon(state, LossParams(0.0))
+
+
+def channel_projection(state: MicroMacroState, loss: LossParams) -> np.ndarray:
+    """The lossy joint state from the generic Kraus sum, projected onto one
+    surviving photon on the macro arm and normalized."""
+    rho = lossy_channel(state, loss)
+    space = fock_space(state.cutoff)
+    idx = [space.index(1, 0), space.index(0, 1)]
+    joint_idx = [s * space.dim + b for s in range(2) for b in idx]
+    block = rho.matrix[np.ix_(joint_idx, joint_idx)]
+    return block / np.trace(block)
 
 
 class TestMixedInjection:

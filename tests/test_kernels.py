@@ -55,9 +55,11 @@ from qiopa.amplifier import (
     pair_ladder_tail,
 )
 from qiopa.channels import (
+    InjectionParams,
     _binomial_thinning_kernel,
     _conditional_tail_fraction,
     _conditioned_block,
+    attenuated_injection_pipeline,
     coherence_parameter,
 )
 from qiopa.fock import (
@@ -519,7 +521,8 @@ def test_tail_gate_passes_at_the_required_cutoff_and_raises_below(g, tol):
 # --------------------------------------------------------------------------
 
 def injection_ensemble(p, gain, n_max):
-    """The ensemble that ``attenuated_injection_pipeline`` conditions."""
+    """The mixture that ``attenuated_injection_pipeline`` conditions, as three
+    pure members; each vacuum member has an empty micro component."""
     cutoff = Cutoff(n_max, ANY_TAIL)
     singlet = micro_macro_state_hv(gain, cutoff)
     vac = amplified_vacuum(gain, cutoff)
@@ -531,8 +534,15 @@ def injection_ensemble(p, gain, n_max):
     ]
 
 
+def ensemble_block(ensemble, loss):
+    """Block of a weighted mixture of pure joint states, the weighted sum of
+    the members' blocks, and its trace."""
+    rho = sum(weight * _conditioned_block(comps, loss) for weight, comps in ensemble)
+    return rho, float(np.trace(rho).real)
+
+
 def assert_same_block(ensemble, loss, rtol=1e-12):
-    rho, prob = _conditioned_block(ensemble, loss)
+    rho, prob = ensemble_block(ensemble, loss)
     want_rho, want_prob = conditioned_block_loop(ensemble, loss)
     assert np.linalg.norm(rho - want_rho) <= rtol * np.linalg.norm(want_rho)
     assert abs(prob - want_prob) <= rtol * want_prob
@@ -577,6 +587,18 @@ def test_conditioning_matches_loop_on_arbitrary_members(members, eta):
     assert_same_block(ensemble, LossParams(eta))
 
 
+@pytest.mark.parametrize(
+    "g, eta, p, n_max", [(4.0, 1e-4, 0.9, 37809), (2.0, 0.3, 0.5, 41), (1.0, 0.9, 0.0, 9), (4.0, 1.0, 0.7, 41)]
+)
+def test_injection_pipeline_conditions_the_injection_ensemble(g, eta, p, n_max):
+    # the pipeline adds the singlet's block and the vacuum ladder's own
+    # block on either half; the ensemble has the vacuum as two members
+    gain, loss = GainParams(g), LossParams(eta)
+    rho, prob = ensemble_block(injection_ensemble(p, gain, n_max), loss)
+    got = attenuated_injection_pipeline(InjectionParams(p), gain, loss, Cutoff(n_max, ANY_TAIL))
+    assert np.max(np.abs(got - rho / prob)) <= 1e-15
+
+
 def test_conditioning_matches_loop_at_the_largest_benchmark_cutoff():
     gain, loss = GainParams(4.0), LossParams(1e-4)
     assert_same_block(injection_ensemble(0.9995, gain, 37809), loss)
@@ -602,23 +624,25 @@ def test_vacuum_members_give_their_diagonal_closed_form(g, eta, n_max):
     x = vacuum_member_weight(gain, loss, n_max)
     for members, diagonal in (([(vac, zero)], [x, x, 0, 0]), ([(zero, vac)], [0, 0, x, x]),
                               ([(vac, zero), (zero, vac)], [x, x, x, x])):
-        rho, prob = _conditioned_block([(1.0, comps) for comps in members], loss)
+        rho, prob = ensemble_block([(1.0, comps) for comps in members], loss)
         assert np.max(np.abs(rho - np.diag(diagonal))) <= 1e-13 * max(x, 1e-300)
         assert prob == pytest.approx(sum(diagonal), rel=1e-13, abs=0.0)
 
 
 def reversed_vector(vec):
-    """The same vector with its entries stored in descending flat order."""
+    """The same vector built from its entries in descending flat order."""
     return TwoModeVector(vec.n[::-1], vec.m[::-1], vec.amps[::-1], vec.cutoff, vec.basis)
 
 
 def test_conditioning_ignores_entry_order_at_the_largest_benchmark_cutoff():
-    # the shuffled ensembles reach cutoff 12 only; the ladders are stored in
-    # ascending order, so reversed storage makes the sort reorder every entry
+    # the shuffled ensembles reach cutoff 12 only; the ladders ascend, so
+    # reversed input makes the construction's sort reorder every entry
     loss = LossParams(1e-4)
     comps = micro_macro_state_hv(GainParams(4.0), Cutoff(37809, ANY_TAIL)).components
-    rho, prob = _conditioned_block([(1.0, comps)], loss)
-    rho_rev, prob_rev = _conditioned_block([(1.0, tuple(map(reversed_vector, comps)))], loss)
+    rev = tuple(map(reversed_vector, comps))
+    assert all(np.array_equal(r.keys, c.keys) and np.array_equal(r.amps, c.amps) for r, c in zip(rev, comps))
+    rho, prob = ensemble_block([(1.0, comps)], loss)
+    rho_rev, prob_rev = ensemble_block([(1.0, rev)], loss)
     assert np.max(np.abs(rho_rev - rho)) <= 1e-13
     assert abs(prob_rev - prob) <= 1e-13
 
@@ -627,7 +651,7 @@ def test_conditioning_at_eta_1_raises_no_floating_point_warning():
     # R = 0 and a |0, 0> vacuum entry: no 0^(-1/2), 0 * inf or 0 / 0
     ensemble = injection_ensemble(0.7, GainParams(4.0), 41)
     with np.errstate(all="raise"):
-        rho, prob = _conditioned_block(ensemble, LossParams(1.0))
+        rho, prob = ensemble_block(ensemble, LossParams(1.0))
     assert np.all(np.isfinite(rho)) and prob > 0.0
 
 
@@ -638,8 +662,8 @@ def test_conditioning_ignores_a_global_phase_at_the_largest_benchmark_cutoff():
     comps = micro_macro_state_hv(GainParams(4.0), Cutoff(37809, ANY_TAIL)).components
     turned = tuple(c.scaled(cmath.exp(0.7j)) for c in comps)
     assert not any(c.amps.imag.any() for c in comps) and all(c.amps.imag.any() for c in turned)
-    rho, prob = _conditioned_block([(1.0, comps)], loss)
-    rho_turned, prob_turned = _conditioned_block([(1.0, turned)], loss)
+    rho, prob = ensemble_block([(1.0, comps)], loss)
+    rho_turned, prob_turned = ensemble_block([(1.0, turned)], loss)
     assert np.max(np.abs(rho_turned - rho)) <= 1e-13
     assert abs(prob_turned - prob) <= 1e-13
 
@@ -653,8 +677,8 @@ def test_conditioning_mixes_a_real_and_a_complex_component(eta):
     ensemble = [(1.0, (real, other.scaled(phase)))]
     assert_same_block(ensemble, loss)
     with np.errstate(all="raise"):
-        rho, _ = _conditioned_block(ensemble, loss)
-    plain, _ = _conditioned_block([(1.0, (real, other))], loss)
+        rho, _ = ensemble_block(ensemble, loss)
+    plain, _ = ensemble_block([(1.0, (real, other))], loss)
     plain[:2, 2:] *= phase.conjugate()
     plain[2:, :2] *= phase
     assert np.max(np.abs(rho - plain)) <= 1e-15
@@ -727,7 +751,7 @@ def conditioning_ensembles(draw):
 @example(ensemble=injection_ensemble(0.7, GainParams(4.0), 41), eta=1.0)
 def test_conditioning_matches_dict_oracle(ensemble, eta):
     loss = LossParams(eta)
-    rho, prob = _conditioned_block(ensemble, loss)
+    rho, prob = ensemble_block(ensemble, loss)
     want_rho, want_prob = conditioned_block_dict(ensemble, loss)
     assert np.max(np.abs(rho - want_rho)) <= 1e-13
     assert abs(prob - want_prob) <= 1e-13
@@ -737,9 +761,9 @@ def test_conditioning_matches_dict_oracle(ensemble, eta):
 @given(conditioning_ensembles(), st.floats(1e-9, 1.0), st.floats(0.0, 2.0 * math.pi))
 def test_conditioning_ignores_a_global_phase(ensemble, eta, theta):
     loss, phase = LossParams(eta), cmath.exp(1j * theta)
-    rho, prob = _conditioned_block(ensemble, loss)
+    rho, prob = ensemble_block(ensemble, loss)
     turned = [(weight, tuple(c.scaled(phase) for c in comps)) for weight, comps in ensemble]
-    rho_turned, prob_turned = _conditioned_block(turned, loss)
+    rho_turned, prob_turned = ensemble_block(turned, loss)
     assert np.max(np.abs(rho_turned - rho)) <= 1e-13
     assert abs(prob_turned - prob) <= 1e-13
 
@@ -1167,7 +1191,7 @@ def test_vector_storage_is_a_read_only_copy():
     n, m, amps = np.array([1, 0, 2]), np.array([0, 1, 0]), np.array([0.6, 0.0, 0.8j])
     vec = TwoModeVector(n, m, amps, 3, HV)
     amps[0] = 0.0
-    # the exact zero is left out; the rest keeps its order
+    # the exact zero is left out; the rest is stored by ascending flat index
     assert vec.n.tolist() == [1, 2] and vec.m.tolist() == [0, 0]
     assert vec.amps.tolist() == [0.6, 0.8j]
     with pytest.raises(ValueError):
@@ -1191,10 +1215,11 @@ def test_vector_stores_real_amplitudes_as_float64_and_others_as_complex128(amps,
 
 
 def test_vector_copies_writable_input():
-    n, m, amps = np.array([1, 0]), np.array([0, 1]), np.array([0.6, 0.8])
+    # ascending input, so no sort copies it
+    n, m, amps = np.array([0, 1]), np.array([1, 0]), np.array([0.8, 0.6])
     vec = TwoModeVector(n, m, amps, 3, HV)
     n[0], m[0], amps[0] = 2, 1, 0.0
-    assert vec.n.tolist() == [1, 0] and vec.m.tolist() == [0, 1] and vec.amps.tolist() == [0.6, 0.8]
+    assert vec.n.tolist() == [0, 1] and vec.m.tolist() == [1, 0] and vec.amps.tolist() == [0.8, 0.6]
     assert not any(np.shares_memory(a, b) for a, b in ((n, vec.n), (m, vec.m), (amps, vec.amps)))
 
 
@@ -1204,8 +1229,9 @@ def frozen(arr):
 
 
 def test_vector_shares_read_only_input_that_owns_its_data():
-    n, m = frozen(np.array([1, 0])), frozen(np.array([0, 1]))
-    amps, camps = frozen(np.array([0.6, 0.8])), frozen(np.array([0.6, 0.8j]))
+    # ascending input, so no sort copies it
+    n, m = frozen(np.array([0, 1])), frozen(np.array([1, 0]))
+    amps, camps = frozen(np.array([0.8, 0.6])), frozen(np.array([0.8j, 0.6]))
     vec = TwoModeVector(n, m, amps, 3, HV)
     assert vec.n is n and vec.m is m and vec.amps is amps
     assert TwoModeVector(n, m, camps, 3, HV).amps is camps
@@ -1213,11 +1239,11 @@ def test_vector_shares_read_only_input_that_owns_its_data():
     assert vec.scaled(-1.0).n is n
     # a read-only view can still change through its base, and another dtype
     # needs a cast: both are copied
-    base = np.array([1, 0, 2])
+    base = np.array([0, 1, 2])
     view = frozen(base[:2])
     from_view = TwoModeVector(view, m, amps, 3, HV)
     base[0] = 2
-    assert from_view.n.tolist() == [1, 0] and not np.shares_memory(from_view.n, base)
+    assert from_view.n.tolist() == [0, 1] and not np.shares_memory(from_view.n, base)
     narrow = frozen(np.array([0.5, 0.5], dtype=np.float32))
     cast = TwoModeVector(n, m, narrow, 3, HV)
     assert cast.amps.dtype == np.float64 and cast.n is n
@@ -1244,8 +1270,8 @@ def test_real_and_complex_storage_give_one_block(g, eta, n_max):
     stored = tuple(c.scaled(1 + 0j) for c in comps)
     assert all(c.amps.dtype == np.float64 for c in comps)
     assert all(c.amps.dtype == np.complex128 for c in stored)
-    rho, prob = _conditioned_block([(1.0, comps)], loss)
-    rho_c, prob_c = _conditioned_block([(1.0, stored)], loss)
+    rho, prob = ensemble_block([(1.0, comps)], loss)
+    rho_c, prob_c = ensemble_block([(1.0, stored)], loss)
     assert np.max(np.abs(rho_c - rho)) <= 1e-15
     assert abs(prob_c - prob) <= 1e-15
 
@@ -1270,6 +1296,23 @@ def test_singlet_build_and_conditioning_stay_in_their_memory_budget():
     assert held <= 1.0e6
     assert build_peak <= 1.3e6
     assert conditioning_peak <= 1.35e6
+
+
+@pytest.mark.parametrize("eta, n_max, budget", [(1e-3, 17439, 1.1e6), (1e-4, 37809, 2.3e6)])
+def test_injection_pipeline_stays_in_its_memory_budget(eta, n_max, budget):
+    # the vacuum ladder's own block is taken, and its columns dropped, before
+    # the singlet is built, so the two ladders' columns are never held together
+    gain, loss, p = GainParams(4.0), LossParams(eta), InjectionParams(0.9)
+    cutoff = conditioning_cutoff(gain, loss)
+    assert cutoff.n_max == n_max
+    attenuated_injection_pipeline(p, gain, loss, cutoff)  # one-time allocations first
+    tracemalloc.start()
+    try:
+        attenuated_injection_pipeline(p, gain, loss, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 @PROPERTY

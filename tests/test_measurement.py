@@ -307,6 +307,95 @@ class TestVisibility:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+CRITERION_4_RS = np.linspace(0.1, 0.9, 9)
+
+
+def criterion_4_visibilities(g):
+    """V(R) at k = 0, 4 and 8 on criterion 4's grid (R = 0.1, ..., 0.9 at
+    cutoff ``required_cutoff(g, 1e-10)``) under three tie rules, keyed by
+    ``(rule, k)``: ``"inconclusive"`` counts the ties ``|n - m| = k`` as
+    inconclusive (the model); ``"split"`` makes each tie +1 or -1 at random,
+    so the tails at ``k - 1`` are the conclusive fraction and V(k = 0) is
+    ``P+ - P-``; ``"none"`` is the unconditioned ``P+ - P-``."""
+    gain = GainParams(g)
+    cut = Cutoff(required_cutoff(gain, 1e-10), 1e-9)
+    tails = {
+        k: np.array([lossy_fringe_probabilities(gain, LossParams(1 - r), k, cut)[:2] for r in CRITERION_4_RS]).T
+        for k in (0, 3, 4, 7, 8)
+    }
+    rules = {}
+    for k in (0, 4, 8):
+        p_plus, p_minus = tails[k]
+        diff = p_plus - p_minus
+        rules["inconclusive", k] = diff / (p_plus + p_minus)
+        rules["split", k] = diff / tails[k - 1].sum(axis=0) if k else diff
+        rules["none", k] = diff
+    return rules
+
+
+@pytest.fixture(scope="module", params=[1.0, 1.8], ids=["g1.0", "g1.8"])
+def tie_rules(request):
+    return request.param, criterion_4_visibilities(request.param)
+
+
+# V(0.1), V(0.2) and V(0.9) of notes/decisions.md, "Criterion 4"
+CRITERION_4_TABLE = {
+    (1.0, "inconclusive", 0): (0.7034, 0.7074, 0.6307),
+    (1.0, "inconclusive", 4): (0.8362, 0.8398, 0.8606),
+    (1.0, "inconclusive", 8): (0.8843, 0.8877, 0.9148),
+    (1.0, "split", 0): (0.6698, 0.6516, 0.2594),
+    (1.0, "split", 4): (0.7117, 0.6611, 0.2250),
+    (1.0, "split", 8): (0.7158, 0.6705, 0.2323),
+    (1.0, "none", 0): (0.6698, 0.6516, 0.2594),
+    (1.0, "none", 4): (0.3099, 0.2667, 0.0018),
+    (1.0, "none", 8): (0.1157, 0.0886, 0.0000),
+    (1.8, "inconclusive", 0): (0.6477, 0.6478, 0.6135),
+    (1.8, "inconclusive", 4): (0.7104, 0.7151, 0.8090),
+    (1.8, "inconclusive", 8): (0.7507, 0.7575, 0.8712),
+    (1.8, "split", 0): (0.6375, 0.6347, 0.4959),
+    (1.8, "split", 4): (0.6843, 0.6823, 0.5479),
+    (1.8, "split", 8): (0.7196, 0.7198, 0.5800),
+    (1.8, "none", 0): (0.6375, 0.6347, 0.4959),
+    (1.8, "none", 4): (0.5915, 0.5798, 0.1442),
+    (1.8, "none", 8): (0.5228, 0.5018, 0.0312),
+}
+
+
+class TestCriterion4TieRules:
+    """Each half of criterion 4 holds under one tie rule, and none of these
+    three rules passes both: the k = 0 fall needs ties split or no tie rule,
+    the k = 4 and 8 rise needs ties inconclusive."""
+
+    def test_inconclusive_ties_rise_once_at_k0_and_rise_at_k4_and_k8(self, tie_rules):
+        _, rules = tie_rules
+        steps = np.diff(rules["inconclusive", 0])
+        assert steps[0] > 0 and (steps[1:] < 0).all()
+        for k in (4, 8):
+            assert (np.diff(rules["inconclusive", k]) > 0).all(), k
+
+    def test_split_ties_fall_at_k0_and_k4(self, tie_rules):
+        g, rules = tie_rules
+        for k in (0, 4):
+            assert (np.diff(rules["split", k]) < 0).all(), k
+        steps = np.diff(rules["split", 8])
+        if g == 1.0:
+            assert (steps < 0).all()
+        else:  # rises over the first three steps, then falls
+            assert (steps[:3] > 0).all() and (steps[3:] < 0).all()
+
+    def test_unconditioned_difference_falls_at_every_threshold(self, tie_rules):
+        _, rules = tie_rules
+        for k in (0, 4, 8):
+            assert (np.diff(rules["none", k]) < 0).all(), k
+
+    def test_values_match_the_recorded_table(self, tie_rules):
+        g, rules = tie_rules
+        for (table_g, rule, k), want in CRITERION_4_TABLE.items():
+            if table_g == g:
+                got = rules[rule, k][[0, 1, 8]]
+                assert got == pytest.approx(want, abs=1e-4), (rule, k)
+
+
 def tails_of_one_law(law, k):
     """``(P+, P-)`` of a 1-D law, slice by slice, as each row is read; no
     difference lies beyond N/2, so neither slice may wrap around."""
