@@ -15,10 +15,12 @@ generating functions, and the conditioning below keeps a closed form
 The highly attenuated regime conditions the lossy state on one surviving
 photon in the amplified arm: a two-qubit density matrix over (HH, HV, VH, VV),
 summed for one pure state as overlaps of its components, stored by ascending
-flat index, shifted by -1, 0 and +1.  Imperfect injection adds the vacuum
-seed's block to the singlet's.  At 10^4 to 10^5 photons fresh full-length
-arrays, not flops, set the cost, so real ladders share read-only index arrays
-(``notes/decisions.md``).
+flat index, shifted by -1, 0 and +1.  Where one component's keys are the
+other's shifted by one constant and lie at least 3 apart, as on the singlet
+ladders, the partners sit at equal positions; other supports search for them.
+Imperfect injection adds the vacuum seed's block to the singlet's.  At 10^4
+to 10^5 photons fresh full-length arrays, not flops, set the cost, so real
+ladders share read-only index arrays (``notes/decisions.md``).
 """
 
 from __future__ import annotations
@@ -242,6 +244,40 @@ def _survivor_columns(comp: TwoModeVector, loss: LossParams) -> tuple[np.ndarray
     return f, h, v, own
 
 
+def _partner_shift(f0: np.ndarray, f1: np.ndarray) -> int | None:
+    """The ``d`` in {-1, 0, +1} with ``f1 == f0 + d`` when ``f0``'s keys lie at
+    least 3 apart, so that each key's only partner within 1 sits at its own
+    position; otherwise None."""
+    if len(f0) != len(f1):
+        return None
+    shift = int(f1[0] - f0[0])
+    if abs(shift) > 1 or (len(f0) > 1 and np.diff(f0).min() < 3):
+        return None
+    return shift if np.array_equal(f0 + shift, f1) else None
+
+
+def _partners_by_search(rho: np.ndarray, f0, h0, v0, f1, h1, v1) -> None:
+    """Cross overlaps of two nonempty components into ``rho[:2, 2:]``: component
+    1 at ``f``, ``f - 1`` and ``f + 1`` for each key ``f`` of component 0."""
+    # at[i] keys of component 1 lie below f0[i]; key differences in one
+    # buffer, and an index clipped into range fails
+    at = np.searchsorted(f1, f0)
+    gap = np.empty_like(at)
+    same = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 0
+    if same.any():
+        rho[0, 2] = np.vdot(h1[at[same]], h0[same])
+        rho[1, 3] = np.vdot(v1[at[same]], v0[same])
+    at -= 1
+    down = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == -1
+    if down.any():
+        rho[0, 3] = np.vdot(v1[at[down]], h0[down])
+    at += 1  # past f itself where component 1 holds it
+    at += same
+    up = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 1
+    if up.any():
+        rho[1, 2] = np.vdot(h1[at[up]], v0[up])
+
+
 def _conditioned_block(comps: tuple[TwoModeVector, ...], loss: LossParams) -> np.ndarray:
     """Unnormalized two-qubit block of one pure joint state after loss,
     conditioned on exactly one photon surviving on the amplified arm.
@@ -252,33 +288,27 @@ def _conditioned_block(comps: tuple[TwoModeVector, ...], loss: LossParams) -> np
     index ``f`` shares its lost-photon pattern with ``(s', q')`` at ``f + q - q'``:
     the block is ``eta`` times overlaps of the components, stored by
     ascending flat index, shifted by -1, 0 and +1 (``notes/decisions.md``).
-    An empty component has no cross overlaps.  The block is linear in the
-    state's projector, so a mixture's block is the weighted sum of its
-    members'.  The amplitude stays in closed form; no dense loss table fits
-    at the attenuated pipelines' cutoffs.
+    Where :func:`_partner_shift` finds component 1 at ``f0 + d`` position by
+    position, each cross overlap is one dot product of whole columns; else
+    :func:`_partners_by_search` pairs the keys.  An empty component has no
+    cross overlaps.  The block is linear in the state's projector, so a
+    mixture's block is the weighted sum of its members'.  The amplitude stays
+    in closed form; no dense loss table fits at the attenuated pipelines'
+    cutoffs.
     """
     (f0, h0, v0, own0), (f1, h1, v1, own1) = (_survivor_columns(c, loss) for c in comps)
     rho = np.zeros((4, 4), dtype=complex)
     rho[:2, :2], rho[2:, 2:] = own0, own1
     if len(f0) and len(f1):
-        # at[i] keys of component 1 lie below f0[i]; component 1 at f, f - 1
-        # and f + 1 for each f of component 0, by key difference in one
-        # buffer; an index clipped into range fails
-        at = np.searchsorted(f1, f0)
-        gap = np.empty_like(at)
-        same = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 0
-        if same.any():
-            rho[0, 2] = np.vdot(h1[at[same]], h0[same])
-            rho[1, 3] = np.vdot(v1[at[same]], v0[same])
-        at -= 1
-        down = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == -1
-        if down.any():
-            rho[0, 3] = np.vdot(v1[at[down]], h0[down])
-        at += 1  # past f itself where component 1 holds it
-        at += same
-        up = np.subtract(f1.take(at, mode="clip", out=gap), f0, out=gap) == 1
-        if up.any():
-            rho[1, 2] = np.vdot(h1[at[up]], v0[up])
+        shift = _partner_shift(f0, f1)
+        if shift is None:
+            _partners_by_search(rho, f0, h0, v0, f1, h1, v1)
+        elif shift == 1:  # component 1 at f + 1: the "up" overlap alone
+            rho[1, 2] = np.vdot(h1, v0)
+        elif shift == -1:
+            rho[0, 3] = np.vdot(v1, h0)
+        else:
+            rho[0, 2], rho[1, 3] = np.vdot(h1, h0), np.vdot(v1, v0)
         rho[2:, :2] = rho[:2, 2:].conj().T
     rho *= loss.eta
     return rho

@@ -51,13 +51,16 @@ class PptReport:
 def concurrence_2x2(rho: np.ndarray) -> ConcurrenceReport:
     """Two-qubit concurrence via the spin-flip eigenvalue construction.
 
-    The input must be Hermitian and positive to 1e-9 and of trace one to
-    1e-6.  Eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` are clipped at 0
-    before the square roots; the basis order is (HH, HV, VH, VV).
+    The input must be finite, Hermitian and positive to 1e-9 and of trace
+    one to 1e-6, or :class:`ValueError` is raised.  Eigenvalues of
+    ``rho (sy x sy) rho* (sy x sy)`` are clipped at 0 before the square
+    roots; the basis order is (HH, HV, VH, VV).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():  # before NaN slips past the comparisons below
+        raise ValueError("density matrix has a non-finite entry")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
@@ -185,8 +188,12 @@ def ppt_test(rho: np.ndarray, dims: tuple[int, int]) -> PptReport:
     at least ``-1e-9`` (``_PPT_TOL``, shared with
     :func:`critical_injection_scan`).  Exact separability verdict for a 2x2
     split; for larger local dimensions a negative partial transpose still
-    certifies entanglement while positivity remains inconclusive.
+    certifies entanglement while positivity remains inconclusive.  A matrix
+    with a non-finite entry raises :class:`ValueError`.
     """
+    rho = np.asarray(rho)
+    if not np.isfinite(rho).all():  # the eigensolver fails on NaN with LinAlgError
+        raise ValueError("density matrix has a non-finite entry")
     evals = _pt_spectra(rho, dims)
     negativity = float(-np.sum(evals[evals < 0.0]))
     return PptReport(evals, negativity, bool(evals[0] >= -_PPT_TOL))

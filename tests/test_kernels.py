@@ -47,6 +47,7 @@ from qiopa import (
     required_cutoff,
     rotate_basis,
 )
+from qiopa import channels
 from qiopa.amplifier import (
     _checked_tail,
     _hv_macro_vector_unchecked,
@@ -59,6 +60,7 @@ from qiopa.channels import (
     _binomial_thinning_kernel,
     _conditional_tail_fraction,
     _conditioned_block,
+    _partner_shift,
     attenuated_injection_pipeline,
     coherence_parameter,
 )
@@ -766,6 +768,140 @@ def test_conditioning_ignores_a_global_phase(ensemble, eta, theta):
     rho_turned, prob_turned = ensemble_block(turned, loss)
     assert np.max(np.abs(rho_turned - rho)) <= 1e-13
     assert abs(prob_turned - prob) <= 1e-13
+
+
+def vector_at_keys(keys, amps, cutoff=41):
+    """Vector holding ``amps`` at the given flat indices."""
+    space = fock_space(cutoff)
+    keys = np.asarray(keys, dtype=np.int64)
+    return TwoModeVector(space.n[keys], space.m[keys], np.asarray(amps), cutoff, HV)
+
+
+def assert_matches_oracles(comps, loss, rtol=1e-12):
+    rho = _conditioned_block(comps, loss)
+    for oracle in (conditioned_block_loop, conditioned_block_dict):
+        want, _ = oracle([(1.0, comps)], loss)
+        assert np.linalg.norm(rho - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Records each call of the partner search; the search still runs."""
+    calls, search = [], channels._partners_by_search
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        search(*args)
+
+    monkeypatch.setattr(channels, "_partners_by_search", spy)
+    return calls
+
+
+@st.composite
+def shifted_supports(draw):
+    """Two components whose ascending keys lie at least 3 apart, the second's
+    the first's shifted by ``d`` in {-1, 0, +1}, each with real or complex
+    nonzero amplitudes; and ``d``."""
+    d = draw(st.sampled_from([-1, 0, 1]))
+    gaps = draw(st.lists(st.integers(3, 40), max_size=20))
+    keys = draw(st.integers(1, 60)) + np.cumsum([0, *gaps])
+    comps = []
+    for comp_keys in (keys, keys + d):
+        size = len(comp_keys)
+        amps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)))
+        amps *= np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size)))
+        if draw(st.booleans()):
+            phases = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=size, max_size=size))
+            amps = amps * np.exp(1j * np.array(phases))
+        comps.append(vector_at_keys(comp_keys, amps / (2.0 * np.linalg.norm(amps))))
+    return tuple(comps), d
+
+
+@PROPERTY
+@given(shifted_supports(), st.floats(1e-9, 1.0))
+@example(supports=((vector_at_keys([4], [0.5]), vector_at_keys([5], [-0.5j])), 1), eta=1.0)
+def test_partners_by_position_match_the_oracles(supports, eta):
+    comps, d = supports
+    assert _partner_shift(comps[0].keys, comps[1].keys) == d
+    assert_matches_oracles(comps, LossParams(eta))
+
+
+NEAR_MISSES = {
+    "gap of 2": ([5, 7, 12], [6, 8, 13]),
+    "one key off by one": ([5, 10, 15], [6, 12, 16]),
+    "unequal lengths": ([5, 10, 15], [6, 11]),
+    "shift +2": ([5, 10, 15], [7, 12, 17]),
+    "shift -2": ([5, 10, 15], [3, 8, 13]),
+}
+
+
+@pytest.mark.parametrize("keys", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+@pytest.mark.parametrize("eta", [1e-3, 0.4, 1.0])
+def test_near_misses_take_the_search_and_match_the_oracles(keys, eta, search_calls):
+    rng = np.random.default_rng(len(keys[0]) + 7 * keys[1][0])
+    comps = tuple(
+        vector_at_keys(k, (rng.normal(size=len(k)) + 1j * rng.normal(size=len(k))) / 4.0) for k in keys
+    )
+    assert _partner_shift(comps[0].keys, comps[1].keys) is None
+    assert_matches_oracles(comps, LossParams(eta))
+    assert search_calls == [len(keys[0])]
+
+
+@pytest.mark.parametrize("first, second", [([5, 10], []), ([], [6, 11]), ([], [])])
+def test_an_empty_component_has_no_cross_overlaps(first, second, search_calls):
+    comps = tuple(vector_at_keys(k, np.full(len(k), 0.5)) for k in (first, second))
+    rho = _conditioned_block(comps, LossParams(0.4))
+    assert not rho[:2, 2:].any() and not rho[2:, :2].any()
+    assert_matches_oracles(comps, LossParams(0.4))
+    assert search_calls == []
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_one_entry_components_take_the_position_route(d, search_calls):
+    # a single key has no gaps: np.diff gives an empty array without a minimum
+    comps = (vector_at_keys([8], [0.6]), vector_at_keys([8 + d], [-0.7j]))
+    assert _partner_shift(comps[0].keys, comps[1].keys) == d
+    assert_matches_oracles(comps, LossParams(0.3))
+    assert search_calls == []
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.5, 1.0])
+def test_the_unamplified_singlet_at_cutoff_1_takes_the_position_route(eta, search_calls):
+    comps = micro_macro_state_hv(GainParams(0.0), Cutoff(1, ANY_TAIL)).components
+    assert [len(c.keys) for c in comps] == [1, 1]
+    assert_matches_oracles(comps, LossParams(eta))
+    assert search_calls == []
+
+
+@pytest.mark.parametrize(
+    "g, eta",
+    [*itertools.product([2.0, 3.0, 4.0], [1e-4, 1e-3, 1e-2]), (5.0, 1e-5), (0.0, 1e-3), (0.0, 1.0)],
+)
+def test_the_position_route_repeats_the_search_bit_for_bit(g, eta, search_calls, monkeypatch):
+    # the singlet ladders hold component 1 at f + 1, with key gaps of 4n + 6:
+    # every probe of the search finds a partner, so it takes the same values
+    # in the same order
+    gain, loss = GainParams(g), LossParams(eta)
+    comps = micro_macro_state_hv(gain, conditioning_cutoff(gain, loss)).components
+    fast = _conditioned_block(comps, loss)
+    assert search_calls == []
+    monkeypatch.setattr(channels, "_partner_shift", lambda f0, f1: None)
+    searched = _conditioned_block(comps, loss)
+    assert search_calls == [len(comps[0].keys)]
+    assert np.array_equal(fast, searched)
+
+
+@pytest.mark.parametrize("phi", [0.1, 1.0, 2.5, 4.0])
+def test_a_rotated_singlet_with_rotation_residue_takes_the_search(phi, search_calls):
+    # rotating an equatorial singlet back into (H, V) leaves residues above
+    # the drop threshold in the far tail at g = 0.3, cutoff 81; they break
+    # the shifted pattern, so the search pairs the components
+    state = micro_macro_state(phi, GainParams(0.3), Cutoff(81, ANY_TAIL))
+    comps = state.rotated(HV).components
+    loss = LossParams(0.2)
+    attenuate_to_single_photon(state, loss)
+    assert search_calls == [len(comps[0].keys)]
+    assert_matches_oracles(comps, loss)
 
 
 # --------------------------------------------------------------------------

@@ -32,6 +32,16 @@ SINGLET = np.outer(
 )
 
 
+def non_finite_matrices():
+    """The singlet with one NaN or infinite coherence, and all-NaN and all-inf
+    matrices."""
+    for entry in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        rho = SINGLET.astype(complex)
+        rho[1, 2] = entry
+        yield rho
+        yield np.full((4, 4), entry)
+
+
 class TestConcurrence:
     def test_singlet(self):
         assert concurrence_2x2(SINGLET).concurrence == pytest.approx(1.0, abs=1e-12)
@@ -59,6 +69,10 @@ class TestConcurrence:
         skew[0, 1] = 0.3j
         with pytest.raises(ValueError):
             concurrence_2x2(skew)
+        # a NaN reached the eigensolver (LinAlgError), an inf warned first
+        for rho in non_finite_matrices():
+            with np.errstate(all="raise"), pytest.raises(ValueError, match="non-finite"):
+                concurrence_2x2(rho)
 
 
 class TestAnalyticConcurrence:
@@ -289,6 +303,11 @@ class TestPpt:
                 InjectionParams(1.0), GainParams(g_val), LossParams(1e-3)
             )
             assert not ppt_test(rho, (2, 2)).separable
+
+    def test_rejects_a_non_finite_matrix(self):
+        for rho in non_finite_matrices():
+            with np.errstate(all="raise"), pytest.raises(ValueError, match="non-finite"):
+                ppt_test(rho, (2, 2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
